@@ -9,19 +9,22 @@ discard the head and keep the finetuned encoder.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Corpus
-from .encoder import (
+# encode_backward is no longer called here; it stays importable from this
+# module for code that looks it up as pairtune.training.encode_backward.
+from .encoder import (  # noqa: F401
     EncoderConfig,
     EncoderGradient,
     EncoderParams,
     encode,
     encode_backward,
+    encode_batch,
+    encode_batch_backward,
 )
 
 
@@ -147,11 +150,23 @@ def optimizer_step(
             raise ValueError(f"shape mismatch for '{name}': {g.shape} vs {p.shape}")
         m = state.m[name]
         v = state.v[name]
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), evaluated in the same
+        # order through two scratch arrays rather than one temporary per
+        # operation, which sets peak memory when E is large.
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        tmp = np.multiply(1.0 - state.beta1, g)
+        m += tmp
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        np.multiply(1.0 - state.beta2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        step = np.divide(m, c1)
+        step *= learning_rate
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        step /= tmp
+        p -= step
     return params, state
 
 
@@ -166,30 +181,11 @@ def cosine_similarity(u, v, epsilon_norm: float = 1e-12) -> float:
     return float(u @ v / (gu * gv))
 
 
-def cosine_similarity_backward(
-    u: np.ndarray, v: np.ndarray, epsilon_norm: float, upstream: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the guarded cosine similarity w.r.t. both arguments.
+def siamese_loss(sim, target):
+    """Squared error against the binary target: ((sim-t)^2, 2(sim-t)).
 
-    When a norm sits at the epsilon guard it is constant, so its branch of
-    the quotient rule drops out.
+    Element-wise on arrays, so it scores a whole batch of similarities.
     """
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    gu = max(nu, epsilon_norm)
-    gv = max(nv, epsilon_norm)
-    sim = float(u @ v) / (gu * gv)
-    du = v / (gu * gv)
-    dv = u / (gu * gv)
-    if nu > epsilon_norm:
-        du = du - sim * u / (gu * gu)
-    if nv > epsilon_norm:
-        dv = dv - sim * v / (gv * gv)
-    return upstream * du, upstream * dv
-
-
-def siamese_loss(sim: float, target: float) -> tuple[float, float]:
-    """Squared error against the binary target: ((sim-t)^2, 2(sim-t))."""
     r = sim - target
     return r * r, 2.0 * r
 
@@ -203,6 +199,38 @@ class TrainingReport:
     epoch_seconds: list[float] = field(default_factory=list)
 
 
+def siamese_batch_backward(
+    params: EncoderParams,
+    config: EncoderConfig,
+    xa,
+    xb,
+    targets,
+    epsilon_norm: float,
+    grad: EncoderGradient,
+) -> np.ndarray:
+    """Per-pair losses of a batch; their summed gradient joins ``grad``.
+
+    Pair i is (xa[i], xb[i]). All 2B members go through one ``encode_batch``
+    call. When a norm sits at the epsilon guard it is constant, so its
+    branch of the cosine's quotient rule drops out.
+    """
+    n = len(xa)
+    Z, fwd = encode_batch(params, config, [*xa, *xb])
+    za, zb = Z[:n], Z[n:]
+    nu = np.linalg.norm(za, axis=1)
+    nv = np.linalg.norm(zb, axis=1)
+    gu = np.maximum(nu, epsilon_norm)
+    gv = np.maximum(nv, epsilon_norm)
+    sim = np.einsum("ij,ij->i", za, zb) / (gu * gv)
+    losses, dsim = siamese_loss(sim, np.asarray(targets, dtype=np.float64))
+    cross = (dsim / (gu * gv))[:, None]
+    self_u = np.where(nu > epsilon_norm, dsim * sim / (gu * gu), 0.0)[:, None]
+    self_v = np.where(nv > epsilon_norm, dsim * sim / (gv * gv), 0.0)[:, None]
+    dZ = np.concatenate([cross * zb - self_u * za, cross * za - self_v * zb])
+    encode_batch_backward(params, config, fwd, dZ, grad)
+    return losses
+
+
 def siamese_pair_backward(
     params: EncoderParams,
     config: EncoderConfig,
@@ -212,15 +240,38 @@ def siamese_pair_backward(
     epsilon_norm: float,
     grad: EncoderGradient,
 ) -> float:
-    """Loss of one pair; its gradient (through both branches) joins ``grad``."""
-    za = encode(params, config, xa)
-    zb = encode(params, config, xb)
-    sim = cosine_similarity(za, zb, epsilon_norm)
-    loss, dsim = siamese_loss(sim, target)
-    dza, dzb = cosine_similarity_backward(za, zb, epsilon_norm, dsim)
-    encode_backward(params, config, xa, dza, grad)
-    encode_backward(params, config, xb, dzb, grad)
-    return loss
+    """Loss of one pair; its gradient (through both branches) joins ``grad``.
+
+    The batch-of-one case of ``siamese_batch_backward``.
+    """
+    return float(siamese_batch_backward(params, config, [xa], [xb], [target], epsilon_norm, grad)[0])
+
+
+def naive_batch_backward(
+    params: EncoderParams,
+    config: EncoderConfig,
+    head: HeadParams,
+    xs,
+    target_indices,
+    egrad: EncoderGradient,
+    hgrad: HeadGradient,
+) -> np.ndarray:
+    """Per-example cross-entropy losses of a batch; gradients join the accumulators."""
+    Z, fwd = encode_batch(params, config, xs)
+    A = Z @ head.Wh.T
+    A += head.bh
+    H = np.maximum(A, 0.0)
+    logits = H @ head.Wo.T
+    logits += head.bo
+    losses, dlogits = softmax_cross_entropy(logits, target_indices)
+    hgrad.Wo += dlogits.T @ H
+    hgrad.bo += dlogits.sum(axis=0)
+    dA = dlogits @ head.Wo
+    dA *= A > 0.0
+    hgrad.Wh += dA.T @ Z
+    hgrad.bh += dA.sum(axis=0)
+    encode_batch_backward(params, config, fwd, dA @ head.Wh, egrad)
+    return losses
 
 
 def naive_example_backward(
@@ -232,20 +283,16 @@ def naive_example_backward(
     egrad: EncoderGradient,
     hgrad: HeadGradient,
 ) -> float:
-    """Cross-entropy loss of one example; gradients join the accumulators."""
-    z = encode(params, config, x)
-    a = head.Wh @ z + head.bh
-    mask = a > 0.0
-    hidden = np.where(mask, a, 0.0)
-    logits = head.Wo @ hidden + head.bo
-    loss, dlogits = softmax_cross_entropy(logits, target_index)
-    hgrad.Wo += np.outer(dlogits, hidden)
-    hgrad.bo += dlogits
-    da = (head.Wo.T @ dlogits) * mask
-    hgrad.Wh += np.outer(da, z)
-    hgrad.bh += da
-    encode_backward(params, config, x, head.Wh.T @ da, egrad)
-    return loss
+    """Cross-entropy loss of one example; gradients join the accumulators.
+
+    The batch-of-one case of ``naive_batch_backward``.
+    """
+    return float(naive_batch_backward(params, config, head, [x], [target_index], egrad, hgrad)[0])
+
+
+def _zero(grads: dict[str, np.ndarray]) -> None:
+    for arr in grads.values():
+        arr.fill(0.0)
 
 
 def train_siamese(
@@ -273,14 +320,23 @@ def train_siamese(
     pdict = params.as_dict()
     opt = OptimizerState.for_params(pdict)
     report = TrainingReport(n_items=len(pairs))
-    cache: dict[tuple[str, str], object] = {}
+    # One prepared input per distinct example; pairs index into them.
+    slots: dict[tuple[str, str], int] = {}
+    inputs: list = []
 
-    def prepared(ex):
+    def slot(ex) -> int:
         key = (ex.dataset_id, ex.id)
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = input_fn(ex)
-        return got
+        i = slots.get(key)
+        if i is None:
+            i = slots[key] = len(inputs)
+            inputs.append(input_fn(ex))
+        return i
+
+    ia = np.array([slot(p.a) for p in pairs], dtype=np.intp)
+    ib = np.array([slot(p.b) for p in pairs], dtype=np.intp)
+    targets = np.array([scfg.target_same if p.target == 1 else scfg.target_diff for p in pairs])
+    grad = EncoderGradient.zeros_like(params)
+    gdict = grad.as_dict()
 
     order = np.arange(len(pairs))
     for epoch in range(scfg.epochs):
@@ -289,21 +345,18 @@ def train_siamese(
         total = 0.0
         for batch_no, lo in enumerate(range(0, len(order), scfg.batch_size)):
             batch = order[lo : lo + scfg.batch_size]
-            grad = EncoderGradient.zeros_like(params)
-            for i in batch:
-                pair = pairs[int(i)]
-                target = scfg.target_same if pair.target == 1 else scfg.target_diff
-                loss = siamese_pair_backward(
-                    params, config, prepared(pair.a), prepared(pair.b),
-                    target, scfg.epsilon_norm, grad,
-                )
-                if not math.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch} batch {batch_no}"
-                    )
-                total += loss
+            _zero(gdict)
+            losses = siamese_batch_backward(
+                params, config,
+                [inputs[i] for i in ia[batch].tolist()],
+                [inputs[i] for i in ib[batch].tolist()],
+                targets[batch], scfg.epsilon_norm, grad,
+            )
+            if not np.isfinite(losses).all():
+                raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_no}")
+            total += float(losses.sum())
             grad.scale(1.0 / len(batch))
-            optimizer_step(pdict, grad.as_dict(), opt, scfg.learning_rate)
+            optimizer_step(pdict, gdict, opt, scfg.learning_rate)
         elapsed = time.perf_counter() - started
         mean_loss = total / len(order)
         report.epoch_losses.append(mean_loss)
@@ -325,14 +378,15 @@ def head_logits(params: EncoderParams, config: EncoderConfig, head: HeadParams, 
     return head.Wo @ hidden + head.bo
 
 
-def softmax_cross_entropy(logits: np.ndarray, target_index: int) -> tuple[float, np.ndarray]:
-    """Loss and d(loss)/d(logits) for one example."""
-    shifted = logits - logits.max()
-    lse = math.log(float(np.sum(np.exp(shifted))))
-    loss = lse - float(shifted[target_index])
-    dlogits = np.exp(shifted - lse)
-    dlogits[target_index] -= 1.0
-    return loss, dlogits
+def softmax_cross_entropy(logits: np.ndarray, target_indices) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row losses and d(loss)/d(logits) for a batch of logit rows."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(len(shifted))
+    losses = lse - shifted[rows, target_indices]
+    dlogits = np.exp(shifted - lse[:, None])
+    dlogits[rows, target_indices] -= 1.0
+    return losses, dlogits
 
 
 def train_naive(
@@ -356,7 +410,10 @@ def train_naive(
     report = TrainingReport(n_items=len(corpus))
 
     inputs = [input_fn(ex) for ex in corpus.examples]
-    targets = [label_index[ex.class_label] for ex in corpus.examples]
+    targets = np.array([label_index[ex.class_label] for ex in corpus.examples], dtype=np.intp)
+    egrad = EncoderGradient.zeros_like(params)
+    hgrad = HeadGradient.zeros_like(head)
+    grads = egrad.as_dict() | hgrad.as_dict()
 
     order = np.arange(len(corpus))
     for epoch in range(ncfg.epochs):
@@ -365,20 +422,17 @@ def train_naive(
         total = 0.0
         for batch_no, lo in enumerate(range(0, len(order), ncfg.batch_size)):
             batch = order[lo : lo + ncfg.batch_size]
-            egrad = EncoderGradient.zeros_like(params)
-            hgrad = HeadGradient.zeros_like(head)
-            for i in batch:
-                loss = naive_example_backward(
-                    params, config, head, inputs[int(i)], targets[int(i)], egrad, hgrad
-                )
-                if not math.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch} batch {batch_no}"
-                    )
-                total += loss
+            _zero(grads)
+            losses = naive_batch_backward(
+                params, config, head, [inputs[i] for i in batch.tolist()], targets[batch],
+                egrad, hgrad,
+            )
+            if not np.isfinite(losses).all():
+                raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_no}")
+            total += float(losses.sum())
             egrad.scale(1.0 / len(batch))
             hgrad.scale(1.0 / len(batch))
-            optimizer_step(joint, egrad.as_dict() | hgrad.as_dict(), opt, ncfg.learning_rate)
+            optimizer_step(joint, grads, opt, ncfg.learning_rate)
         elapsed = time.perf_counter() - started
         mean_loss = total / len(order)
         report.epoch_losses.append(mean_loss)

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pairtune
 from pairtune.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -205,6 +210,84 @@ class TestEvalCommand:
         test = gen_corpus(tmp_path / "t.jsonl")
         assert run("eval", "--orig", "--test", test,
                    "--out", tmp_path / "r.tsv") == EXIT_USAGE
+
+
+def rewrite_model(path, edit_header=None, edit_payload=None):
+    """Rewrite a saved .ptm file through header and payload edit functions."""
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    if edit_header is not None:
+        edit_header(fields)
+    if edit_payload is not None:
+        payload = edit_payload(payload)
+    path.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + payload)
+
+
+def assert_one_line_data_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1, err
+    for word in words:
+        assert word in err
+
+
+class TestMalformedInputs:
+    def train_model(self, tmp_path, *extra):
+        corpus = gen_corpus(tmp_path / "c.jsonl")
+        model = tmp_path / "m.ptm"
+        assert run("train", "--mode", "SIAMESE", "--train", corpus,
+                   "--out", model, *SMALL_TRAIN, *extra) == EXIT_OK
+        return corpus, model
+
+    def eval_model(self, tmp_path, corpus, model):
+        return run("eval", "--model", model, "--test", corpus,
+                   "--n-pairs", 50, "--out", tmp_path / "r.tsv")
+
+    def test_model_header_missing_mode_is_data_error(self, tmp_path, capsys):
+        corpus, model = self.train_model(tmp_path)
+        rewrite_model(model, edit_header=lambda h: h.pop("mode"))
+        capsys.readouterr()
+        assert self.eval_model(tmp_path, corpus, model) == EXIT_DATA
+        assert_one_line_data_error(capsys, "missing mode")
+
+    def test_text_model_with_non_numeric_value_is_data_error(self, tmp_path, capsys):
+        corpus, model = self.train_model(tmp_path, "--format", "text")
+        rewrite_model(model, edit_payload=lambda b: b"oops " + b.split(b" ", 1)[1])
+        capsys.readouterr()
+        assert self.eval_model(tmp_path, corpus, model) == EXIT_DATA
+        assert_one_line_data_error(capsys, "non-numeric value in parameter 'E'")
+
+    def test_vocab_with_non_integer_min_count_is_data_error(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path / "c.jsonl")
+        vocab = tmp_path / "vocab.txt"
+        assert run("build-vocab", "--train", corpus, "--out", vocab) == EXIT_OK
+        lines = vocab.read_text().splitlines(keepends=True)
+        vocab.write_text("min_count=x\n" + "".join(lines[1:]))
+        capsys.readouterr()
+        assert run("train", "--mode", "SIAMESE", "--train", corpus, "--vocab", vocab,
+                   "--out", tmp_path / "m.ptm", *SMALL_TRAIN) == EXIT_DATA
+        assert_one_line_data_error(capsys, "min_count")
+
+
+def test_model_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    # The determinism contract covers the OpenBLAS thread count: the batched
+    # kernel's matrix products are large enough (64 x 64 x 512) for OpenBLAS
+    # to split them across two threads, and the model must not change.
+    corpus = gen_corpus(tmp_path / "c.jsonl")
+    src = str(Path(pairtune.__file__).resolve().parents[1])
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"m{threads}.ptm"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "pairtune.cli", "train", "--mode", "SIAMESE",
+             "--train", str(corpus), "--out", str(out), "--d-tok", "16",
+             "--hidden-width", "64", "--d-out", "512", "--epochs", "2",
+             "--pairs", "512", "--seed", "3"],
+            env=env, check=True, capture_output=True,
+        )
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
 
 
 def experiment_config(tmp_path, **overrides):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,24 @@ class TestModelFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(CorpusError, match="payload too short"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h, rows: ({k: v for k, v in h.items() if k != "h"}, rows), "missing h"),
+        (lambda h, rows: ([h], rows), "malformed model header"),
+        (lambda h, rows: (dict(h, d_out="wide"), rows), "bad model header"),
+        (lambda h, rows: (h, [b"1.0 x 2.0"] + rows[1:]), "non-numeric value in parameter 'W1'"),
+        (lambda h, rows: (h, [rows[0] + b" 0.5"] + rows[1:]), "wrong number of values"),
+        (lambda h, rows: (h, [b"\xff"] + rows[1:]), "not UTF-8"),
+    ])
+    def test_malformed_text_model_is_corpus_error(self, tmp_path, edit, message):
+        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=4, d_out=2)
+        path = tmp_path / "m.ptm"
+        save_model(path, config, init_encoder_params(config, seed=8), storage=STORAGE_TEXT)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        header, rows = edit(json.loads(header), payload.split(b"\n"))
+        path.write_bytes(b"\n".join([magic, json.dumps(header).encode(), *rows]))
+        with pytest.raises(CorpusError, match=message):
             load_model(path)
 
 

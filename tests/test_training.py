@@ -5,6 +5,7 @@ import pytest
 
 from pairtune.corpus import SplitSpec, RANDOM_BY_EXAMPLE, split_corpus
 from pairtune.encoder import (
+    FROZEN_PROJECTION,
     TRAINABLE,
     EncoderConfig,
     EncoderGradient,
@@ -26,8 +27,10 @@ from pairtune.training import (
     cosine_similarity,
     head_logits,
     init_head_params,
+    naive_batch_backward,
     naive_example_backward,
     optimizer_step,
+    siamese_batch_backward,
     siamese_loss,
     siamese_pair_backward,
     train_naive,
@@ -339,6 +342,16 @@ class TestTrainNaive:
                 train_naive(params, config, corpus, input_fn,
                             NaiveConfig(epochs=1, seed=4))
 
+    def test_nan_pre_activation_aborts(self):
+        # A NaN must survive both ReLUs to reach the loss check; a ReLU
+        # written as where(a > 0, a, 0) would turn it into a finite 0.
+        corpus, _, config, params, input_fn = three_class_setup()
+        params.W1[0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="epoch 0 batch 0"):
+                train_naive(params, config, corpus, input_fn,
+                            NaiveConfig(epochs=1, seed=4))
+
     def test_separable_corpus_reaches_high_accuracy(self):
         corpus = synthetic_corpus("cls2", 2, 80, n_groups=2, group_size=40,
                                   groups_per_class=1, tokens_per_example=6, seed=41)
@@ -355,3 +368,65 @@ class TestTrainNaive:
             correct += labels[int(np.argmax(logits))] == ex.class_label
         assert correct / len(corpus) >= 0.95
         assert report.epoch_losses[-1] < report.epoch_losses[0]
+
+
+def batch_setup(mode, seed):
+    """Eight well-scaled inputs with repeated tokens, a one-token example and
+    one input whose output is exactly zero, so its norm sits at the guard."""
+    if mode == TRAINABLE:
+        config = EncoderConfig(mode=TRAINABLE, d_tok=4, h=6, d_out=5)
+        params = well_scaled_params(init_encoder_params(config, vocab_size=9, seed=seed), seed)
+        params.E[8] = 0.0
+        xs = [[1, 1, 3], [2], [8], [4, 5, 4, 4], [0, 7], [6, 3, 2], [5], [7, 7]]
+    else:
+        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=4, h=6, d_out=5)
+        params = well_scaled_params(init_encoder_params(config, seed=seed), seed)
+        xs = list(np.random.default_rng(seed).normal(size=(8, 4)))
+        xs[2] = np.zeros(4)
+    # zero biases make the zero input's output exactly zero
+    params.b1[...] = 0.0
+    params.b2[...] = 0.0
+    return config, params, xs
+
+
+def relative_error(batched: dict, summed: dict) -> float:
+    """Largest absolute difference per array, relative to that array's largest entry."""
+    return max(
+        float(np.abs(batched[k] - summed[k]).max() / max(np.abs(summed[k]).max(), 1e-300))
+        for k in summed
+    )
+
+
+@pytest.mark.parametrize("mode", [TRAINABLE, FROZEN_PROJECTION])
+class TestBatchKernel:
+    def test_siamese_batch_equals_sum_of_pairs(self, mode):
+        config, params, xs = batch_setup(mode, seed=61)
+        xa, xb = xs, xs[3:] + xs[:3]
+        targets = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        eps = 1e-12
+        assert np.linalg.norm(encode(params, config, xs[2])) < eps
+
+        batched = EncoderGradient.zeros_like(params)
+        losses = siamese_batch_backward(params, config, xa, xb, targets, eps, batched)
+        summed = EncoderGradient.zeros_like(params)
+        single = [
+            siamese_pair_backward(params, config, a, b, t, eps, summed)
+            for a, b, t in zip(xa, xb, targets)
+        ]
+        np.testing.assert_allclose(losses, single, rtol=1e-12, atol=0)
+        assert relative_error(batched.as_dict(), summed.as_dict()) <= 1e-12
+
+    def test_naive_batch_equals_sum_of_examples(self, mode):
+        config, params, xs = batch_setup(mode, seed=62)
+        head = init_head_params(config.d_out, hidden_dim=7, n_classes=3, seed=63)
+        ys = [0, 2, 1, 1, 0, 2, 2, 1]
+
+        eb, hb = EncoderGradient.zeros_like(params), HeadGradient.zeros_like(head)
+        losses = naive_batch_backward(params, config, head, xs, ys, eb, hb)
+        es, hs = EncoderGradient.zeros_like(params), HeadGradient.zeros_like(head)
+        single = [
+            naive_example_backward(params, config, head, x, y, es, hs)
+            for x, y in zip(xs, ys)
+        ]
+        np.testing.assert_allclose(losses, single, rtol=1e-12, atol=0)
+        assert relative_error(eb.as_dict() | hb.as_dict(), es.as_dict() | hs.as_dict()) <= 1e-12
