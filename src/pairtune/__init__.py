@@ -17,7 +17,6 @@ from .corpus import (
 )
 from .encoder import (
     EncoderConfig,
-    EncoderGradient,
     EncoderParams,
     Vocabulary,
     build_vocab,
@@ -30,7 +29,7 @@ from .encoder import (
     save_model,
     tokenize,
 )
-from .episodes import EpisodeError, EpisodePair, EpisodeSpec, generate_episodes
+from .episodes import EpisodeError, EpisodeSpec, PairSet, generate_episodes
 from .evaluation import (
     DeltaReport,
     EvalSpec,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -19,6 +20,7 @@ from .corpus import (
     JSON_LINES,
     RANDOM_BY_EXAMPLE,
     SplitSpec,
+    VectorTable,
     load_corpus,
     load_vectors,
     split_corpus,
@@ -30,6 +32,7 @@ from .encoder import (
     STORAGE_TEXT,
     TRAINABLE,
     EncoderConfig,
+    EncoderParams,
     build_vocab,
     identity_projection,
     init_encoder_params,
@@ -96,6 +99,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _defaults(cls, **extra) -> dict:
+    """A config dataclass's field defaults, minus the seed that the pipeline
+    derives from the master seed."""
+    return {f.name: f.default for f in fields(cls) if f.name != "seed"} | extra
+
+
 def default_experiment_config() -> dict:
     """The full configuration with every default pinned."""
     return {
@@ -108,37 +117,15 @@ def default_experiment_config() -> dict:
         "seed": 0,
         "out_dir": "runs/experiment",
         "model_format": STORAGE_BINARY,
-        "encoder": {
-            "mode": TRAINABLE,
-            "d_tok": 16,
-            "d_in": None,
-            "h": 64,
-            "d_out": 512,
-            "min_count": 1,
-        },
-        "siamese": {
-            "epochs": 30,
-            "batch_size": 32,
-            "learning_rate": 1e-3,
-            "target_same": 1.0,
-            "target_diff": 0.0,
-            "epsilon_norm": 1e-12,
-        },
-        "naive": {
-            "epochs": 30,
-            "batch_size": 32,
-            "learning_rate": 1e-3,
-            "hidden_dim": 128,
-        },
+        "encoder": _defaults(EncoderConfig, min_count=1),
+        "siamese": _defaults(SiameseConfig),
+        "naive": _defaults(NaiveConfig),
         "episodes": {
             "siamese_pairs": DEFAULT_SIAMESE_PAIRS,
             "all_pairs_per_dataset": DEFAULT_ALL_PAIRS_PER_DATASET,
             "same_fraction": 0.5,
         },
-        "eval": {
-            "n_pairs": DEFAULT_EVAL_PAIRS,
-            "same_fraction": 0.5,
-        },
+        "eval": _defaults(EvalSpec),
     }
 
 
@@ -168,6 +155,13 @@ def load_experiment_config(path) -> dict:
     return _merge_config(default_experiment_config(), user)
 
 
+def _check_train_sets(variant: str, n_train: int) -> None:
+    if variant in ("NAIVE", "SIAMESE") and n_train != 1:
+        raise ConfigError(f"{variant} needs exactly one train set, got {n_train}")
+    if variant == "ALL" and n_train < 1:
+        raise ConfigError("ALL needs at least one train set")
+
+
 def validate_experiment_config(cfg: dict) -> None:
     models = cfg["models"]
     if not models:
@@ -178,12 +172,8 @@ def validate_experiment_config(cfg: dict) -> None:
     if len(set(models)) != len(models):
         raise ConfigError("models: duplicate entries")
     n_train = len(cfg["train_sets"])
-    if ("NAIVE" in models or "SIAMESE" in models) and n_train != 1:
-        raise ConfigError(
-            f"train_sets: NAIVE and SIAMESE need exactly one train set, got {n_train}"
-        )
-    if "ALL" in models and n_train < 1:
-        raise ConfigError("train_sets: ALL needs at least one train set")
+    for model in models:
+        _check_train_sets(model, n_train)
     if not cfg["test_sets"]:
         raise ConfigError("test_sets: need at least one test set")
     mode = cfg["encoder"]["mode"]
@@ -256,111 +246,123 @@ def cmd_build_vocab(args) -> None:
     _log(f"vocabulary of {vocab.size} tokens written to {args.out}")
 
 
-def _pair_quotas(corpora, pairs, pairs_per_dataset) -> dict[str, int]:
+def _pairs_per_dataset(corpora, pairs, pairs_per_dataset) -> int:
     if pairs is not None and pairs_per_dataset is not None:
         raise ConfigError("give either a total pair count or a per-dataset count, not both")
     if pairs_per_dataset is not None:
-        per = pairs_per_dataset
-    elif pairs is not None:
+        return pairs_per_dataset
+    if pairs is not None:
         if len(corpora) > 1 and pairs % len(corpora) != 0:
             raise ConfigError(
                 f"total pair count {pairs} does not split evenly over {len(corpora)} datasets"
             )
-        per = pairs // len(corpora)
-    elif len(corpora) == 1:
-        per = DEFAULT_SIAMESE_PAIRS
-    else:
-        per = DEFAULT_ALL_PAIRS_PER_DATASET
-    return {c.dataset_id: per for c in corpora}
+        return pairs // len(corpora)
+    return DEFAULT_SIAMESE_PAIRS if len(corpora) == 1 else DEFAULT_ALL_PAIRS_PER_DATASET
 
 
 def cmd_gen_pairs(args) -> None:
     corpora = _load_corpora(args.train, format=_corpus_format(args))
-    quotas = _pair_quotas(corpora, args.pairs, args.pairs_per_dataset)
+    per = _pairs_per_dataset(corpora, args.pairs, args.pairs_per_dataset)
+    quotas = {c.dataset_id: per for c in corpora}
     spec = EpisodeSpec(quotas=quotas, same_fraction=args.same_fraction, seed=args.seed)
     pairs = generate_episodes(corpora, spec)
     write_pairs(pairs, args.out)
     _log(f"wrote {len(pairs)} pairs ({len(quotas)} dataset(s)) to {args.out}")
 
 
-def _encoder_setup(args, corpora):
-    """Build (config, vocab, tables, params_seed_fn) from train-time flags."""
-    if args.vectors:
-        if len(args.vectors) != len(corpora):
-            raise ConfigError("need one --vectors file per train set")
-        tables = {}
-        dim = None
-        for corpus, vec_path in zip(corpora, args.vectors):
-            table = load_vectors(vec_path)
-            if dim is None:
-                dim = table.dim
-            elif table.dim != dim:
-                raise CorpusError(
-                    f"vector dimension mismatch: {table.dim} vs {dim} in {vec_path}"
-                )
-            tables[corpus.dataset_id] = table
-        config = EncoderConfig(
-            mode=FROZEN_PROJECTION, d_in=dim, h=args.hidden_width, d_out=args.d_out
-        )
-        return config, None, tables
-    config = EncoderConfig(
-        mode=TRAINABLE, d_tok=args.d_tok, h=args.hidden_width, d_out=args.d_out
-    )
-    if args.vocab:
-        vocab = load_vocab(args.vocab)
+def _load_vector_tables(paths) -> list[VectorTable]:
+    """Load vector files that must all share one dimension."""
+    tables = [load_vectors(p) for p in paths]
+    dims = {t.dim for t in tables}
+    if len(dims) > 1:
+        raise CorpusError(f"vector files disagree on dimension: {sorted(dims)}")
+    return tables
+
+
+def _base_params(config: EncoderConfig, vocab, seed: int) -> EncoderParams:
+    """The seed-initialised encoder that every variant starts from."""
+    vocab_size = vocab.size if vocab is not None else None
+    return init_encoder_params(config, vocab_size=vocab_size, seed=seed + SEED_INIT)
+
+
+def orig_model(config: EncoderConfig, base_params: EncoderParams):
+    """The untrained ORIG surrogate as (config, params): an identity projection
+    when the input is frozen and d_out == d_in, else the base encoder."""
+    if config.mode == FROZEN_PROJECTION and config.d_out == config.d_in:
+        return identity_projection(config.d_in)
+    return config, base_params
+
+
+def train_variant(variant, params, config, corpora, input_fn, cfg: dict, seed: int, pairs=None):
+    """Finetune ``params`` in place as the NAIVE, SIAMESE or ALL variant.
+
+    ``cfg`` supplies the experiment config's "naive", "siamese" and
+    "episodes" sections. SIAMESE samples episodes.siamese_pairs pairs from
+    the one train corpus, ALL samples episodes.all_pairs_per_dataset from
+    each; ``pairs`` replays a PairSet instead. Each stage's seed is ``seed``
+    plus its SEED_* offset. Returns (params, TrainingReport).
+    """
+    if variant == "NAIVE":
+        ncfg = NaiveConfig(seed=seed + SEED_NAIVE, **cfg["naive"])
+        params, _head, report = train_naive(params, config, corpora[0], input_fn, ncfg, log=_log)
+        _log("classification head discarded; keeping the finetuned encoder")
+        return params, report
+    ep = cfg["episodes"]
+    if variant == "SIAMESE":
+        quotas = {corpora[0].dataset_id: ep["siamese_pairs"]}
+        episode_seed, train_seed = SEED_SIAMESE_EPISODES, SEED_SIAMESE_TRAIN
     else:
-        vocab = build_vocab(corpora, min_count=args.min_count)
-    return config, vocab, None
+        quotas = {c.dataset_id: ep["all_pairs_per_dataset"] for c in corpora}
+        episode_seed, train_seed = SEED_ALL_EPISODES, SEED_ALL_TRAIN
+    if pairs is None:
+        pairs = generate_episodes(
+            corpora,
+            EpisodeSpec(quotas=quotas, same_fraction=ep["same_fraction"], seed=seed + episode_seed),
+        )
+    scfg = SiameseConfig(seed=seed + train_seed, **cfg["siamese"])
+    return train_siamese(params, config, pairs, input_fn, scfg, log=_log)
 
 
 def cmd_train(args) -> None:
     mode = args.mode.upper()
     if mode not in ("NAIVE", "SIAMESE", "ALL"):
         raise ConfigError(f"unknown training mode '{args.mode}'")
-    if mode in ("NAIVE", "SIAMESE") and len(args.train) != 1:
-        raise ConfigError(f"{mode} needs exactly one train set, got {len(args.train)}")
-    if mode == "ALL" and len(args.train) < 1:
-        raise ConfigError("ALL needs at least one train set")
+    _check_train_sets(mode, len(args.train))
     if mode == "ALL" and len(args.train) == 1:
         _log("note: ALL with a single train set is equivalent to SIAMESE")
 
     corpora = _load_corpora(args.train)
-    config, vocab, tables = _encoder_setup(args, corpora)
-    input_fn = make_input_fn(config, vocab=vocab, vectors=tables)
-    params = init_encoder_params(
-        config,
-        vocab_size=vocab.size if vocab is not None else None,
-        seed=args.seed + SEED_INIT,
-    )
-
-    if mode == "NAIVE":
-        ncfg = NaiveConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.learning_rate,
-            hidden_dim=args.hidden_dim,
-            seed=args.seed + SEED_NAIVE,
+    vocab = tables = None
+    if args.vectors:
+        if len(args.vectors) != len(corpora):
+            raise ConfigError("need one --vectors file per train set")
+        loaded = _load_vector_tables(args.vectors)
+        tables = {c.dataset_id: t for c, t in zip(corpora, loaded)}
+        config = EncoderConfig(
+            mode=FROZEN_PROJECTION, d_in=loaded[0].dim, h=args.hidden_width, d_out=args.d_out
         )
-        params, _head, report = train_naive(params, config, corpora[0], input_fn, ncfg, log=_log)
-        _log("classification head discarded; keeping the finetuned encoder")
     else:
-        episode_seed = args.seed + (SEED_SIAMESE_EPISODES if mode == "SIAMESE" else SEED_ALL_EPISODES)
-        train_seed = args.seed + (SEED_SIAMESE_TRAIN if mode == "SIAMESE" else SEED_ALL_TRAIN)
+        config = EncoderConfig(
+            mode=TRAINABLE, d_tok=args.d_tok, h=args.hidden_width, d_out=args.d_out
+        )
+        vocab = load_vocab(args.vocab) if args.vocab else build_vocab(corpora, min_count=args.min_count)
+    input_fn = make_input_fn(config, vocab=vocab, vectors=tables)
+    params = _base_params(config, vocab, args.seed)
+
+    # The flags fill the same config sections an experiment reads.
+    cfg = default_experiment_config()
+    steps = {"epochs": args.epochs, "batch_size": args.batch_size, "learning_rate": args.learning_rate}
+    cfg["naive"].update(steps, hidden_dim=args.hidden_dim)
+    cfg["siamese"].update(steps)
+    cfg["episodes"]["same_fraction"] = args.same_fraction
+    pairs = None
+    if mode != "NAIVE":
         if args.pairs_in:
             pairs = load_pairs(args.pairs_in, corpora)
         else:
-            quotas = _pair_quotas(corpora, args.pairs, args.pairs_per_dataset)
-            pairs = generate_episodes(
-                corpora,
-                EpisodeSpec(quotas=quotas, same_fraction=args.same_fraction, seed=episode_seed),
-            )
-        scfg = SiameseConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.learning_rate,
-            seed=train_seed,
-        )
-        params, report = train_siamese(params, config, pairs, input_fn, scfg, log=_log)
+            per = _pairs_per_dataset(corpora, args.pairs, args.pairs_per_dataset)
+            cfg["episodes"].update(siamese_pairs=per, all_pairs_per_dataset=per)
+    params, report = train_variant(mode, params, config, corpora, input_fn, cfg, args.seed, pairs)
 
     save_model(args.out, config, params, vocab, storage=args.format)
     _log(f"model written to {args.out}")
@@ -380,12 +382,21 @@ def _eval_tables(args, tests):
         return None
     if len(args.vectors) not in (1, len(tests)):
         raise ConfigError("--vectors must appear once or once per test set")
-    paths = args.vectors * len(tests) if len(args.vectors) == 1 else args.vectors
-    tables = [load_vectors(p) for p in paths]
-    dims = {t.dim for t in tables}
-    if len(dims) != 1:
-        raise CorpusError(f"vector files disagree on dimension: {sorted(dims)}")
-    return tables
+    tables = _load_vector_tables(args.vectors)
+    return tables * len(tests) if len(tables) == 1 else tables
+
+
+def _evaluate(name, config, params, vocab, tests, tables, spec: EvalSpec) -> list:
+    """One report row per test set; ``tables`` holds each test set's vectors."""
+    rows = []
+    for i, test in enumerate(tests):
+        embedder = make_embedder(
+            config, params, vocab=vocab, vectors=tables[i] if tables is not None else None
+        )
+        result = delta_cosine_distance(embedder, test, spec)
+        rows.append((name, test.dataset_id, result))
+        _log(f"{name} on {test.dataset_id}: delta={result.delta:.6f}")
+    return rows
 
 
 def cmd_eval(args) -> None:
@@ -402,27 +413,13 @@ def cmd_eval(args) -> None:
         if tables is None:
             raise ConfigError("--orig needs --vectors with the test-set embeddings")
         dim = tables[0].dim
-        if args.d_out is not None and args.d_out != dim:
-            config = EncoderConfig(
-                mode=FROZEN_PROJECTION, d_in=dim, h=args.hidden_width, d_out=args.d_out
-            )
-            params = init_encoder_params(config, seed=args.seed + SEED_INIT)
-        else:
-            config, params = identity_projection(dim)
+        d_out = dim if args.d_out is None else args.d_out
+        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=dim, h=args.hidden_width, d_out=d_out)
+        config, params = orig_model(config, _base_params(config, None, args.seed))
         vocab = None
         name = args.model_name or "ORIG"
 
-    rows = []
-    for i, test in enumerate(tests):
-        embedder = make_embedder(
-            config,
-            params,
-            vocab=vocab,
-            vectors=tables[i] if tables is not None else None,
-        )
-        rows.append((name, test.dataset_id, delta_cosine_distance(embedder, test, spec)))
-        _log(f"{name} on {test.dataset_id}: delta={rows[-1][2].delta:.6f}")
-    emit_report(rows, args.out)
+    emit_report(_evaluate(name, config, params, vocab, tests, tables, spec), args.out)
     _log(f"report written to {args.out}")
 
 
@@ -432,7 +429,6 @@ def cmd_experiment(args) -> None:
         cfg["out_dir"] = args.out_dir
     if args.seed is not None:
         cfg["seed"] = args.seed
-    validate_experiment_config(cfg)
     run_experiment(cfg)
 
 
@@ -460,87 +456,39 @@ def run_experiment(cfg: dict) -> Path:
 def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
     seed = cfg["seed"]
     enc = cfg["encoder"]
-    mode = enc["mode"]
 
     train_corpora = _load_corpora(cfg["train_sets"])
     test_corpora = _load_corpora(cfg["test_sets"])
 
-    vocab = None
-    train_tables = None
-    test_tables = None
-    if mode == TRAINABLE:
+    vocab = train_tables = test_tables = None
+    if enc["mode"] == TRAINABLE:
         config = EncoderConfig(mode=TRAINABLE, d_tok=enc["d_tok"], h=enc["h"], d_out=enc["d_out"])
-        vocab_source = train_corpora if train_corpora else test_corpora
-        vocab = build_vocab(vocab_source, min_count=enc["min_count"])
+        vocab = build_vocab(train_corpora or test_corpora, min_count=enc["min_count"])
     else:
-        train_tables = {
-            c.dataset_id: load_vectors(p) for c, p in zip(train_corpora, cfg["train_vectors"])
-        }
-        test_tables = [load_vectors(p) for p in cfg["test_vectors"]]
-        dims = {t.dim for t in list(train_tables.values()) + test_tables}
-        if len(dims) != 1:
-            raise CorpusError(f"vector files disagree on dimension: {sorted(dims)}")
-        d_in = dims.pop()
-        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=d_in, h=enc["h"], d_out=enc["d_out"])
+        tables = _load_vector_tables(cfg["train_vectors"] + cfg["test_vectors"])
+        train_tables = {c.dataset_id: t for c, t in zip(train_corpora, tables)}
+        test_tables = tables[len(train_corpora):]
+        config = EncoderConfig(
+            mode=FROZEN_PROJECTION, d_in=tables[0].dim, h=enc["h"], d_out=enc["d_out"]
+        )
 
-    base_params = init_encoder_params(
-        config,
-        vocab_size=vocab.size if vocab is not None else None,
-        seed=seed + SEED_INIT,
-    )
+    base_params = _base_params(config, vocab, seed)
     input_fn = make_input_fn(config, vocab=vocab, vectors=train_tables)
-    ep = cfg["episodes"]
 
-    trained: dict[str, tuple[EncoderConfig, object]] = {}
+    trained = []
     for model in cfg["models"]:
         _log(f"--- {model} ---")
+        report = None
         if model == "ORIG":
-            if mode == FROZEN_PROJECTION and enc["d_out"] == config.d_in:
-                orig_config, orig_params = identity_projection(config.d_in)
-            else:
-                orig_config, orig_params = config, base_params.copy()
-            trained[model] = (orig_config, orig_params)
+            model_config, model_params = orig_model(config, base_params)
             _log("untrained surrogate; no finetuning")
-            report = None
-        elif model == "NAIVE":
-            ncfg = NaiveConfig(seed=seed + SEED_NAIVE, **cfg["naive"])
-            params, _head, report = train_naive(
-                base_params.copy(), config, train_corpora[0], input_fn, ncfg, log=_log
+        else:
+            model_config = config
+            model_params, report = train_variant(
+                model, base_params.copy(), config, train_corpora, input_fn, cfg, seed
             )
-            trained[model] = (config, params)
-        elif model == "SIAMESE":
-            quotas = {train_corpora[0].dataset_id: ep["siamese_pairs"]}
-            pairs = generate_episodes(
-                train_corpora[:1],
-                EpisodeSpec(
-                    quotas=quotas,
-                    same_fraction=ep["same_fraction"],
-                    seed=seed + SEED_SIAMESE_EPISODES,
-                ),
-            )
-            scfg = SiameseConfig(seed=seed + SEED_SIAMESE_TRAIN, **cfg["siamese"])
-            params, report = train_siamese(
-                base_params.copy(), config, pairs, input_fn, scfg, log=_log
-            )
-            trained[model] = (config, params)
-        else:  # ALL
-            quotas = {c.dataset_id: ep["all_pairs_per_dataset"] for c in train_corpora}
-            pairs = generate_episodes(
-                train_corpora,
-                EpisodeSpec(
-                    quotas=quotas,
-                    same_fraction=ep["same_fraction"],
-                    seed=seed + SEED_ALL_EPISODES,
-                ),
-            )
-            scfg = SiameseConfig(seed=seed + SEED_ALL_TRAIN, **cfg["siamese"])
-            params, report = train_siamese(
-                base_params.copy(), config, pairs, input_fn, scfg, log=_log
-            )
-            trained[model] = (config, params)
-
-        model_config, model_params = trained[model]
         model_vocab = vocab if model_config.mode == TRAINABLE else None
+        trained.append((model, model_config, model_params, model_vocab))
         save_model(
             out_dir / f"{model}.ptm",
             model_config,
@@ -551,24 +499,10 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
         if report is not None:
             _write_loss_curve(out_dir / f"{model}.losses.tsv", report)
 
-    eval_spec = EvalSpec(
-        n_pairs=cfg["eval"]["n_pairs"],
-        same_fraction=cfg["eval"]["same_fraction"],
-        seed=seed + SEED_EVAL,
-    )
+    eval_spec = EvalSpec(seed=seed + SEED_EVAL, **cfg["eval"])
     rows = []
-    for model in cfg["models"]:
-        model_config, model_params = trained[model]
-        for i, test in enumerate(test_corpora):
-            embedder = make_embedder(
-                model_config,
-                model_params,
-                vocab=vocab if model_config.mode == TRAINABLE else None,
-                vectors=test_tables[i] if test_tables is not None else None,
-            )
-            result = delta_cosine_distance(embedder, test, eval_spec)
-            rows.append((model, test.dataset_id, result))
-            _log(f"{model} on {test.dataset_id}: delta={result.delta:.6f}")
+    for model, *model_args in trained:
+        rows += _evaluate(model, *model_args, test_corpora, test_tables, eval_spec)
 
     emit_report(rows, out_dir / "consolidated.tsv")
     metadata = {

@@ -9,6 +9,7 @@ tweets routinely contain commas and quotes.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,6 +118,17 @@ class VectorTable:
         return self.entries[example_id]
 
 
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading; bytes that do not decode raise a
+    CorpusError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}: not valid UTF-8 text") from None
+
+
 def _detect_format(path: Path, format: str | None) -> str:
     if format is not None:
         if format not in (JSON_LINES, DELIMITED_TEXT):
@@ -136,7 +148,7 @@ def load_corpus(path, format: str | None = None, dataset_id: str | None = None) 
 
     The format is inferred from the file suffix unless given explicitly.
     ``dataset_id`` defaults to the file stem. Record order is preserved and
-    every record is validated; errors carry the offending line number.
+    every record is validated; parse errors carry the offending line number.
     """
     p = Path(path)
     if not p.is_file():
@@ -147,18 +159,10 @@ def load_corpus(path, format: str | None = None, dataset_id: str | None = None) 
     records = (
         _read_json_lines(p) if fmt == JSON_LINES else _read_delimited(p)
     )
-
-    examples: list[LabeledExample] = []
-    seen: set[str] = set()
-    for lineno, rec in records:
-        ex_id, text, label = rec
-        if ex_id in seen:
-            raise CorpusError(f"{p}:{lineno}: duplicate id '{ex_id}'")
-        seen.add(ex_id)
-        if not text.strip():
-            raise CorpusError(f"{p}:{lineno}: empty text for id '{ex_id}'")
-        examples.append(LabeledExample(id=ex_id, text=text, class_label=label, dataset_id=ds))
-
+    examples = [
+        LabeledExample(id=ex_id, text=text, class_label=label, dataset_id=ds)
+        for ex_id, text, label in records
+    ]
     try:
         return Corpus.from_examples(ds, examples)
     except CorpusError as err:
@@ -167,7 +171,7 @@ def load_corpus(path, format: str | None = None, dataset_id: str | None = None) 
 
 def _read_json_lines(path: Path):
     out = []
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -177,12 +181,12 @@ def _read_json_lines(path: Path):
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {err.msg}") from None
             if not isinstance(rec, dict):
                 raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-            out.append((lineno, _record_fields(path, lineno, rec)))
+            out.append(_record_fields(path, lineno, rec))
     return out
 
 
 def _read_delimited(path: Path):
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         lines = f.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -202,7 +206,7 @@ def _read_delimited(path: Path):
             raise CorpusError(
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}"
             )
-        out.append((lineno, (fields[cols["id"]], fields[cols["text"]], fields[cols["label"]])))
+        out.append((fields[cols["id"]], fields[cols["text"]], fields[cols["label"]]))
     return out
 
 
@@ -315,7 +319,7 @@ def load_vectors(path) -> VectorTable:
     p = Path(path)
     if not p.is_file():
         raise CorpusError(f"no such vector file: {p}")
-    with open(p, encoding="utf-8") as f:
+    with open_text(p) as f:
         header = f.readline().strip()
         if not header.startswith("dim=") or not header[4:].isdigit():
             raise CorpusError(f"{p}:1: expected a 'dim=<N>' header, got '{header}'")

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, LabeledExample, VectorTable
+from .corpus import Corpus, CorpusError, LabeledExample, VectorTable, open_text
 
 TRAINABLE = "trainable"
 FROZEN_PROJECTION = "frozen-projection"
@@ -51,12 +51,31 @@ def tokenize(text: str) -> list[str]:
     return tokens or [UNK_TOKEN]
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class Vocabulary:
     """Token -> contiguous index map with the unknown token at index 0."""
 
     token_to_index: dict[str, int]
     min_count: int = 1
+
+    @classmethod
+    def from_tokens(cls, tokens, min_count) -> "Vocabulary":
+        """Validate a stored vocabulary: distinct strings with UNK first, and an
+        integer min_count >= 1. Raises CorpusError otherwise."""
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise CorpusError("vocabulary must be a list of strings")
+        if not tokens or tokens[0] != UNK_TOKEN:
+            raise CorpusError(f"vocabulary must start with '{UNK_TOKEN}'")
+        token_to_index = {tok: i for i, tok in enumerate(tokens)}
+        if len(token_to_index) != len(tokens):
+            raise CorpusError("vocabulary repeats a token")
+        if not _positive_int(min_count):
+            raise CorpusError(f"min_count must be an integer >= 1, got {min_count!r}")
+        return cls(token_to_index=token_to_index, min_count=min_count)
 
     @property
     def size(self) -> int:
@@ -78,7 +97,7 @@ def build_vocab(corpora, min_count: int = 1) -> Vocabulary:
     Indices are deterministic: descending frequency, ties broken
     lexicographically, with UNK fixed at index 0.
     """
-    if min_count < 1:
+    if not _positive_int(min_count):
         raise ValueError("min_count must be a positive integer")
     if isinstance(corpora, Corpus):
         corpora = [corpora]
@@ -92,10 +111,7 @@ def build_vocab(corpora, min_count: int = 1) -> Vocabulary:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
     kept = [t for t, c in counts.items() if c >= min_count and t != UNK_TOKEN]
     kept.sort(key=lambda t: (-counts[t], t))
-    token_to_index = {UNK_TOKEN: 0}
-    for i, tok in enumerate(kept, start=1):
-        token_to_index[tok] = i
-    return Vocabulary(token_to_index=token_to_index, min_count=min_count)
+    return Vocabulary.from_tokens([UNK_TOKEN] + kept, min_count)
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
@@ -107,7 +123,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 def load_vocab(path) -> Vocabulary:
     p = Path(path)
-    with open(p, encoding="utf-8") as f:
+    with open_text(p) as f:
         header = f.readline().strip()
         if not header.startswith("min_count="):
             raise CorpusError(f"{p}:1: expected a 'min_count=<N>' header")
@@ -116,12 +132,10 @@ def load_vocab(path) -> Vocabulary:
         except ValueError:
             raise CorpusError(f"{p}:1: min_count must be an integer, got {header!r}") from None
         tokens = [line.rstrip("\n") for line in f]
-    if not tokens or tokens[0] != UNK_TOKEN:
-        raise CorpusError(f"{p}: vocabulary must start with '{UNK_TOKEN}'")
-    return Vocabulary(
-        token_to_index={tok: i for i, tok in enumerate(tokens)},
-        min_count=min_count,
-    )
+    try:
+        return Vocabulary.from_tokens(tokens, min_count)
+    except CorpusError as err:
+        raise CorpusError(f"{p}: {err}") from None
 
 
 @dataclass
@@ -137,11 +151,11 @@ class EncoderConfig:
     def __post_init__(self):
         if self.mode not in (TRAINABLE, FROZEN_PROJECTION):
             raise ValueError(f"unknown encoder mode '{self.mode}'")
-        if self.mode == FROZEN_PROJECTION and (self.d_in is None or self.d_in < 1):
-            raise ValueError("frozen-projection mode needs d_in >= 1")
+        if self.mode == FROZEN_PROJECTION and not _positive_int(self.d_in):
+            raise ValueError("frozen-projection mode needs an integer d_in >= 1")
         for name in ("d_tok", "h", "d_out"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if not _positive_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1")
 
     @property
     def d_in_eff(self) -> int:
@@ -149,8 +163,26 @@ class EncoderConfig:
         return self.d_tok if self.mode == TRAINABLE else self.d_in
 
 
+class ParamGroup:
+    """A dataclass of named float arrays (None marks an absent one).
+
+    A gradient accumulator is an instance of the class it differentiates,
+    made by ``zeros_like``.
+    """
+
+    def as_dict(self) -> dict[str, np.ndarray]:
+        """Live references to the present arrays, keyed by name."""
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
+
+    def copy(self):
+        return replace(self, **{k: v.copy() for k, v in self.as_dict().items()})
+
+    def zeros_like(self):
+        return replace(self, **{k: np.zeros_like(v) for k, v in self.as_dict().items()})
+
+
 @dataclass
-class EncoderParams:
+class EncoderParams(ParamGroup):
     """All trainable parameters; the single set shared by both Siamese branches.
 
     ``E`` is the token embedding table (trainable mode only, None otherwise).
@@ -161,53 +193,6 @@ class EncoderParams:
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        """Live references to the parameter arrays, keyed by name."""
-        out = {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
-        if self.E is not None:
-            out["E"] = self.E
-        return out
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            E=None if self.E is None else self.E.copy(),
-            W1=self.W1.copy(),
-            b1=self.b1.copy(),
-            W2=self.W2.copy(),
-            b2=self.b2.copy(),
-        )
-
-
-@dataclass
-class EncoderGradient:
-    """Additive gradient accumulator, shape-identical to its EncoderParams."""
-
-    E: np.ndarray | None
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: EncoderParams) -> "EncoderGradient":
-        return cls(
-            E=None if params.E is None else np.zeros_like(params.E),
-            W1=np.zeros_like(params.W1),
-            b1=np.zeros_like(params.b1),
-            W2=np.zeros_like(params.W2),
-            b2=np.zeros_like(params.b2),
-        )
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        out = {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
-        if self.E is not None:
-            out["E"] = self.E
-        return out
-
-    def scale(self, factor: float) -> None:
-        for arr in self.as_dict().values():
-            arr *= factor
 
 
 def init_encoder_params(
@@ -323,8 +308,8 @@ def encode_batch_backward(
     config: EncoderConfig,
     fwd: BatchForward,
     dZ: np.ndarray,
-    grad: EncoderGradient,
-) -> EncoderGradient:
+    grad: EncoderParams,
+) -> EncoderParams:
     """Accumulate d(sum_i dZ[i] . Z[i])/d(theta) into ``grad`` for one batch.
 
     The ReLU subgradient at exactly 0 is taken as 0. In trainable mode each
@@ -356,8 +341,8 @@ def encode_backward(
     config: EncoderConfig,
     x,
     upstream: np.ndarray,
-    grad: EncoderGradient,
-) -> EncoderGradient:
+    grad: EncoderParams,
+) -> EncoderParams:
     """Accumulate d(upstream . z)/d(theta) into ``grad`` for input ``x``.
 
     The batch-of-one case of ``encode_batch_backward``, kept as its checked
@@ -370,36 +355,6 @@ def encode_backward(
     return encode_batch_backward(params, config, fwd, upstream[None, :], grad)
 
 
-def make_embedder(
-    config: EncoderConfig,
-    params: EncoderParams,
-    vocab: Vocabulary | None = None,
-    vectors: VectorTable | None = None,
-):
-    """Return a function mapping a LabeledExample to its embedding vector."""
-    if config.mode == TRAINABLE:
-        if vocab is None:
-            raise ValueError("trainable mode needs a vocabulary")
-
-        def embed(example: LabeledExample) -> np.ndarray:
-            return encode(params, config, vocab.lookup(tokenize(example.text)))
-
-    else:
-        if vectors is None:
-            raise ValueError("frozen-projection mode needs a vector table")
-        if vectors.dim != config.d_in:
-            raise ValueError(
-                f"vector table dim {vectors.dim} does not match encoder d_in {config.d_in}"
-            )
-
-        def embed(example: LabeledExample) -> np.ndarray:
-            if example.id not in vectors:
-                raise CorpusError(f"no vector for example id '{example.id}'")
-            return encode(params, config, vectors[example.id])
-
-    return embed
-
-
 def make_input_fn(
     config: EncoderConfig,
     vocab: Vocabulary | None = None,
@@ -408,7 +363,8 @@ def make_input_fn(
     """Return a function mapping a LabeledExample to the encoder's raw input.
 
     Trainable mode yields token index arrays; frozen mode yields the stored
-    vectors. ``vectors`` may be one table or a dataset_id -> table map.
+    vectors. ``vectors`` may be one table or a dataset_id -> table map, and
+    every table must match the encoder's d_in.
     """
     if config.mode == TRAINABLE:
         if vocab is None:
@@ -421,6 +377,11 @@ def make_input_fn(
         if vectors is None:
             raise ValueError("frozen-projection mode needs vector table(s)")
         tables = vectors if isinstance(vectors, dict) else None
+        for table in tables.values() if tables is not None else [vectors]:
+            if table.dim != config.d_in:
+                raise ValueError(
+                    f"vector table dim {table.dim} does not match encoder d_in {config.d_in}"
+                )
 
         def prepare(example: LabeledExample):
             table = tables[example.dataset_id] if tables is not None else vectors
@@ -429,6 +390,17 @@ def make_input_fn(
             return table[example.id]
 
     return prepare
+
+
+def make_embedder(
+    config: EncoderConfig,
+    params: EncoderParams,
+    vocab: Vocabulary | None = None,
+    vectors: VectorTable | None = None,
+):
+    """Return a function mapping a LabeledExample to its embedding vector."""
+    prepare = make_input_fn(config, vocab=vocab, vectors=vectors)
+    return lambda example: encode(params, config, prepare(example))
 
 
 def _matrix_order(config: EncoderConfig, vocab_size: int | None):
@@ -519,10 +491,10 @@ def load_model(path) -> tuple[EncoderConfig, EncoderParams, Vocabulary | None]:
         raise CorpusError(f"{p}: bad model header: {err}") from None
     vocab = None
     if header.get("vocab") is not None:
-        vocab = Vocabulary(
-            token_to_index={tok: i for i, tok in enumerate(header["vocab"])},
-            min_count=header.get("min_count") or 1,
-        )
+        try:
+            vocab = Vocabulary.from_tokens(header["vocab"], header.get("min_count"))
+        except CorpusError as err:
+            raise CorpusError(f"{p}: {err}") from None
     if config.mode == TRAINABLE and vocab is None:
         raise CorpusError(f"{p}: trainable model is missing its vocabulary")
 

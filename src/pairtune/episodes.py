@@ -15,21 +15,37 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, LabeledExample
+from .corpus import Corpus, LabeledExample, open_text
 
 
 class EpisodeError(Exception):
     """Invalid pair-generation request for the given corpora."""
 
 
-@dataclass(frozen=True)
-class EpisodePair:
-    """Two examples from one dataset plus the binary same-class target."""
+@dataclass
+class PairSet:
+    """Pairs as index arrays over one example table.
 
-    a: LabeledExample
-    b: LabeledExample
-    target: int
-    source_dataset: str
+    Pair i is (examples[a[i]], examples[b[i]]) with target[i] 1 for a
+    same-class pair and 0 otherwise. Both members come from the dataset
+    examples[a[i]].dataset_id.
+    """
+
+    examples: list[LabeledExample]
+    a: np.ndarray
+    b: np.ndarray
+    target: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def referenced(self) -> np.ndarray:
+        """Sorted indices of the examples that some pair uses, each once."""
+        # A mask rather than np.unique, which imports numpy.ma on first use.
+        used = np.zeros(len(self.examples), dtype=bool)
+        used[self.a] = True
+        used[self.b] = True
+        return np.flatnonzero(used)
 
 
 @dataclass
@@ -46,11 +62,11 @@ def same_pair_count(quota: int, same_fraction: float) -> int:
     return int(quota * same_fraction + 0.5)
 
 
-def generate_episodes(corpora, spec: EpisodeSpec) -> list[EpisodePair]:
+def generate_episodes(corpora, spec: EpisodeSpec) -> PairSet:
     """Generate exactly spec.quotas[d] pairs for each quota'd dataset d.
 
-    Deterministic given the seed; the same seed yields the identical pair
-    sequence.
+    The example table is every corpus's examples in order. Deterministic
+    given the seed; the same seed yields the identical pair sequence.
     """
     if isinstance(corpora, Corpus):
         corpora = [corpora]
@@ -69,15 +85,20 @@ def generate_episodes(corpora, spec: EpisodeSpec) -> list[EpisodePair]:
             raise EpisodeError(f"quota for '{ds}' must be >= 1, got {quota}")
 
     rng = np.random.default_rng(spec.seed)
-    pairs: list[EpisodePair] = []
+    examples: list[LabeledExample] = []
+    triples: list[tuple[int, int, int]] = []
     for corpus in corpora:
         if corpus.dataset_id in spec.quotas:
-            pairs.extend(_dataset_pairs(corpus, spec.quotas[corpus.dataset_id], spec, rng))
-    order = rng.permutation(len(pairs))
-    return [pairs[int(i)] for i in order]
+            quota = spec.quotas[corpus.dataset_id]
+            triples += _dataset_pairs(corpus, len(examples), quota, spec, rng)
+        examples += corpus.examples
+    order = rng.permutation(len(triples))
+    a, b, target = np.array(triples, dtype=np.intp).reshape(-1, 3)[order].T
+    return PairSet(examples, a, b, target)
 
 
-def _dataset_pairs(corpus: Corpus, quota: int, spec: EpisodeSpec, rng) -> list[EpisodePair]:
+def _dataset_pairs(corpus: Corpus, offset: int, quota: int, spec: EpisodeSpec, rng):
+    """(a, b, target) triples for one dataset, indexing its examples from offset."""
     ds = corpus.dataset_id
     labels = corpus.classes()
     if len(labels) < 2:
@@ -92,44 +113,48 @@ def _dataset_pairs(corpus: Corpus, quota: int, spec: EpisodeSpec, rng) -> list[E
             f"dataset '{ds}' has no class with >= 2 examples; same-pairs impossible"
         )
 
-    examples = corpus.examples
-    out: list[EpisodePair] = []
+    out = []
     for _ in range(n_same):
         bucket = buckets[eligible[rng.integers(len(eligible))]]
         i = int(rng.integers(len(bucket)))
         j = int(rng.integers(len(bucket) - 1))
         if j >= i:  # two distinct members, uniform without replacement
             j += 1
-        out.append(EpisodePair(examples[bucket[i]], examples[bucket[j]], 1, ds))
+        out.append((offset + bucket[i], offset + bucket[j], 1))
     for _ in range(n_diff):
         ca = int(rng.integers(len(labels)))
         cb = int(rng.integers(len(labels) - 1))
         if cb >= ca:
             cb += 1
         bucket_a, bucket_b = buckets[labels[ca]], buckets[labels[cb]]
-        a = examples[bucket_a[rng.integers(len(bucket_a))]]
-        b = examples[bucket_b[rng.integers(len(bucket_b))]]
-        out.append(EpisodePair(a, b, 0, ds))
+        a = bucket_a[rng.integers(len(bucket_a))]
+        b = bucket_b[rng.integers(len(bucket_b))]
+        out.append((offset + a, offset + b, 0))
     return out
 
 
-def write_pairs(pairs, path) -> None:
+def write_pairs(pairs: PairSet, path) -> None:
     """Dump pairs as "<dataset>\\t<id_a>\\t<id_b>\\t<target>" lines."""
+    examples = pairs.examples
     with open(path, "w", encoding="utf-8") as f:
-        for pair in pairs:
-            f.write(f"{pair.source_dataset}\t{pair.a.id}\t{pair.b.id}\t{pair.target}\n")
+        for i, j, t in zip(pairs.a.tolist(), pairs.b.tolist(), pairs.target.tolist()):
+            a = examples[i]
+            f.write(f"{a.dataset_id}\t{a.id}\t{examples[j].id}\t{t}\n")
 
 
-def load_pairs(path, corpora) -> list[EpisodePair]:
-    """Replay a pair dump against the corpora it was generated from."""
+def load_pairs(path, corpora) -> PairSet:
+    """Replay a pair dump against the corpora it was generated from.
+
+    The example table is every corpus's examples in order, as in
+    generate_episodes.
+    """
     if isinstance(corpora, Corpus):
         corpora = [corpora]
-    lookup = {
-        (c.dataset_id, ex.id): ex for c in corpora for ex in c.examples
-    }
+    examples = [ex for c in corpora for ex in c.examples]
+    lookup = {(ex.dataset_id, ex.id): i for i, ex in enumerate(examples)}
     p = Path(path)
-    pairs: list[EpisodePair] = []
-    with open(p, encoding="utf-8") as f:
+    triples: list[tuple[int, int, int]] = []
+    with open_text(p) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -140,8 +165,10 @@ def load_pairs(path, corpora) -> list[EpisodePair]:
             if target not in ("0", "1"):
                 raise EpisodeError(f"{p}:{lineno}: target must be 0 or 1")
             try:
-                a, b = lookup[(ds, id_a)], lookup[(ds, id_b)]
+                triples.append((lookup[(ds, id_a)], lookup[(ds, id_b)], int(target)))
             except KeyError as err:
                 raise EpisodeError(f"{p}:{lineno}: unknown example {err.args[0]}") from None
-            pairs.append(EpisodePair(a, b, int(target), ds))
-    return pairs
+    if not triples:
+        raise EpisodeError(f"{p}: no pairs")
+    a, b, target = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    return PairSet(examples, a, b, target)

@@ -59,8 +59,7 @@ def _stderr(values: np.ndarray) -> float:
 def delta_cosine_distance(encode_fn, test_corpus: Corpus, spec: EvalSpec) -> DeltaReport:
     """Estimate the distance gap on spec.n_pairs sampled pairs.
 
-    Each distinct example is embedded once (cached by id). Deterministic
-    given the seed.
+    Each distinct example is embedded once. Deterministic given the seed.
     """
     pairs = generate_episodes(
         [test_corpus],
@@ -71,21 +70,16 @@ def delta_cosine_distance(encode_fn, test_corpus: Corpus, spec: EvalSpec) -> Del
         ),
     )
 
-    cache: dict[str, np.ndarray] = {}
-
-    def embedded(example):
-        z = cache.get(example.id)
-        if z is None:
-            z = np.asarray(encode_fn(example), dtype=np.float64)
-            if not np.all(np.isfinite(z)):
-                raise NumericError(f"non-finite embedding for example id '{example.id}'")
-            cache[example.id] = z
-        return z
+    embedded: dict[int, np.ndarray] = {}
+    for i in pairs.referenced().tolist():
+        example = pairs.examples[i]
+        z = embedded[i] = np.asarray(encode_fn(example), dtype=np.float64)
+        if not np.all(np.isfinite(z)):
+            raise NumericError(f"non-finite embedding for example id '{example.id}'")
 
     same, diff = [], []
-    for pair in pairs:
-        dist = cosine_distance(embedded(pair.a), embedded(pair.b))
-        (same if pair.target == 1 else diff).append(dist)
+    for i, j, t in zip(pairs.a.tolist(), pairs.b.tolist(), pairs.target.tolist()):
+        (same if t == 1 else diff).append(cosine_distance(embedded[i], embedded[j]))
 
     same_arr = np.array(same, dtype=np.float64)
     diff_arr = np.array(diff, dtype=np.float64)

@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
+from .episodes import PairSet
 # encode_backward is no longer called here; it stays importable from this
 # module for code that looks it up as pairtune.training.encode_backward.
 from .encoder import (  # noqa: F401
     EncoderConfig,
-    EncoderGradient,
     EncoderParams,
+    ParamGroup,
     encode,
     encode_backward,
     encode_batch,
@@ -65,40 +66,13 @@ class NaiveConfig:
 
 
 @dataclass
-class HeadParams:
+class HeadParams(ParamGroup):
     """The discardable classification head: hidden ReLU layer plus softmax logits."""
 
     Wh: np.ndarray
     bh: np.ndarray
     Wo: np.ndarray
     bo: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"Wh": self.Wh, "bh": self.bh, "Wo": self.Wo, "bo": self.bo}
-
-
-@dataclass
-class HeadGradient:
-    Wh: np.ndarray
-    bh: np.ndarray
-    Wo: np.ndarray
-    bo: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, head: HeadParams) -> "HeadGradient":
-        return cls(
-            Wh=np.zeros_like(head.Wh),
-            bh=np.zeros_like(head.bh),
-            Wo=np.zeros_like(head.Wo),
-            bo=np.zeros_like(head.bo),
-        )
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"Wh": self.Wh, "bh": self.bh, "Wo": self.Wo, "bo": self.bo}
-
-    def scale(self, factor: float) -> None:
-        for arr in self.as_dict().values():
-            arr *= factor
 
 
 def init_head_params(d_out: int, hidden_dim: int, n_classes: int, seed: int = 0) -> HeadParams:
@@ -206,7 +180,7 @@ def siamese_batch_backward(
     xb,
     targets,
     epsilon_norm: float,
-    grad: EncoderGradient,
+    grad: EncoderParams,
 ) -> np.ndarray:
     """Per-pair losses of a batch; their summed gradient joins ``grad``.
 
@@ -238,7 +212,7 @@ def siamese_pair_backward(
     xb,
     target: float,
     epsilon_norm: float,
-    grad: EncoderGradient,
+    grad: EncoderParams,
 ) -> float:
     """Loss of one pair; its gradient (through both branches) joins ``grad``.
 
@@ -253,8 +227,8 @@ def naive_batch_backward(
     head: HeadParams,
     xs,
     target_indices,
-    egrad: EncoderGradient,
-    hgrad: HeadGradient,
+    egrad: EncoderParams,
+    hgrad: HeadParams,
 ) -> np.ndarray:
     """Per-example cross-entropy losses of a batch; gradients join the accumulators."""
     Z, fwd = encode_batch(params, config, xs)
@@ -280,8 +254,8 @@ def naive_example_backward(
     head: HeadParams,
     x,
     target_index: int,
-    egrad: EncoderGradient,
-    hgrad: HeadGradient,
+    egrad: EncoderParams,
+    hgrad: HeadParams,
 ) -> float:
     """Cross-entropy loss of one example; gradients join the accumulators.
 
@@ -290,85 +264,78 @@ def naive_example_backward(
     return float(naive_batch_backward(params, config, head, [x], [target_index], egrad, hgrad)[0])
 
 
-def _zero(grads: dict[str, np.ndarray]) -> None:
-    for arr in grads.values():
-        arr.fill(0.0)
+def _run_epochs(n_items: int, cfg, params: dict, grads: dict, batch_losses, log) -> TrainingReport:
+    """The shared mini-batch loop of both trainers.
+
+    Each epoch reshuffles the item order with the ``cfg.seed`` stream and
+    walks it in batches. ``batch_losses(batch)`` returns the per-item
+    losses of the item indices in ``batch`` and adds their summed gradient
+    into the zeroed ``grads``; each batch then takes one Adam step on the
+    batch-mean gradient.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    opt = OptimizerState.for_params(params)
+    report = TrainingReport(n_items=n_items)
+    order = np.arange(n_items)
+    for epoch in range(cfg.epochs):
+        started = time.perf_counter()
+        rng.shuffle(order)
+        total = 0.0
+        for batch_no, lo in enumerate(range(0, n_items, cfg.batch_size)):
+            batch = order[lo : lo + cfg.batch_size]
+            for g in grads.values():
+                g.fill(0.0)
+            losses = batch_losses(batch)
+            if not np.isfinite(losses).all():
+                raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_no}")
+            total += float(losses.sum())
+            for g in grads.values():
+                g *= 1.0 / len(batch)
+            optimizer_step(params, grads, opt, cfg.learning_rate)
+        elapsed = time.perf_counter() - started
+        mean_loss = total / n_items
+        report.epoch_losses.append(mean_loss)
+        report.epoch_seconds.append(elapsed)
+        if log is not None:
+            log(f"epoch {epoch + 1}/{cfg.epochs} mean_loss={mean_loss:.6f} elapsed={elapsed:.2f}s")
+    return report
 
 
 def train_siamese(
     params: EncoderParams,
     config: EncoderConfig,
-    pairs,
+    pairs: PairSet,
     input_fn,
     scfg: SiameseConfig,
     log=None,
 ) -> tuple[EncoderParams, TrainingReport]:
     """Finetune the shared encoder on same/different pairs.
 
-    Each epoch reshuffles the fixed pair set (seeded) and walks it in
-    mini-batches; gradients from both branches of every pair accumulate
-    into the one parameter set, and each batch takes one Adam step on the
-    batch-mean gradient. Deterministic given the seed.
+    Gradients from both branches of every pair accumulate into the one
+    parameter set; batching and the Adam steps follow ``_run_epochs``.
+    Deterministic given the seed.
 
     ``input_fn`` maps a LabeledExample to the encoder input (token indices
-    or a fixed vector); inputs are cached per example id.
+    or a fixed vector); it runs once for each example the pairs reference.
     """
-    pairs = list(pairs)
-    if not pairs and scfg.epochs > 0:
+    if len(pairs) == 0 and scfg.epochs > 0:
         raise ValueError("no training pairs")
-    rng = np.random.default_rng(scfg.seed)
-    pdict = params.as_dict()
-    opt = OptimizerState.for_params(pdict)
-    report = TrainingReport(n_items=len(pairs))
-    # One prepared input per distinct example; pairs index into them.
-    slots: dict[tuple[str, str], int] = {}
-    inputs: list = []
+    inputs: list = [None] * len(pairs.examples)
+    for i in pairs.referenced().tolist():
+        inputs[i] = input_fn(pairs.examples[i])
+    targets = np.where(pairs.target == 1, scfg.target_same, scfg.target_diff)
+    grad = params.zeros_like()
 
-    def slot(ex) -> int:
-        key = (ex.dataset_id, ex.id)
-        i = slots.get(key)
-        if i is None:
-            i = slots[key] = len(inputs)
-            inputs.append(input_fn(ex))
-        return i
+    def batch_losses(batch):
+        return siamese_batch_backward(
+            params, config,
+            [inputs[i] for i in pairs.a[batch].tolist()],
+            [inputs[i] for i in pairs.b[batch].tolist()],
+            targets[batch], scfg.epsilon_norm, grad,
+        )
 
-    ia = np.array([slot(p.a) for p in pairs], dtype=np.intp)
-    ib = np.array([slot(p.b) for p in pairs], dtype=np.intp)
-    targets = np.array([scfg.target_same if p.target == 1 else scfg.target_diff for p in pairs])
-    grad = EncoderGradient.zeros_like(params)
-    gdict = grad.as_dict()
-
-    order = np.arange(len(pairs))
-    for epoch in range(scfg.epochs):
-        started = time.perf_counter()
-        rng.shuffle(order)
-        total = 0.0
-        for batch_no, lo in enumerate(range(0, len(order), scfg.batch_size)):
-            batch = order[lo : lo + scfg.batch_size]
-            _zero(gdict)
-            losses = siamese_batch_backward(
-                params, config,
-                [inputs[i] for i in ia[batch].tolist()],
-                [inputs[i] for i in ib[batch].tolist()],
-                targets[batch], scfg.epsilon_norm, grad,
-            )
-            if not np.isfinite(losses).all():
-                raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_no}")
-            total += float(losses.sum())
-            grad.scale(1.0 / len(batch))
-            optimizer_step(pdict, gdict, opt, scfg.learning_rate)
-        elapsed = time.perf_counter() - started
-        mean_loss = total / len(order)
-        report.epoch_losses.append(mean_loss)
-        report.epoch_seconds.append(elapsed)
-        if log is not None:
-            log(f"epoch {epoch + 1}/{scfg.epochs} mean_loss={mean_loss:.6f} elapsed={elapsed:.2f}s")
+    report = _run_epochs(len(pairs), scfg, params.as_dict(), grad.as_dict(), batch_losses, log)
     return params, report
-
-
-def class_indexing(corpus: Corpus) -> dict[str, int]:
-    """Stable class -> output index assignment (sorted labels)."""
-    return {label: i for i, label in enumerate(sorted(corpus.class_index))}
 
 
 def head_logits(params: EncoderParams, config: EncoderConfig, head: HeadParams, x) -> np.ndarray:
@@ -402,41 +369,19 @@ def train_naive(
     Gradients flow through the head into the encoder. Returns the finetuned
     encoder and the head (which callers typically discard).
     """
-    label_index = class_indexing(corpus)
-    rng = np.random.default_rng(ncfg.seed)
+    # stable class -> output index assignment: sorted labels
+    label_index = {label: i for i, label in enumerate(sorted(corpus.class_index))}
     head = init_head_params(config.d_out, ncfg.hidden_dim, len(label_index), seed=ncfg.seed)
-    joint = params.as_dict() | head.as_dict()
-    opt = OptimizerState.for_params(joint)
-    report = TrainingReport(n_items=len(corpus))
-
     inputs = [input_fn(ex) for ex in corpus.examples]
     targets = np.array([label_index[ex.class_label] for ex in corpus.examples], dtype=np.intp)
-    egrad = EncoderGradient.zeros_like(params)
-    hgrad = HeadGradient.zeros_like(head)
-    grads = egrad.as_dict() | hgrad.as_dict()
+    egrad = params.zeros_like()
+    hgrad = head.zeros_like()
 
-    order = np.arange(len(corpus))
-    for epoch in range(ncfg.epochs):
-        started = time.perf_counter()
-        rng.shuffle(order)
-        total = 0.0
-        for batch_no, lo in enumerate(range(0, len(order), ncfg.batch_size)):
-            batch = order[lo : lo + ncfg.batch_size]
-            _zero(grads)
-            losses = naive_batch_backward(
-                params, config, head, [inputs[i] for i in batch.tolist()], targets[batch],
-                egrad, hgrad,
-            )
-            if not np.isfinite(losses).all():
-                raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_no}")
-            total += float(losses.sum())
-            egrad.scale(1.0 / len(batch))
-            hgrad.scale(1.0 / len(batch))
-            optimizer_step(joint, grads, opt, ncfg.learning_rate)
-        elapsed = time.perf_counter() - started
-        mean_loss = total / len(order)
-        report.epoch_losses.append(mean_loss)
-        report.epoch_seconds.append(elapsed)
-        if log is not None:
-            log(f"epoch {epoch + 1}/{ncfg.epochs} mean_loss={mean_loss:.6f} elapsed={elapsed:.2f}s")
+    def batch_losses(batch):
+        xs = [inputs[i] for i in batch.tolist()]
+        return naive_batch_backward(params, config, head, xs, targets[batch], egrad, hgrad)
+
+    joint = params.as_dict() | head.as_dict()
+    grads = egrad.as_dict() | hgrad.as_dict()
+    report = _run_epochs(len(corpus), ncfg, joint, grads, batch_losses, log)
     return params, head, report

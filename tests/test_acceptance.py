@@ -25,7 +25,6 @@ from pairtune.corpus import RANDOM_BY_EXAMPLE, SplitSpec, split_corpus
 from pairtune.encoder import (
     TRAINABLE,
     EncoderConfig,
-    EncoderGradient,
     build_vocab,
     encode,
     init_encoder_params,
@@ -36,7 +35,6 @@ from pairtune.episodes import EpisodeSpec, generate_episodes
 from pairtune.evaluation import EvalSpec, cosine_distance, delta_cosine_distance
 from pairtune.synthetic import synthetic_corpus
 from pairtune.training import (
-    HeadGradient,
     NaiveConfig,
     SiameseConfig,
     cosine_similarity,
@@ -78,7 +76,7 @@ def test_criterion_1_gradient_correctness():
         xa = rng.integers(0, vocab_size, size=rng.integers(1, 5)).tolist()
         xb = rng.integers(0, vocab_size, size=rng.integers(1, 5)).tolist()
         target = float(rng.integers(0, 2))
-        grad = EncoderGradient.zeros_like(params)
+        grad = params.zeros_like()
         siamese_pair_backward(params, config, xa, xb, target, 1e-12, grad)
 
         def siamese_scalar_loss():
@@ -96,8 +94,8 @@ def test_criterion_1_gradient_correctness():
         head = init_head_params(d_out, hidden, n_classes, seed=2000 + trial)
         x = rng.integers(0, vocab_size, size=rng.integers(1, 5)).tolist()
         y = int(rng.integers(0, n_classes))
-        egrad = EncoderGradient.zeros_like(params)
-        hgrad = HeadGradient.zeros_like(head)
+        egrad = params.zeros_like()
+        hgrad = head.zeros_like()
         naive_example_backward(params, config, head, x, y, egrad, hgrad)
         analytic = egrad.as_dict() | hgrad.as_dict()
 
@@ -291,7 +289,7 @@ def test_criterion_6_all_model_balance():
 
     quotas = {tr.dataset_id: DEFAULT_ALL_PAIRS_PER_DATASET for tr in trains}
     pairs = generate_episodes(trains, EpisodeSpec(quotas=quotas, seed=51))
-    counts = Counter(p.source_dataset for p in pairs)
+    counts = Counter(pairs.examples[i].dataset_id for i in pairs.a)
     assert counts == {ds: DEFAULT_ALL_PAIRS_PER_DATASET for ds in splits}, counts
 
     all_params, _ = train_siamese(

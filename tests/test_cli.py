@@ -4,16 +4,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import pairtune
 from pairtune.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    SEED_EVAL,
     default_experiment_config,
     main,
 )
-from pairtune.corpus import load_corpus
+from pairtune.corpus import VectorTable, load_corpus, write_vectors
 from pairtune.encoder import load_model, load_vocab
 from pairtune.evaluation import parse_report
 
@@ -242,12 +246,18 @@ class TestMalformedInputs:
         return run("eval", "--model", model, "--test", corpus,
                    "--n-pairs", 50, "--out", tmp_path / "r.tsv")
 
-    def test_model_header_missing_mode_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, words", [
+        (lambda h: h.pop("mode"), ["missing mode"]),
+        (lambda h: h.update(vocab=5), ["list of strings"]),
+        (lambda h: h.update(vocab="abc"), ["list of strings"]),
+        (lambda h: h.update(min_count="x"), ["min_count"]),
+    ], ids=["missing-mode", "vocab-not-a-list", "vocab-a-string", "non-integer-min_count"])
+    def test_bad_model_header_is_data_error(self, tmp_path, capsys, edit, words):
         corpus, model = self.train_model(tmp_path)
-        rewrite_model(model, edit_header=lambda h: h.pop("mode"))
+        rewrite_model(model, edit_header=edit)
         capsys.readouterr()
         assert self.eval_model(tmp_path, corpus, model) == EXIT_DATA
-        assert_one_line_data_error(capsys, "missing mode")
+        assert_one_line_data_error(capsys, *words)
 
     def test_text_model_with_non_numeric_value_is_data_error(self, tmp_path, capsys):
         corpus, model = self.train_model(tmp_path, "--format", "text")
@@ -256,16 +266,45 @@ class TestMalformedInputs:
         assert self.eval_model(tmp_path, corpus, model) == EXIT_DATA
         assert_one_line_data_error(capsys, "non-numeric value in parameter 'E'")
 
-    def test_vocab_with_non_integer_min_count_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, word", [
+        (lambda lines: ["min_count=x\n"] + lines[1:], "min_count"),
+        (lambda lines: ["min_count=0\n"] + lines[1:], "min_count"),
+        (lambda lines: lines[:2] + [lines[3]] + lines[3:], "repeats a token"),
+    ], ids=["non-integer-min_count", "zero-min_count", "repeated-token"])
+    def test_bad_vocab_file_is_data_error(self, tmp_path, capsys, edit, word):
         corpus = gen_corpus(tmp_path / "c.jsonl")
         vocab = tmp_path / "vocab.txt"
         assert run("build-vocab", "--train", corpus, "--out", vocab) == EXIT_OK
-        lines = vocab.read_text().splitlines(keepends=True)
-        vocab.write_text("min_count=x\n" + "".join(lines[1:]))
+        vocab.write_text("".join(edit(vocab.read_text().splitlines(keepends=True))))
         capsys.readouterr()
         assert run("train", "--mode", "SIAMESE", "--train", corpus, "--vocab", vocab,
                    "--out", tmp_path / "m.ptm", *SMALL_TRAIN) == EXIT_DATA
-        assert_one_line_data_error(capsys, "min_count")
+        assert_one_line_data_error(capsys, word)
+
+    @pytest.mark.parametrize("damaged", ["corpus", "vectors", "vocab", "pairs", "empty-pairs"])
+    def test_undecodable_or_empty_input_is_data_error(self, tmp_path, capsys, damaged):
+        corpus = gen_corpus(tmp_path / "c.jsonl", classes=3, per_class=5)
+        vectors = tmp_path / "v.tsv"
+        ids = [ex.id for ex in load_corpus(corpus).examples]
+        write_vectors(VectorTable(dim=2, entries={i: np.ones(2) for i in ids}), vectors)
+        vocab = tmp_path / "vocab.txt"
+        assert run("build-vocab", "--train", corpus, "--out", vocab) == EXIT_OK
+        pairs = tmp_path / "pairs.tsv"
+        assert run("gen-pairs", "--train", corpus, "--pairs", 20, "--out", pairs) == EXIT_OK
+        flags = {
+            "corpus": (corpus, []),
+            "vectors": (vectors, ["--vectors", vectors]),
+            "vocab": (vocab, ["--vocab", vocab]),
+            "pairs": (pairs, ["--pairs-in", pairs]),
+            "empty-pairs": (pairs, ["--pairs-in", pairs]),
+        }
+        path, extra = flags[damaged]
+        blob = path.read_bytes()
+        path.write_bytes(b"" if damaged == "empty-pairs" else blob[:20] + b"\xff" + blob[20:])
+        capsys.readouterr()
+        assert run("train", "--mode", "SIAMESE", "--train", corpus, *extra,
+                   "--out", tmp_path / "m.ptm", *SMALL_TRAIN) == EXIT_DATA
+        assert_one_line_data_error(capsys, path.name)
 
 
 def test_model_bytes_do_not_depend_on_blas_thread_count(tmp_path):
@@ -359,6 +398,52 @@ class TestExperimentCommand:
         marker = tmp_path / "run" / "INCOMPLETE"
         assert marker.exists()
         assert "failed" in marker.read_text()
+
+
+def test_train_command_matches_experiment_variants(tmp_path):
+    config, cfg = experiment_config(tmp_path, seed=7, models=["NAIVE", "SIAMESE", "ALL"])
+    assert run("experiment", "--config", config) == EXIT_OK
+    run_dir = tmp_path / "run"
+    quota_flags = {
+        "NAIVE": ["--hidden-dim", 16],
+        "SIAMESE": ["--pairs", 200],
+        "ALL": ["--pairs-per-dataset", 100],
+    }
+    for mode, extra in quota_flags.items():
+        model, curve = tmp_path / f"{mode}.ptm", tmp_path / f"{mode}.losses.tsv"
+        assert run("train", "--mode", mode, "--train", cfg["train_sets"][0],
+                   "--d-tok", 8, "--hidden-width", 16, "--d-out", 8, "--epochs", 2,
+                   "--seed", 7, *extra, "--out", model, "--loss-curve", curve) == EXIT_OK
+        assert model.read_bytes() == (run_dir / model.name).read_bytes(), mode
+        assert curve.read_bytes() == (run_dir / curve.name).read_bytes(), mode
+
+
+def test_eval_orig_matches_experiment_orig_rows(tmp_path):
+    tests = [gen_corpus(tmp_path / f"t{i}.jsonl", classes=3, per_class=8, seed=i) for i in (1, 2)]
+    rng = np.random.default_rng(0)
+    vectors = []
+    for test in tests:
+        path = test.with_suffix(".vec")
+        ids = [ex.id for ex in load_corpus(test).examples]
+        write_vectors(VectorTable(dim=4, entries={i: rng.normal(size=4) for i in ids}), path)
+        vectors.append(path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "test_sets": [str(t) for t in tests],
+        "test_vectors": [str(v) for v in vectors],
+        "models": ["ORIG"],
+        "seed": 3,
+        "out_dir": str(tmp_path / "run"),
+        "encoder": {"mode": "frozen-projection", "d_out": 4},
+        "eval": {"n_pairs": 200},
+    }))
+    assert run("experiment", "--config", config) == EXIT_OK
+    report = tmp_path / "orig.tsv"
+    argv = ["eval", "--orig", "--n-pairs", 200, "--seed", 3 + SEED_EVAL, "--out", report]
+    for test, vec in zip(tests, vectors):
+        argv += ["--test", test, "--vectors", vec]
+    assert run(*argv) == EXIT_OK
+    assert report.read_bytes() == (tmp_path / "run" / "consolidated.tsv").read_bytes()
 
 
 class TestDefaults:

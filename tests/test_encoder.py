@@ -10,7 +10,6 @@ from pairtune.encoder import (
     TRAINABLE,
     UNK_TOKEN,
     EncoderConfig,
-    EncoderGradient,
     EncoderParams,
     Vocabulary,
     build_vocab,
@@ -164,6 +163,8 @@ class TestEncodeForward:
         params = init_encoder_params(config, seed=1)
         assert params.E is None
         assert "E" not in params.as_dict()
+        grad = params.zeros_like()
+        assert type(grad) is EncoderParams and grad.E is None
 
     def test_identity_projection_is_exact(self):
         config, params = identity_projection(5)
@@ -174,7 +175,7 @@ class TestEncodeForward:
 class TestEncodeBackward:
     def test_zero_upstream_leaves_accumulator_unchanged(self):
         config, params = tiny_trainable(seed=2)
-        grad = EncoderGradient.zeros_like(params)
+        grad = params.zeros_like()
         encode_backward(params, config, [1, 4], np.zeros(3), grad)
         for arr in grad.as_dict().values():
             assert not arr.any()
@@ -189,7 +190,7 @@ class TestEncodeBackward:
             return float(probe @ encode(params, config, tokens))
 
         numeric = finite_difference_gradients(loss, params.as_dict())
-        grad = EncoderGradient.zeros_like(params)
+        grad = params.zeros_like()
         encode_backward(params, config, tokens, probe, grad)
         assert max_relative_error(grad.as_dict(), numeric) < 1e-4
 
@@ -204,7 +205,7 @@ class TestEncodeBackward:
             return float(probe @ encode(params, config, vec))
 
         numeric = finite_difference_gradients(loss, params.as_dict())
-        grad = EncoderGradient.zeros_like(params)
+        grad = params.zeros_like()
         encode_backward(params, config, vec, probe, grad)
         assert max_relative_error(grad.as_dict(), numeric) < 1e-4
 
@@ -213,15 +214,15 @@ class TestEncodeBackward:
         # two half-contributions must sum to the single-token gradient
         config, params = tiny_trainable(seed=4)
         upstream = np.random.default_rng(1).normal(size=3)
-        g_repeat = EncoderGradient.zeros_like(params)
+        g_repeat = params.zeros_like()
         encode_backward(params, config, [5, 5], upstream, g_repeat)
-        g_single = EncoderGradient.zeros_like(params)
+        g_single = params.zeros_like()
         encode_backward(params, config, [5], upstream, g_single)
         np.testing.assert_allclose(g_repeat.E, g_single.E, rtol=0, atol=1e-15)
 
     def test_upstream_shape_checked(self):
         config, params = tiny_trainable()
-        grad = EncoderGradient.zeros_like(params)
+        grad = params.zeros_like()
         with pytest.raises(ValueError, match="shape"):
             encode_backward(params, config, [1], np.zeros(5), grad)
 
@@ -243,7 +244,7 @@ class TestGradientCheckProperty:
                 return float(probe @ encode(params, config, tokens))
 
             numeric = finite_difference_gradients(loss, params.as_dict())
-            grad = EncoderGradient.zeros_like(params)
+            grad = params.zeros_like()
             encode_backward(params, config, tokens, probe, grad)
             assert max_relative_error(grad.as_dict(), numeric) < 1e-4
 

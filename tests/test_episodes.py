@@ -16,6 +16,19 @@ from pairtune.synthetic import synthetic_corpus
 from conftest import make_corpus
 
 
+def members(pairs):
+    """(example_a, example_b, target) for every pair, in order."""
+    ex = pairs.examples
+    return [
+        (ex[i], ex[j], t)
+        for i, j, t in zip(pairs.a.tolist(), pairs.b.tolist(), pairs.target.tolist())
+    ]
+
+
+def id_triples(pairs):
+    return [(a.id, b.id, t) for a, b, t in members(pairs)]
+
+
 def balanced_corpus(dataset_id="d", n_classes=4, per_class=25):
     rows = []
     for c in range(n_classes):
@@ -31,7 +44,7 @@ class TestQuotas:
             corpus, EpisodeSpec(quotas={"d": 70_000}, same_fraction=0.5, seed=1)
         )
         assert len(pairs) == 70_000
-        counts = Counter(p.target for p in pairs)
+        counts = Counter(pairs.target.tolist())
         assert counts[1] == 35_000
         assert counts[0] == 35_000
 
@@ -40,7 +53,7 @@ class TestQuotas:
         quotas = {c.dataset_id: 10_000 for c in corpora}
         pairs = generate_episodes(corpora, EpisodeSpec(quotas=quotas, seed=2))
         assert len(pairs) == 70_000
-        by_ds = Counter(p.source_dataset for p in pairs)
+        by_ds = Counter(a.dataset_id for a, _, _ in members(pairs))
         assert all(by_ds[f"d{i}"] == 10_000 for i in range(7))
 
     def test_same_pair_rounding(self):
@@ -56,30 +69,30 @@ class TestSamplingRules:
             ("y1", "one", "y"), ("y2", "two", "y"), ("y3", "three", "y"),
         ])
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"d": 400}, seed=3))
-        for p in pairs:
-            if p.target == 1:
-                assert p.a.class_label == "y"
-                assert p.b.class_label == "y"
+        for a, b, t in members(pairs):
+            if t == 1:
+                assert a.class_label == "y"
+                assert b.class_label == "y"
 
     def test_pair_invariants_hold_by_relabeling(self):
         corpus = balanced_corpus(n_classes=5, per_class=7)
         label = {ex.id: ex.class_label for ex in corpus.examples}
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"d": 2_000}, seed=4))
-        for p in pairs:
-            assert p.a.id != p.b.id
-            assert p.a.dataset_id == p.b.dataset_id == "d"
-            if p.target == 1:
-                assert label[p.a.id] == label[p.b.id]
+        for a, b, t in members(pairs):
+            assert a.id != b.id
+            assert a.dataset_id == b.dataset_id == "d"
+            if t == 1:
+                assert label[a.id] == label[b.id]
             else:
-                assert label[p.a.id] != label[p.b.id]
+                assert label[a.id] != label[b.id]
 
     def test_different_pairs_stay_within_dataset(self):
         corpora = [balanced_corpus("a"), balanced_corpus("b")]
         pairs = generate_episodes(
             corpora, EpisodeSpec(quotas={"a": 500, "b": 500}, seed=5)
         )
-        for p in pairs:
-            assert p.a.dataset_id == p.b.dataset_id == p.source_dataset
+        for a, b, _ in members(pairs):
+            assert a.dataset_id == b.dataset_id
 
     def test_same_class_balance_within_five_sigma(self):
         k = 4
@@ -87,9 +100,9 @@ class TestSamplingRules:
         pairs = generate_episodes(
             corpus, EpisodeSpec(quotas={"d": 200_000}, same_fraction=0.5, seed=6)
         )
-        same = [p for p in pairs if p.target == 1]
+        same = [a for a, _, t in members(pairs) if t == 1]
         assert len(same) >= 100_000
-        counts = Counter(p.a.class_label for p in same)
+        counts = Counter(a.class_label for a in same)
         n = len(same)
         expected = n / k
         sigma = np.sqrt(n * (1 / k) * (1 - 1 / k))
@@ -103,15 +116,13 @@ class TestDeterminism:
         spec = EpisodeSpec(quotas={"d": 1_000}, seed=7)
         first = generate_episodes(corpus, spec)
         second = generate_episodes(corpus, spec)
-        assert [(p.a.id, p.b.id, p.target) for p in first] == [
-            (p.a.id, p.b.id, p.target) for p in second
-        ]
+        assert id_triples(first) == id_triples(second)
 
     def test_different_seeds_differ(self):
         corpus = balanced_corpus()
         first = generate_episodes(corpus, EpisodeSpec(quotas={"d": 1_000}, seed=8))
         second = generate_episodes(corpus, EpisodeSpec(quotas={"d": 1_000}, seed=9))
-        assert [(p.a.id, p.b.id) for p in first] != [(p.a.id, p.b.id) for p in second]
+        assert id_triples(first) != id_triples(second)
 
 
 class TestErrors:
@@ -156,9 +167,7 @@ class TestPairDump:
         assert ds == "syn" and target in ("0", "1")
 
         replayed = load_pairs(path, corpus)
-        assert [(p.a.id, p.b.id, p.target) for p in replayed] == [
-            (p.a.id, p.b.id, p.target) for p in pairs
-        ]
+        assert id_triples(replayed) == id_triples(pairs)
 
     def test_replay_unknown_example(self, tmp_path):
         corpus = synthetic_corpus("syn", 3, 5, n_groups=3, seed=0)

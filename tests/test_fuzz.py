@@ -1,0 +1,146 @@
+"""Property tests: pair-dump round trips and byte-mutation fuzzing of loaders.
+
+A mutated file may load or may be rejected, but only with the documented
+data error types; any other exception is a loader bug. Examples are
+derandomized and bounded so the suite stays fast and repeatable.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from pairtune.corpus import CorpusError
+from pairtune.encoder import (
+    FROZEN_PROJECTION,
+    STORAGE_BINARY,
+    STORAGE_TEXT,
+    TRAINABLE,
+    EncoderConfig,
+    build_vocab,
+    init_encoder_params,
+    load_model,
+    load_vocab,
+    save_model,
+    save_vocab,
+)
+from pairtune.episodes import EpisodeError, PairSet, load_pairs, write_pairs
+from pairtune.synthetic import synthetic_corpus
+
+from conftest import make_corpus
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# Ids and dataset names the tab-separated dump can carry: no tab, no line break.
+NAMES = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def pair_sets(draw):
+    """Corpora with distinct dataset ids, and a PairSet whose pairs stay within one."""
+    dataset_ids = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    corpora, spans = [], []
+    for ds in dataset_ids:
+        ids = draw(st.lists(NAMES, min_size=2, max_size=5, unique=True))
+        rows = [(ex_id, "text", f"class{k % 2}") for k, ex_id in enumerate(ids)]
+        start = sum(len(c) for c in corpora)
+        corpora.append(make_corpus(ds, rows))
+        spans.append((start, start + len(ids)))
+    triples = []
+    for _ in range(draw(st.integers(1, 12))):
+        lo, hi = draw(st.sampled_from(spans))
+        triples.append((draw(st.integers(lo, hi - 1)), draw(st.integers(lo, hi - 1)),
+                        draw(st.integers(0, 1))))
+    a, b, target = np.array(triples, dtype=np.intp).T
+    examples = [ex for c in corpora for ex in c.examples]
+    return corpora, PairSet(examples, a, b, target)
+
+
+@FUZZ
+@given(pair_sets())
+def test_pair_dump_round_trip(tmp_path, drawn):
+    corpora, pairs = drawn
+    path = tmp_path / "pairs.tsv"
+    write_pairs(pairs, path)
+    back = load_pairs(path, corpora)
+    assert back.examples == pairs.examples
+    for name in ("a", "b", "target"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(pairs, name))
+
+
+@st.composite
+def mutations(draw, blob: bytes) -> bytes:
+    """Up to four byte replacements, insertions or deletions, or a truncation."""
+    data = bytearray(blob)
+    if draw(st.booleans()):
+        return bytes(data[: draw(st.integers(0, len(data)))])
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, max(len(data) - 1, 0)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = draw(st.integers(0, 255))
+        if op == "insert":
+            data.insert(pos, byte)
+        elif data and op == "replace":
+            data[pos] = byte
+        elif data:
+            del data[pos]
+    return bytes(data)
+
+
+def fuzz_loader(tmp_path, data, blob, load, errors):
+    path = tmp_path / "fuzzed"
+    path.write_bytes(data.draw(mutations(blob)))
+    try:
+        load(path)
+    except errors:
+        pass
+
+
+def small_corpus():
+    return synthetic_corpus("syn", 3, 4, n_groups=3, group_size=4, tokens_per_example=3, seed=0)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_pair_dump_loads_or_raises_data_error(tmp_path, data):
+    corpus = small_corpus()
+    path = tmp_path / "pairs.tsv"
+    a = np.array([0, 1, 4, 9])
+    write_pairs(PairSet(corpus.examples, a, a[::-1].copy(), np.array([1, 0, 0, 1])), path)
+    fuzz_loader(tmp_path, data, path.read_bytes(), lambda p: load_pairs(p, corpus),
+                (CorpusError, EpisodeError))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_vocab_loads_or_raises_data_error(tmp_path, data):
+    path = tmp_path / "vocab.txt"
+    save_vocab(build_vocab(small_corpus()), path)
+    fuzz_loader(tmp_path, data, path.read_bytes(), load_vocab, CorpusError)
+
+
+@pytest.mark.parametrize("mode", [TRAINABLE, FROZEN_PROJECTION])
+@pytest.mark.parametrize("storage", [STORAGE_BINARY, STORAGE_TEXT])
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_model_loads_or_raises_data_error(tmp_path, mode, storage, data):
+    path = tmp_path / "m.ptm"
+    if mode == TRAINABLE:
+        vocab = build_vocab(make_corpus("d", [("1", "a b", "x"), ("2", "c", "y")]))
+        config = EncoderConfig(mode=TRAINABLE, d_tok=2, h=2, d_out=2)
+        params = init_encoder_params(config, vocab_size=vocab.size, seed=0)
+    else:
+        vocab = None
+        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=2, h=2, d_out=2)
+        params = init_encoder_params(config, seed=0)
+    save_model(path, config, params, vocab, storage=storage)
+    fuzz_loader(tmp_path, data, path.read_bytes(), load_model, CorpusError)

@@ -8,18 +8,16 @@ from pairtune.encoder import (
     FROZEN_PROJECTION,
     TRAINABLE,
     EncoderConfig,
-    EncoderGradient,
     build_vocab,
     encode,
     init_encoder_params,
     make_embedder,
     make_input_fn,
 )
-from pairtune.episodes import EpisodePair, EpisodeSpec, generate_episodes
+from pairtune.episodes import EpisodeSpec, PairSet, generate_episodes
 from pairtune.evaluation import EvalSpec, delta_cosine_distance
 from pairtune.synthetic import synthetic_corpus
 from pairtune.training import (
-    HeadGradient,
     NaiveConfig,
     NumericError,
     OptimizerState,
@@ -140,6 +138,11 @@ def two_class_corpus():
     ])
 
 
+def one_pair(corpus, i, j, target):
+    """A PairSet holding the single pair (examples[i], examples[j])."""
+    return PairSet(corpus.examples, np.array([i]), np.array([j]), np.array([target]))
+
+
 def toy_setup(seed=0, d_tok=3, h=4, d_out=3):
     corpus = two_class_corpus()
     vocab = build_vocab(corpus)
@@ -163,13 +166,13 @@ class TestTrainSiamese:
     def test_single_step_is_adam_transform_of_pair_gradient(self):
         corpus, _, config, params, input_fn = toy_setup(seed=5)
         well_scaled_params(params, seed=50)
-        pair = EpisodePair(corpus.examples[0], corpus.examples[2], 0, "toy")
-        xa, xb = input_fn(pair.a), input_fn(pair.b)
+        pair = one_pair(corpus, 0, 2, 0)
+        xa, xb = input_fn(corpus.examples[0]), input_fn(corpus.examples[2])
         scfg = SiameseConfig(epochs=1, batch_size=1, seed=9)
 
         # analytic pair gradient, verified against finite differences
         start = params.copy()
-        grad = EncoderGradient.zeros_like(start)
+        grad = start.zeros_like()
         siamese_pair_backward(start, config, xa, xb, 0.0, scfg.epsilon_norm, grad)
 
         def pair_loss():
@@ -182,7 +185,7 @@ class TestTrainSiamese:
         assert max_relative_error(grad.as_dict(), numeric) < 1e-4
 
         # the trainer's parameter delta equals the first-step Adam transform
-        trained, _ = train_siamese(params, config, [pair], input_fn, scfg)
+        trained, _ = train_siamese(params, config, pair, input_fn, scfg)
         for name, g in grad.as_dict().items():
             expected = start.as_dict()[name] - scfg.learning_rate * g / (np.abs(g) + 1e-8)
             np.testing.assert_allclose(
@@ -194,23 +197,40 @@ class TestTrainSiamese:
         well_scaled_params(params, seed=51)
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 4}, seed=2))
         eps = 1e-12
-        grad = EncoderGradient.zeros_like(params)
-        for p in pairs:
-            siamese_pair_backward(
-                params, config, input_fn(p.a), input_fn(p.b), float(p.target), eps, grad
-            )
+        items = [
+            (input_fn(pairs.examples[i]), input_fn(pairs.examples[j]), float(t))
+            for i, j, t in zip(pairs.a, pairs.b, pairs.target)
+        ]
+        grad = params.zeros_like()
+        for xa, xb, t in items:
+            siamese_pair_backward(params, config, xa, xb, t, eps, grad)
 
         def total_loss():
             total = 0.0
-            for p in pairs:
-                za = encode(params, config, input_fn(p.a))
-                zb = encode(params, config, input_fn(p.b))
-                loss, _ = siamese_loss(cosine_similarity(za, zb, eps), float(p.target))
+            for xa, xb, t in items:
+                za = encode(params, config, xa)
+                zb = encode(params, config, xb)
+                loss, _ = siamese_loss(cosine_similarity(za, zb, eps), t)
                 total += loss
             return total
 
         numeric = finite_difference_gradients(total_loss, params.as_dict())
         assert max_relative_error(grad.as_dict(), numeric) < 1e-4
+
+    def test_inputs_prepared_once_per_referenced_example(self):
+        corpus, _, config, params, input_fn = toy_setup()
+        prepared = []
+
+        def counting_input_fn(ex):
+            prepared.append(ex.id)
+            return input_fn(ex)
+
+        # examples 0, 1 and 2 appear in several pairs; example 3 in none
+        pairs = PairSet(corpus.examples, np.array([0, 2, 0]), np.array([2, 0, 1]),
+                        np.array([0, 0, 1]))
+        train_siamese(params, config, pairs, counting_input_fn,
+                      SiameseConfig(epochs=2, batch_size=2, seed=1))
+        assert sorted(prepared) == ["a1", "a2", "b1"]
 
     def test_weight_sharing_single_parameter_object(self):
         corpus, _, config, params, input_fn = toy_setup()
@@ -221,12 +241,9 @@ class TestTrainSiamese:
 
     def test_pair_order_symmetry(self):
         corpus, _, config, params, input_fn = toy_setup(seed=21)
-        a, b = corpus.examples[1], corpus.examples[3]
         scfg = SiameseConfig(epochs=1, batch_size=1, seed=4)
-        p_ab, _ = train_siamese(params.copy(), config,
-                                [EpisodePair(a, b, 0, "toy")], input_fn, scfg)
-        p_ba, _ = train_siamese(params.copy(), config,
-                                [EpisodePair(b, a, 0, "toy")], input_fn, scfg)
+        p_ab, _ = train_siamese(params.copy(), config, one_pair(corpus, 1, 3, 0), input_fn, scfg)
+        p_ba, _ = train_siamese(params.copy(), config, one_pair(corpus, 3, 1, 0), input_fn, scfg)
         for x, y in zip(p_ab.as_dict().values(), p_ba.as_dict().values()):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
 
@@ -305,8 +322,8 @@ class TestTrainNaive:
         labels = sorted(corpus.class_index)
         items = [(input_fn(ex), labels.index(ex.class_label)) for ex in corpus.examples]
 
-        egrad = EncoderGradient.zeros_like(params)
-        hgrad = HeadGradient.zeros_like(head)
+        egrad = params.zeros_like()
+        hgrad = head.zeros_like()
         for x, y in items:
             naive_example_backward(params, config, head, x, y, egrad, hgrad)
         analytic = egrad.as_dict() | hgrad.as_dict()
@@ -406,9 +423,9 @@ class TestBatchKernel:
         eps = 1e-12
         assert np.linalg.norm(encode(params, config, xs[2])) < eps
 
-        batched = EncoderGradient.zeros_like(params)
+        batched = params.zeros_like()
         losses = siamese_batch_backward(params, config, xa, xb, targets, eps, batched)
-        summed = EncoderGradient.zeros_like(params)
+        summed = params.zeros_like()
         single = [
             siamese_pair_backward(params, config, a, b, t, eps, summed)
             for a, b, t in zip(xa, xb, targets)
@@ -421,9 +438,9 @@ class TestBatchKernel:
         head = init_head_params(config.d_out, hidden_dim=7, n_classes=3, seed=63)
         ys = [0, 2, 1, 1, 0, 2, 2, 1]
 
-        eb, hb = EncoderGradient.zeros_like(params), HeadGradient.zeros_like(head)
+        eb, hb = params.zeros_like(), head.zeros_like()
         losses = naive_batch_backward(params, config, head, xs, ys, eb, hb)
-        es, hs = EncoderGradient.zeros_like(params), HeadGradient.zeros_like(head)
+        es, hs = params.zeros_like(), head.zeros_like()
         single = [
             naive_example_backward(params, config, head, x, y, es, hs)
             for x, y in zip(xs, ys)
