@@ -101,8 +101,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _defaults(cls, **extra) -> dict:
     """A config dataclass's field defaults, minus the seed that the pipeline
-    derives from the master seed."""
-    return {f.name: f.default for f in fields(cls) if f.name != "seed"} | extra
+    derives from the master seed and the input width that vector files set."""
+    return {f.name: f.default for f in fields(cls) if f.name not in ("seed", "d_in")} | extra
 
 
 def default_experiment_config() -> dict:
@@ -135,8 +135,12 @@ def _merge_config(base: dict, override: dict, prefix: str = "") -> dict:
         dotted = f"{prefix}{key}"
         if key not in base:
             raise ConfigError(f"unknown config field '{dotted}'")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{dotted}: expected an object, got {value!r}")
             merged[key] = _merge_config(base[key], value, prefix=f"{dotted}.")
+        elif type(base[key]) is int and type(value) is not int:
+            raise ConfigError(f"{dotted}: expected an integer, got {value!r}")
         else:
             merged[key] = value
     return merged
@@ -328,6 +332,10 @@ def cmd_train(args) -> None:
     if mode not in ("NAIVE", "SIAMESE", "ALL"):
         raise ConfigError(f"unknown training mode '{args.mode}'")
     _check_train_sets(mode, len(args.train))
+    if args.vectors and args.vocab:
+        raise ConfigError("--vocab does not apply with --vectors, which has no vocabulary")
+    if mode == "NAIVE" and args.pairs_in:
+        raise ConfigError("--pairs-in does not apply to NAIVE, which trains on examples")
     if mode == "ALL" and len(args.train) == 1:
         _log("note: ALL with a single train set is equivalent to SIAMESE")
 

@@ -45,7 +45,13 @@ class DeltaReport:
     delta: float
 
 
-def cosine_distance(u, v, epsilon_norm: float = 1e-12) -> float:
+EPSILON_NORM = 1e-12
+
+# Pairs scored per step, so the two gathered (PAIR_CHUNK, d_out) blocks stay small.
+PAIR_CHUNK = 128
+
+
+def cosine_distance(u, v, epsilon_norm: float = EPSILON_NORM) -> float:
     """1 - cosine similarity; 0 for aligned vectors, 2 for opposite ones."""
     return 1.0 - cosine_similarity(u, v, epsilon_norm)
 
@@ -56,10 +62,12 @@ def _stderr(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-def delta_cosine_distance(encode_fn, test_corpus: Corpus, spec: EvalSpec) -> DeltaReport:
+def delta_cosine_distance(embed, test_corpus: Corpus, spec: EvalSpec) -> DeltaReport:
     """Estimate the distance gap on spec.n_pairs sampled pairs.
 
-    Each distinct example is embedded once. Deterministic given the seed.
+    ``embed(examples)``, as made by ``make_embedder``, runs once over the
+    distinct examples the pairs reference and returns one row per example.
+    Pairs score by ``cosine_distance``'s formula. Deterministic given the seed.
     """
     pairs = generate_episodes(
         [test_corpus],
@@ -69,20 +77,25 @@ def delta_cosine_distance(encode_fn, test_corpus: Corpus, spec: EvalSpec) -> Del
             seed=spec.seed,
         ),
     )
+    ref = pairs.referenced()
+    Z = np.asarray(embed([pairs.examples[i] for i in ref.tolist()]), dtype=np.float64)
+    squares = np.einsum("ij,ij->i", Z, Z)
+    # Only a row whose sum of squares is non-finite can hold a non-finite entry.
+    suspect = np.flatnonzero(~np.isfinite(squares))
+    bad = suspect[~np.isfinite(Z[suspect]).all(axis=1)]
+    if bad.size:
+        raise NumericError(f"non-finite embedding for example id '{pairs.examples[ref[bad[0]]].id}'")
+    norms = np.maximum(np.sqrt(squares), EPSILON_NORM)
 
-    embedded: dict[int, np.ndarray] = {}
-    for i in pairs.referenced().tolist():
-        example = pairs.examples[i]
-        z = embedded[i] = np.asarray(encode_fn(example), dtype=np.float64)
-        if not np.all(np.isfinite(z)):
-            raise NumericError(f"non-finite embedding for example id '{example.id}'")
+    a, b = np.searchsorted(ref, pairs.a), np.searchsorted(ref, pairs.b)  # rows of Z
+    dist = np.empty(len(pairs))
+    for lo in range(0, len(pairs), PAIR_CHUNK):
+        ia, ib = a[lo : lo + PAIR_CHUNK], b[lo : lo + PAIR_CHUNK]
+        dots = np.einsum("ij,ij->i", Z[ia], Z[ib])
+        dist[lo : lo + PAIR_CHUNK] = 1.0 - dots / (norms[ia] * norms[ib])
 
-    same, diff = [], []
-    for i, j, t in zip(pairs.a.tolist(), pairs.b.tolist(), pairs.target.tolist()):
-        (same if t == 1 else diff).append(cosine_distance(embedded[i], embedded[j]))
-
-    same_arr = np.array(same, dtype=np.float64)
-    diff_arr = np.array(diff, dtype=np.float64)
+    same = pairs.target == 1
+    same_arr, diff_arr = dist[same], dist[~same]
     mean_same = float(same_arr.mean()) if same_arr.size else 0.0
     mean_diff = float(diff_arr.mean()) if diff_arr.size else 0.0
     return DeltaReport(

@@ -22,6 +22,11 @@ def make_corpus(dataset_id, rows):
     return Corpus.from_examples(dataset_id, examples)
 
 
+def stack_rows(embed_one):
+    """Batch embedder for delta_cosine_distance from a per-example function."""
+    return lambda examples: np.array([embed_one(ex) for ex in examples], dtype=np.float64)
+
+
 def write_jsonl(path, rows):
     """Write (id, text, label) triples as a json-lines corpus file."""
     import json

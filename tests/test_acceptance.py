@@ -52,6 +52,7 @@ from conftest import (
     finite_difference_gradients,
     make_corpus,
     max_relative_error,
+    stack_rows,
     well_scaled_params,
 )
 
@@ -134,7 +135,7 @@ def test_criterion_2_metric_oracle_equivalence():
 
     exhaustive, _, _ = brute_force_delta(corpus, vectors)
     report = delta_cosine_distance(
-        lambda ex: vectors[ex.id], corpus, EvalSpec(n_pairs=5000, seed=17)
+        stack_rows(lambda ex: vectors[ex.id]), corpus, EvalSpec(n_pairs=5000, seed=17)
     )
     gap = abs(report.delta - exhaustive)
     elapsed = time.perf_counter() - started

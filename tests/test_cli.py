@@ -18,7 +18,15 @@ from pairtune.cli import (
     main,
 )
 from pairtune.corpus import VectorTable, load_corpus, write_vectors
-from pairtune.encoder import load_model, load_vocab
+from pairtune.encoder import (
+    TRAINABLE,
+    EncoderConfig,
+    build_vocab,
+    init_encoder_params,
+    load_model,
+    load_vocab,
+    save_model,
+)
 from pairtune.evaluation import parse_report
 
 
@@ -168,6 +176,25 @@ class TestTrainCommand:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run("train", "--mode", "SIAMESE", "--no-such-flag") == EXIT_USAGE
 
+    def test_vocab_with_vectors_is_usage_error(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path / "c.jsonl")
+        vectors = tmp_path / "c.vec"
+        ids = [ex.id for ex in load_corpus(corpus).examples]
+        write_vectors(VectorTable(dim=3, entries={i: np.ones(3) for i in ids}), vectors)
+        capsys.readouterr()
+        assert run("train", "--mode", "SIAMESE", "--train", corpus, "--vectors", vectors,
+                   "--vocab", tmp_path / "no-such-vocab.txt", "--out", tmp_path / "m.ptm",
+                   *SMALL_TRAIN) == EXIT_USAGE
+        assert_one_line_error(capsys, "--vocab", kind="config")
+
+    def test_naive_with_pairs_in_is_usage_error(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path / "c.jsonl")
+        capsys.readouterr()
+        assert run("train", "--mode", "NAIVE", "--train", corpus,
+                   "--pairs-in", tmp_path / "no-such-pairs.tsv", "--out", tmp_path / "m.ptm",
+                   "--d-tok", 8, "--hidden-width", 16, "--d-out", 8, "--epochs", 1) == EXIT_USAGE
+        assert_one_line_error(capsys, "--pairs-in", kind="config")
+
 
 class TestEvalCommand:
     def test_one_model_two_test_sets(self, tmp_path):
@@ -227,9 +254,9 @@ def rewrite_model(path, edit_header=None, edit_payload=None):
     path.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + payload)
 
 
-def assert_one_line_data_error(capsys, *words):
+def assert_one_line_error(capsys, *words, kind="data"):
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and len(err.splitlines()) == 1, err
+    assert err.startswith(f"{kind} error: ") and len(err.splitlines()) == 1, err
     for word in words:
         assert word in err
 
@@ -257,14 +284,14 @@ class TestMalformedInputs:
         rewrite_model(model, edit_header=edit)
         capsys.readouterr()
         assert self.eval_model(tmp_path, corpus, model) == EXIT_DATA
-        assert_one_line_data_error(capsys, *words)
+        assert_one_line_error(capsys, *words)
 
     def test_text_model_with_non_numeric_value_is_data_error(self, tmp_path, capsys):
         corpus, model = self.train_model(tmp_path, "--format", "text")
         rewrite_model(model, edit_payload=lambda b: b"oops " + b.split(b" ", 1)[1])
         capsys.readouterr()
         assert self.eval_model(tmp_path, corpus, model) == EXIT_DATA
-        assert_one_line_data_error(capsys, "non-numeric value in parameter 'E'")
+        assert_one_line_error(capsys, "non-numeric value in parameter 'E'")
 
     @pytest.mark.parametrize("edit, word", [
         (lambda lines: ["min_count=x\n"] + lines[1:], "min_count"),
@@ -279,7 +306,7 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run("train", "--mode", "SIAMESE", "--train", corpus, "--vocab", vocab,
                    "--out", tmp_path / "m.ptm", *SMALL_TRAIN) == EXIT_DATA
-        assert_one_line_data_error(capsys, word)
+        assert_one_line_error(capsys, word)
 
     @pytest.mark.parametrize("damaged", ["corpus", "vectors", "vocab", "pairs", "empty-pairs"])
     def test_undecodable_or_empty_input_is_data_error(self, tmp_path, capsys, damaged):
@@ -304,7 +331,16 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run("train", "--mode", "SIAMESE", "--train", corpus, *extra,
                    "--out", tmp_path / "m.ptm", *SMALL_TRAIN) == EXIT_DATA
-        assert_one_line_data_error(capsys, path.name)
+        assert_one_line_error(capsys, path.name)
+
+
+def run_with_blas_threads(threads, *argv):
+    """Run ``python -m pairtune ARGV`` in a fresh process with OPENBLAS_NUM_THREADS set."""
+    src = str(Path(pairtune.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "pairtune", *map(str, argv)],
+                   env=env, check=True, capture_output=True)
 
 
 def test_model_bytes_do_not_depend_on_blas_thread_count(tmp_path):
@@ -312,21 +348,31 @@ def test_model_bytes_do_not_depend_on_blas_thread_count(tmp_path):
     # kernel's matrix products are large enough (64 x 64 x 512) for OpenBLAS
     # to split them across two threads, and the model must not change.
     corpus = gen_corpus(tmp_path / "c.jsonl")
-    src = str(Path(pairtune.__file__).resolve().parents[1])
     models = []
     for threads in ("1", "2"):
         out = tmp_path / f"m{threads}.ptm"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run(
-            [sys.executable, "-m", "pairtune.cli", "train", "--mode", "SIAMESE",
-             "--train", str(corpus), "--out", str(out), "--d-tok", "16",
-             "--hidden-width", "64", "--d-out", "512", "--epochs", "2",
-             "--pairs", "512", "--seed", "3"],
-            env=env, check=True, capture_output=True,
-        )
+        run_with_blas_threads(threads, "train", "--mode", "SIAMESE", "--train", corpus,
+                              "--out", out, "--d-tok", 16, "--hidden-width", 64, "--d-out", 512,
+                              "--epochs", 2, "--pairs", 512, "--seed", 3)
         models.append(out.read_bytes())
     assert models[0] == models[1]
+
+
+def test_eval_report_does_not_depend_on_blas_thread_count(tmp_path):
+    # Eval embeds in 64-row chunks, so at 16/64/512 each chunk's projection
+    # (64 x 64 x 512) is large enough for OpenBLAS to split across threads.
+    corpus = gen_corpus(tmp_path / "c.jsonl", classes=4, per_class=100)
+    config = EncoderConfig(mode=TRAINABLE, d_tok=16, h=64, d_out=512)
+    vocab = build_vocab(load_corpus(corpus))
+    model = tmp_path / "m.ptm"
+    save_model(model, config, init_encoder_params(config, vocab_size=vocab.size, seed=2), vocab)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"r{threads}.tsv"
+        run_with_blas_threads(threads, "eval", "--model", model, "--test", corpus,
+                              "--n-pairs", 3000, "--seed", 4, "--out", out)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def experiment_config(tmp_path, **overrides):
@@ -387,6 +433,37 @@ class TestExperimentCommand:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"no_such_field": 1}))
         assert run("experiment", "--config", config_path) == EXIT_USAGE
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("episodes", "siamese_pairs", 200.0),
+        ("episodes", "all_pairs_per_dataset", 100.0),
+        ("siamese", "epochs", 2.0),
+        ("siamese", "batch_size", "32"),
+        ("naive", "epochs", 2.0),
+        ("naive", "batch_size", True),
+        ("naive", "hidden_dim", 16.0),
+        ("eval", "n_pairs", 50.0),
+        (None, "seed", 5.0),
+        (None, "siamese", 5),
+    ])
+    def test_mistyped_field_is_config_error(self, tmp_path, capsys, section, field, value):
+        config, cfg = experiment_config(tmp_path)
+        if section is None:
+            cfg[field] = value
+        else:
+            cfg[section][field] = value
+        config.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("experiment", "--config", config) == EXIT_USAGE
+        assert_one_line_error(capsys, field, repr(value), kind="config")
+
+    def test_encoder_d_in_is_config_error(self, tmp_path, capsys):
+        config, cfg = experiment_config(tmp_path)
+        cfg["encoder"]["d_in"] = 99
+        config.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("experiment", "--config", config) == EXIT_USAGE
+        assert_one_line_error(capsys, "encoder.d_in", kind="config")
 
     def test_missing_train_set_is_data_error(self, tmp_path):
         config, _ = experiment_config(tmp_path, train_sets=[str(tmp_path / "gone.jsonl")])

@@ -337,13 +337,13 @@ class TestEmbedder:
         config, params = tiny_trainable(vocab_size=vocab.size)
         embed = make_embedder(config, params, vocab=vocab)
         expected = encode(params, config, vocab.lookup(["a", "b"]))
-        np.testing.assert_array_equal(embed(corpus.examples[0]), expected)
+        np.testing.assert_array_equal(embed(corpus.examples[:1])[0], expected)
 
     def test_frozen_embedder_missing_id(self):
         corpus = make_corpus("d", [("t1", "a", "x"), ("t2", "b", "y")])
         config, params = identity_projection(2)
         table = VectorTable(dim=2, entries={"t1": np.array([1.0, 0.0])})
         embed = make_embedder(config, params, vectors=table)
-        np.testing.assert_array_equal(embed(corpus.examples[0]), [1.0, 0.0])
+        np.testing.assert_array_equal(embed(corpus.examples[:1])[0], [1.0, 0.0])
         with pytest.raises(CorpusError, match="no vector for example id 't2'"):
-            embed(corpus.examples[1])
+            embed(corpus.examples[1:])

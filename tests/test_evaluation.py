@@ -1,9 +1,24 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 
+from pairtune.corpus import VectorTable
+from pairtune.encoder import (
+    EMBED_CHUNK,
+    FROZEN_PROJECTION,
+    TRAINABLE,
+    EncoderConfig,
+    build_vocab,
+    identity_projection,
+    init_encoder_params,
+    make_embedder,
+    tokenize,
+)
+from pairtune.episodes import EpisodeSpec, generate_episodes
 from pairtune.evaluation import (
+    PAIR_CHUNK,
     DeltaReport,
     EvalSpec,
     cosine_distance,
@@ -11,9 +26,10 @@ from pairtune.evaluation import (
     emit_report,
     parse_report,
 )
+from pairtune.synthetic import synthetic_corpus
 from pairtune.training import NumericError, cosine_similarity
 
-from conftest import brute_force_delta, make_corpus
+from conftest import brute_force_delta, make_corpus, stack_rows
 
 
 class TestCosineDistance:
@@ -74,7 +90,9 @@ class TestDeltaCosineDistance:
     def test_constant_embedding_gives_zero_delta(self):
         corpus, _ = two_class_six_examples()
         fixed = np.array([3.0, 4.0])
-        report = delta_cosine_distance(lambda ex: fixed, corpus, EvalSpec(n_pairs=200, seed=1))
+        report = delta_cosine_distance(
+            stack_rows(lambda ex: fixed), corpus, EvalSpec(n_pairs=200, seed=1)
+        )
         assert report.mean_same_distance == 0.0
         assert report.mean_diff_distance == 0.0
         assert report.delta == 0.0
@@ -83,14 +101,14 @@ class TestDeltaCosineDistance:
         corpus, _ = two_class_six_examples()
         axes = {"A": np.array([1.0, 0.0]), "B": np.array([0.0, 1.0])}
         report = delta_cosine_distance(
-            lambda ex: axes[ex.class_label], corpus, EvalSpec(n_pairs=500, seed=2)
+            stack_rows(lambda ex: axes[ex.class_label]), corpus, EvalSpec(n_pairs=500, seed=2)
         )
         assert report.delta == 1.0
 
     def test_counts_partition_n_pairs(self):
         corpus, vectors = two_class_six_examples()
         report = delta_cosine_distance(
-            lambda ex: vectors[ex.id], corpus,
+            stack_rows(lambda ex: vectors[ex.id]), corpus,
             EvalSpec(n_pairs=101, same_fraction=0.3, seed=3),
         )
         assert report.s_count + report.d_count == 101
@@ -100,7 +118,7 @@ class TestDeltaCosineDistance:
         corpus, vectors = two_class_six_examples()
         exhaustive, _, _ = brute_force_delta(corpus, vectors)
         report = delta_cosine_distance(
-            lambda ex: vectors[ex.id], corpus, EvalSpec(n_pairs=5000, seed=4)
+            stack_rows(lambda ex: vectors[ex.id]), corpus, EvalSpec(n_pairs=5000, seed=4)
         )
         assert abs(report.delta - exhaustive) < 0.02
 
@@ -118,7 +136,7 @@ class TestDeltaCosineDistance:
         }
         exhaustive, _, _ = brute_force_delta(corpus, vectors)
         report = delta_cosine_distance(
-            lambda ex: vectors[ex.id], corpus, EvalSpec(n_pairs=5000, seed=6)
+            stack_rows(lambda ex: vectors[ex.id]), corpus, EvalSpec(n_pairs=5000, seed=6)
         )
         se = math.sqrt(report.same_stderr**2 + report.diff_stderr**2)
         assert abs(report.delta - exhaustive) <= 3.0 * se
@@ -132,7 +150,7 @@ class TestDeltaCosineDistance:
                 "B": np.array([math.cos(math.radians(theta)), math.sin(math.radians(theta))]),
             }
             report = delta_cosine_distance(
-                lambda ex: axes[ex.class_label], corpus, EvalSpec(n_pairs=400, seed=7)
+                stack_rows(lambda ex: axes[ex.class_label]), corpus, EvalSpec(n_pairs=400, seed=7)
             )
             expected = 1.0 - math.cos(math.radians(theta))
             assert abs(report.delta - expected) < 1e-12
@@ -153,8 +171,8 @@ class TestDeltaCosineDistance:
             return 7.3 * embed(ex)
 
         spec = EvalSpec(n_pairs=600, seed=8)
-        base = delta_cosine_distance(embed, corpus, spec)
-        scaled = delta_cosine_distance(embed_scaled, corpus, spec)
+        base = delta_cosine_distance(stack_rows(embed), corpus, spec)
+        scaled = delta_cosine_distance(stack_rows(embed_scaled), corpus, spec)
         assert scaled.delta == base.delta
         assert scaled.mean_same_distance == base.mean_same_distance
         assert scaled.mean_diff_distance == base.mean_diff_distance
@@ -164,13 +182,84 @@ class TestDeltaCosineDistance:
         bad = dict(vectors)
         bad["a2"] = np.array([np.nan, 1.0])
         with pytest.raises(NumericError, match="a2"):
-            delta_cosine_distance(lambda ex: bad[ex.id], corpus, EvalSpec(n_pairs=50, seed=9))
+            delta_cosine_distance(
+                stack_rows(lambda ex: bad[ex.id]), corpus, EvalSpec(n_pairs=50, seed=9)
+            )
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="n_pairs"):
             EvalSpec(n_pairs=1)
         with pytest.raises(ValueError, match="same_fraction"):
             EvalSpec(n_pairs=10, same_fraction=0.0)
+
+
+def reference_report(embed_one, corpus, spec):
+    """Distance gap by a plain per-pair loop over per-example embeddings."""
+    pairs = generate_episodes([corpus], EpisodeSpec(
+        quotas={corpus.dataset_id: spec.n_pairs}, same_fraction=spec.same_fraction, seed=spec.seed,
+    ))
+    same, diff = [], []
+    for i, j, t in zip(pairs.a.tolist(), pairs.b.tolist(), pairs.target.tolist()):
+        u, v = embed_one(pairs.examples[i]), embed_one(pairs.examples[j])
+        gu = max(math.sqrt(float(u @ u)), 1e-12)
+        gv = max(math.sqrt(float(v @ v)), 1e-12)
+        (same if t == 1 else diff).append(1.0 - float(u @ v) / (gu * gv))
+    return pairs, same, diff
+
+
+class TestBatchedEvalMatchesReference:
+    """The batched embedder and vectorised scoring against a per-pair loop.
+
+    The reference encodes each example with its own straight-line forward
+    pass, not encode_batch, so it checks the chunked embedding as well.
+    """
+
+    def setup_case(self, kind):
+        corpus = synthetic_corpus("ref", 5, 60, n_groups=5, seed=1)
+        rng = np.random.default_rng(2)
+        if kind == "trainable":
+            vocab = build_vocab(corpus)
+            config = EncoderConfig(mode=TRAINABLE, d_tok=4, h=6, d_out=5)
+            params = init_encoder_params(config, vocab_size=vocab.size, seed=3)
+            params.E = rng.normal(size=params.E.shape)
+
+            def embed_one(ex):
+                m = params.E[vocab.lookup(tokenize(ex.text))].mean(axis=0)
+                return params.W2 @ np.maximum(params.W1 @ m + params.b1, 0.0) + params.b2
+
+            return corpus, embed_one, make_embedder(config, params, vocab=vocab)
+        table = VectorTable(dim=6, entries={ex.id: rng.normal(size=6) for ex in corpus.examples})
+        if kind == "identity-orig":
+            config, params = identity_projection(6)
+            return corpus, lambda ex: table[ex.id], make_embedder(config, params, vectors=table)
+        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=6, h=7, d_out=5)
+        params = init_encoder_params(config, seed=4)
+
+        def embed_one(ex):
+            return params.W2 @ np.maximum(params.W1 @ table[ex.id] + params.b1, 0.0) + params.b2
+
+        return corpus, embed_one, make_embedder(config, params, vectors=table)
+
+    @pytest.mark.parametrize("kind", ["trainable", "frozen", "identity-orig"])
+    def test_report_matches_per_pair_loop(self, kind):
+        corpus, embed_one, embed = self.setup_case(kind)
+        spec = EvalSpec(n_pairs=333, same_fraction=0.4, seed=5)
+        pairs, same, diff = reference_report(embed_one, corpus, spec)
+        n_ref = pairs.referenced().size
+        assert n_ref > EMBED_CHUNK and n_ref % EMBED_CHUNK, n_ref
+        assert spec.n_pairs > PAIR_CHUNK and spec.n_pairs % PAIR_CHUNK
+
+        report = delta_cosine_distance(embed, corpus, spec)
+        assert (report.s_count, report.d_count) == (len(same), len(diff))
+        expected = {
+            "mean_same_distance": statistics.fmean(same),
+            "mean_diff_distance": statistics.fmean(diff),
+            "same_stderr": statistics.stdev(same) / math.sqrt(len(same)),
+            "diff_stderr": statistics.stdev(diff) / math.sqrt(len(diff)),
+            "delta": statistics.fmean(diff) - statistics.fmean(same),
+        }
+        for name, value in expected.items():
+            assert abs(getattr(report, name) - value) <= 1e-12, name
 
 
 def report_fixture(seed=0):
