@@ -139,11 +139,23 @@ def _merge_config(base: dict, override: dict, prefix: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{dotted}: expected an object, got {value!r}")
             merged[key] = _merge_config(base[key], value, prefix=f"{dotted}.")
-        elif type(base[key]) is int and type(value) is not int:
-            raise ConfigError(f"{dotted}: expected an integer, got {value!r}")
+        elif not _has_type_of(base[key], value):
+            kind = "list of str" if type(base[key]) is list else type(base[key]).__name__
+            raise ConfigError(f"{dotted}: expected {kind}, got {value!r}")
         else:
             merged[key] = value
     return merged
+
+
+def _has_type_of(default, value) -> bool:
+    """A value has its default's type, except that an int may stand for a
+    float, a bool counts only where the default is a bool, and a list holds
+    strings."""
+    if type(default) is list:
+        return type(value) is list and all(type(v) is str for v in value)
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
 
 
 def load_experiment_config(path) -> dict:
@@ -190,6 +202,17 @@ def validate_experiment_config(cfg: dict) -> None:
             raise ConfigError("test_vectors: need one vector file per test set")
     if cfg["model_format"] not in (STORAGE_BINARY, STORAGE_TEXT):
         raise ConfigError(f"model_format: unknown format '{cfg['model_format']}'")
+    for section, cls in (("siamese", SiameseConfig), ("naive", NaiveConfig), ("eval", EvalSpec)):
+        try:
+            cls(**cfg[section])
+        except ValueError as err:
+            raise ConfigError(f"{section}: {err}") from None
+    ep = cfg["episodes"]
+    for quota in ("siamese_pairs", "all_pairs_per_dataset"):
+        if ep[quota] < 1:
+            raise ConfigError(f"episodes.{quota} must be >= 1, got {ep[quota]}")
+    if not 0.0 < ep["same_fraction"] < 1.0:
+        raise ConfigError("episodes.same_fraction must be strictly between 0 and 1")
 
 
 # ---------------------------------------------------------------------------

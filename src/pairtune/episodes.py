@@ -2,8 +2,9 @@
 
 Pairs are sampled class-first: a same-pair draws a class uniformly among
 those with at least two examples, then two distinct members; a
-different-pair draws an unordered class pair uniformly, then one member
-from each. Different-class pairs never cross datasets. Pairs may repeat
+different-pair draws an ordered pair of distinct classes uniformly, then
+one member from each. Each dataset's pairs are drawn as whole index
+arrays, and different-class pairs never cross datasets. Pairs may repeat
 across the sequence; the emitted order is a seeded shuffle over all
 datasets' pairs.
 """
@@ -86,51 +87,47 @@ def generate_episodes(corpora, spec: EpisodeSpec) -> PairSet:
 
     rng = np.random.default_rng(spec.seed)
     examples: list[LabeledExample] = []
-    triples: list[tuple[int, int, int]] = []
+    parts = [np.empty((3, 0), dtype=np.intp)]
     for corpus in corpora:
         if corpus.dataset_id in spec.quotas:
             quota = spec.quotas[corpus.dataset_id]
-            triples += _dataset_pairs(corpus, len(examples), quota, spec, rng)
+            parts.append(_dataset_pairs(corpus, len(examples), quota, spec, rng))
         examples += corpus.examples
-    order = rng.permutation(len(triples))
-    a, b, target = np.array(triples, dtype=np.intp).reshape(-1, 3)[order].T
+    pairs = np.concatenate(parts, axis=1)
+    a, b, target = pairs[:, rng.permutation(pairs.shape[1])]
     return PairSet(examples, a, b, target)
 
 
 def _dataset_pairs(corpus: Corpus, offset: int, quota: int, spec: EpisodeSpec, rng):
-    """(a, b, target) triples for one dataset, indexing its examples from offset."""
+    """(3, quota) rows a, b, target for one dataset, indexing its examples from offset."""
     ds = corpus.dataset_id
-    labels = corpus.classes()
-    if len(labels) < 2:
+    buckets = list(corpus.class_index.values())
+    if len(buckets) < 2:
         raise EpisodeError(f"dataset '{ds}' has fewer than 2 classes")
-    buckets = {lab: corpus.class_index[lab] for lab in labels}
-    eligible = [lab for lab in labels if len(buckets[lab]) >= 2]
+    # Every member index, grouped by class: class c owns members[start[c]:start[c] + size[c]].
+    members = np.concatenate(buckets, dtype=np.intp) + offset
+    size = np.array([len(bucket) for bucket in buckets], dtype=np.intp)
+    start = np.cumsum(size) - size
+    eligible = np.flatnonzero(size >= 2)
 
     n_same = same_pair_count(quota, spec.same_fraction)
     n_diff = quota - n_same
-    if n_same > 0 and not eligible:
+    if n_same > 0 and not len(eligible):
         raise EpisodeError(
             f"dataset '{ds}' has no class with >= 2 examples; same-pairs impossible"
         )
 
-    out = []
-    for _ in range(n_same):
-        bucket = buckets[eligible[rng.integers(len(eligible))]]
-        i = int(rng.integers(len(bucket)))
-        j = int(rng.integers(len(bucket) - 1))
-        if j >= i:  # two distinct members, uniform without replacement
-            j += 1
-        out.append((offset + bucket[i], offset + bucket[j], 1))
-    for _ in range(n_diff):
-        ca = int(rng.integers(len(labels)))
-        cb = int(rng.integers(len(labels) - 1))
-        if cb >= ca:
-            cb += 1
-        bucket_a, bucket_b = buckets[labels[ca]], buckets[labels[cb]]
-        a = bucket_a[rng.integers(len(bucket_a))]
-        b = bucket_b[rng.integers(len(bucket_b))]
-        out.append((offset + a, offset + b, 0))
-    return out
+    c = eligible[rng.integers(len(eligible), size=n_same)]
+    i = rng.integers(size[c])
+    j = rng.integers(size[c] - 1)
+    j += j >= i  # two distinct members, uniform without replacement
+    ca = rng.integers(len(buckets), size=n_diff)
+    cb = rng.integers(len(buckets) - 1, size=n_diff)
+    cb += cb >= ca
+    a = np.concatenate([start[c] + i, start[ca] + rng.integers(size[ca])])
+    b = np.concatenate([start[c] + j, start[cb] + rng.integers(size[cb])])
+    target = np.repeat(np.array([1, 0], dtype=np.intp), [n_same, n_diff])
+    return np.stack([members[a], members[b], target])
 
 
 def write_pairs(pairs: PairSet, path) -> None:

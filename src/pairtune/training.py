@@ -9,6 +9,7 @@ discard the head and keep the finetuned encoder.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -33,6 +34,12 @@ class NumericError(Exception):
     """A training or evaluation quantity stopped being finite."""
 
 
+def _check_steps(cfg) -> None:
+    """The epoch, batch and step-size rules both trainers' configs share."""
+    if cfg.epochs < 0 or cfg.batch_size < 1 or not 0 < cfg.learning_rate < math.inf:
+        raise ValueError("epochs >= 0, batch_size >= 1 and a finite learning_rate > 0 required")
+
+
 @dataclass
 class SiameseConfig:
     epochs: int = 30
@@ -44,8 +51,7 @@ class SiameseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValueError("epochs >= 0, batch_size >= 1 and learning_rate > 0 required")
+        _check_steps(self)
         if not (-1.0 <= self.target_diff < self.target_same <= 1.0):
             raise ValueError("targets must lie in [-1, 1] with target_same > target_diff")
 
@@ -59,8 +65,7 @@ class NaiveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValueError("epochs >= 0, batch_size >= 1 and learning_rate > 0 required")
+        _check_steps(self)
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
 

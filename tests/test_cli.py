@@ -173,6 +173,21 @@ class TestTrainCommand:
                        "--learning-rate", 1e200, "--seed", 6)
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "SIAMESE", "--learning-rate", "inf", "--pairs", 20),
+        ("--mode", "NAIVE", "--learning-rate", "nan", "--batch-size", 64),
+    ], ids=["siamese-inf", "naive-nan"])
+    def test_non_finite_learning_rate_is_usage_error(self, tmp_path, capsys, argv):
+        # 60 examples and 20 pairs: one batch, so a bad step is the last one.
+        corpus = gen_corpus(tmp_path / "c.jsonl", per_class=20)
+        model = tmp_path / "m.ptm"
+        capsys.readouterr()
+        assert run("train", "--train", corpus, "--out", model, *argv,
+                   "--d-tok", 8, "--hidden-width", 16, "--d-out", 8, "--epochs", 1) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("invalid value: ") and "learning_rate" in err, err
+        assert not model.exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run("train", "--mode", "SIAMESE", "--no-such-flag") == EXIT_USAGE
 
@@ -445,6 +460,13 @@ class TestExperimentCommand:
         ("eval", "n_pairs", 50.0),
         (None, "seed", 5.0),
         (None, "siamese", 5),
+        ("siamese", "learning_rate", "x"),
+        ("siamese", "learning_rate", True),
+        ("siamese", "target_same", "1"),
+        ("episodes", "same_fraction", "x"),
+        ("eval", "same_fraction", None),
+        (None, "test_sets", [5]),
+        (None, "train_sets", "a.jsonl"),
     ])
     def test_mistyped_field_is_config_error(self, tmp_path, capsys, section, field, value):
         config, cfg = experiment_config(tmp_path)
@@ -456,6 +478,28 @@ class TestExperimentCommand:
         capsys.readouterr()
         assert run("experiment", "--config", config) == EXIT_USAGE
         assert_one_line_error(capsys, field, repr(value), kind="config")
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("eval", "n_pairs", 1),
+        ("eval", "same_fraction", 1.0),
+        ("siamese", "learning_rate", -1),
+        ("siamese", "learning_rate", float("nan")),
+        ("siamese", "target_same", -0.5),
+        ("naive", "learning_rate", float("inf")),
+        ("naive", "hidden_dim", 0),
+        ("episodes", "same_fraction", 1.0),
+        ("episodes", "siamese_pairs", 0),
+        ("episodes", "all_pairs_per_dataset", 0),
+    ])
+    def test_bad_section_value_fails_before_training(self, tmp_path, capsys, section, field, value):
+        config, cfg = experiment_config(tmp_path)
+        cfg[section][field] = value
+        config.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("experiment", "--config", config) == EXIT_USAGE
+        assert_one_line_error(capsys, section, kind="config")
+        assert not (tmp_path / "run").exists()
+        assert not list(tmp_path.rglob("*.ptm"))
 
     def test_encoder_d_in_is_config_error(self, tmp_path, capsys):
         config, cfg = experiment_config(tmp_path)

@@ -109,6 +109,45 @@ class TestSamplingRules:
         for c in range(k):
             assert abs(counts[f"class{c}"] - expected) < 5 * sigma
 
+    def test_draws_uniform_within_five_sigma_over_unequal_classes(self):
+        sizes = {"one": 1, "two": 2, "three": 3, "ten": 10, "forty": 40}
+        corpus = make_corpus("d", [
+            (f"{label}-{i}", f"text {i}", label)
+            for label, size in sizes.items() for i in range(size)
+        ])
+        pairs = generate_episodes(
+            corpus, EpisodeSpec(quotas={"d": 60_000}, same_fraction=0.5, seed=12)
+        )
+        same = [(a, b) for a, b, t in members(pairs) if t == 1]
+        diff = [(a, b) for a, b, t in members(pairs) if t == 0]
+        assert len(same) == len(diff) == 30_000
+
+        eligible = [label for label, size in sizes.items() if size >= 2]
+        assert_uniform([a.class_label for a, _ in same], eligible)
+        three = [f"three-{i}" for i in range(3)]
+        assert_uniform(
+            [(a.id, b.id) for a, b in same if a.class_label == "three"],
+            [(x, y) for x in three for y in three if x != y],
+        )
+        assert_uniform(
+            [(a.class_label, b.class_label) for a, b in diff],
+            [(x, y) for x in sizes for y in sizes if x != y],
+        )
+        assert_uniform(
+            [a.id for a, _ in same + diff if a.class_label == "forty"],
+            [f"forty-{i}" for i in range(40)],
+        )
+
+
+def assert_uniform(observed, categories):
+    """Every category's count lies within 5 sigma of an equal share, and no other value occurs."""
+    counts = Counter(observed)
+    assert set(counts) <= set(categories), set(counts) - set(categories)
+    n, p = len(observed), 1 / len(categories)
+    sigma = np.sqrt(n * p * (1 - p))
+    for category in categories:
+        assert abs(counts[category] - n * p) < 5 * sigma, (category, counts[category], n * p)
+
 
 class TestDeterminism:
     def test_same_seed_identical_sequence(self):
