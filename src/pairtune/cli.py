@@ -211,8 +211,12 @@ def validate_experiment_config(cfg: dict) -> None:
     for quota in ("siamese_pairs", "all_pairs_per_dataset"):
         if ep[quota] < 1:
             raise ConfigError(f"episodes.{quota} must be >= 1, got {ep[quota]}")
-    if not 0.0 < ep["same_fraction"] < 1.0:
-        raise ConfigError("episodes.same_fraction must be strictly between 0 and 1")
+    _check_same_fraction(ep["same_fraction"], "episodes.same_fraction")
+
+
+def _check_same_fraction(value: float, name: str) -> None:
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must be strictly between 0 and 1, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +292,7 @@ def _pairs_per_dataset(corpora, pairs, pairs_per_dataset) -> int:
 
 
 def cmd_gen_pairs(args) -> None:
+    _check_same_fraction(args.same_fraction, "--same-fraction")
     corpora = _load_corpora(args.train, format=_corpus_format(args))
     per = _pairs_per_dataset(corpora, args.pairs, args.pairs_per_dataset)
     quotas = {c.dataset_id: per for c in corpora}
@@ -359,6 +364,7 @@ def cmd_train(args) -> None:
         raise ConfigError("--vocab does not apply with --vectors, which has no vocabulary")
     if mode == "NAIVE" and args.pairs_in:
         raise ConfigError("--pairs-in does not apply to NAIVE, which trains on examples")
+    _check_same_fraction(args.same_fraction, "--same-fraction")
     if mode == "ALL" and len(args.train) == 1:
         _log("note: ALL with a single train set is equivalent to SIAMESE")
 

@@ -9,6 +9,7 @@ tweets routinely contain commas and quotes.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,6 +128,22 @@ def open_text(path):
             yield f
     except UnicodeDecodeError:
         raise CorpusError(f"{path}: not valid UTF-8 text") from None
+
+
+@contextmanager
+def atomic_write(path):
+    """Open a binary temp file beside ``path``; when the block completes it
+    replaces ``path``. A block that raises leaves ``path`` as it was and
+    removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _detect_format(path: Path, format: str | None) -> str:

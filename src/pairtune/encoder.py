@@ -14,14 +14,15 @@ Forward pass for pooled input ``m``::
 
 from __future__ import annotations
 
+import copy
 import json
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, LabeledExample, VectorTable, open_text
+from .corpus import Corpus, CorpusError, LabeledExample, VectorTable, atomic_write, open_text
 
 TRAINABLE = "trainable"
 FROZEN_PROJECTION = "frozen-projection"
@@ -166,19 +167,44 @@ class EncoderConfig:
 class ParamGroup:
     """A dataclass of named float arrays (None marks an absent one).
 
-    A gradient accumulator is an instance of the class it differentiates,
-    made by ``zeros_like``.
+    The present arrays are C-contiguous views into one float64 vector,
+    ``flat``, laid out in field order, so an optimizer step, a gradient
+    reset or a finiteness check is one pass over one vector. Construction
+    copies the given arrays into a new ``flat``; assign into a field
+    (``group.W1[...] = ...``), never rebind it. A gradient accumulator is
+    an instance of the class it differentiates, made by ``zeros_like``.
     """
+
+    def __post_init__(self):
+        arrays = self.as_dict()
+        self._bind(np.empty(sum(np.size(a) for a in arrays.values())), arrays)
+        for name, a in arrays.items():
+            getattr(self, name)[...] = a
+
+    def _bind(self, flat: np.ndarray, like: dict) -> None:
+        """Make ``flat`` this group's vector and each field in ``like`` a view
+        into it with that array's shape."""
+        self.flat = flat
+        lo = 0
+        for name, a in like.items():
+            hi = lo + np.size(a)
+            setattr(self, name, flat[lo:hi].reshape(np.shape(a)))
+            lo = hi
+
+    def _with_flat(self, flat: np.ndarray):
+        group = copy.copy(self)
+        group._bind(flat, self.as_dict())
+        return group
 
     def as_dict(self) -> dict[str, np.ndarray]:
         """Live references to the present arrays, keyed by name."""
         return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
     def copy(self):
-        return replace(self, **{k: v.copy() for k, v in self.as_dict().items()})
+        return self._with_flat(self.flat.copy())
 
     def zeros_like(self):
-        return replace(self, **{k: np.zeros_like(v) for k, v in self.as_dict().items()})
+        return self._with_flat(np.zeros_like(self.flat))
 
 
 @dataclass
@@ -220,15 +246,21 @@ def identity_projection(dim: int) -> tuple[EncoderConfig, EncoderParams]:
     Stacking [I; -I] before the ReLU and [I, -I] after it gives
     relu(m) - relu(-m) == m, so the output equals the input bit for bit.
     """
-    eye = np.eye(dim)
     config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=dim, h=2 * dim, d_out=dim)
+    # Zero arrays take no memory until written, so the group's copy of
+    # them is the only full-size buffer; the blocks are then filled in place.
     params = EncoderParams(
         E=None,
-        W1=np.vstack([eye, -eye]),
+        W1=np.zeros((2 * dim, dim)),
         b1=np.zeros(2 * dim),
-        W2=np.hstack([eye, -eye]),
+        W2=np.zeros((dim, 2 * dim)),
         b2=np.zeros(dim),
     )
+    eye = np.eye(dim)
+    params.W1[:dim] = eye
+    np.negative(eye, out=params.W1[dim:])
+    params.W2[:, :dim] = eye
+    np.negative(eye, out=params.W2[:, dim:])
     return config, params
 
 
@@ -444,7 +476,7 @@ def save_model(
     }
     mats = params.as_dict()
     order = _matrix_order(config, vocab.size if vocab is not None else None)
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write((_MODEL_MAGIC + "\n").encode("utf-8"))
         f.write((json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8"))
         for name, shape in order:
@@ -507,9 +539,7 @@ def load_model(path) -> tuple[EncoderConfig, EncoderParams, Vocabulary | None]:
             end = offset + count * 8
             if end > len(payload):
                 raise CorpusError(f"{p}: payload too short for parameter '{name}'")
-            mats[name] = (
-                np.frombuffer(payload[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
-            )
+            mats[name] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape)
             offset = end
         if offset != len(payload):
             raise CorpusError(f"{p}: {len(payload) - offset} trailing payload bytes")

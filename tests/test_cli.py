@@ -188,6 +188,44 @@ class TestTrainCommand:
         assert err.startswith("invalid value: ") and "learning_rate" in err, err
         assert not model.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("gen-pairs", "--same-fraction", 1.0, "--pairs", 20),
+        ("train", "--mode", "SIAMESE", "--same-fraction", 0, "--pairs", 20),
+    ], ids=["gen-pairs-1.0", "train-0"])
+    def test_out_of_range_same_fraction_is_usage_error(self, tmp_path, capsys, argv):
+        # The train set does not exist: the flag must fail before any file is read.
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(*argv, "--train", tmp_path / "missing.jsonl", "--out", out) == EXIT_USAGE
+        assert_one_line_error(capsys, "--same-fraction", kind="config")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "SIAMESE", "--pairs", 20),
+        ("--mode", "NAIVE", "--batch-size", 64),
+    ], ids=["siamese", "naive"])
+    def test_non_finite_last_step_is_numeric_failure(self, tmp_path, capsys, monkeypatch, argv):
+        # 60 examples and 20 pairs: one batch, so the poisoned step is the last one.
+        import pairtune.training as training
+        backward = training.encode_batch_backward
+
+        def inf_gradient(params, config, fwd, dZ, grad):
+            backward(params, config, fwd, dZ, grad)
+            grad.b2[0] = np.inf
+            return grad
+
+        monkeypatch.setattr(training, "encode_batch_backward", inf_gradient)
+        corpus = gen_corpus(tmp_path / "c.jsonl", per_class=20)
+        model = tmp_path / "m.ptm"
+        capsys.readouterr()
+        with np.errstate(invalid="ignore"):
+            code = run("train", "--train", corpus, "--out", model, *argv,
+                       "--d-tok", 8, "--hidden-width", 16, "--d-out", 8, "--epochs", 1)
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and "encoder parameters" in err, err
+        assert not model.exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run("train", "--mode", "SIAMESE", "--no-such-flag") == EXIT_USAGE
 

@@ -24,6 +24,7 @@ from pairtune.encoder import (
     save_vocab,
     tokenize,
 )
+from pairtune.training import init_head_params
 
 from conftest import finite_difference_gradients, make_corpus, max_relative_error
 
@@ -249,6 +250,60 @@ class TestGradientCheckProperty:
             assert max_relative_error(grad.as_dict(), numeric) < 1e-4
 
 
+def param_groups():
+    config, params = tiny_trainable()
+    frozen = init_encoder_params(EncoderConfig(mode=FROZEN_PROJECTION, d_in=5, h=4, d_out=3), seed=1)
+    head = init_head_params(d_out=3, hidden_dim=4, n_classes=2, seed=2)
+    return {"trainable": params, "frozen": frozen, "head": head}
+
+
+class TestParamGroupLayout:
+    @pytest.mark.parametrize("kind", ["trainable", "frozen", "head"])
+    @pytest.mark.parametrize("make", ["init", "copy", "zeros_like"])
+    def test_fields_are_contiguous_views_of_one_flat_vector(self, kind, make):
+        group = param_groups()[kind]
+        group = group if make == "init" else getattr(group, make)()
+        arrays = group.as_dict()
+        assert group.flat.ndim == 1 and group.flat.dtype == np.float64
+        assert group.flat.flags.c_contiguous
+        lo = 0
+        for name, arr in arrays.items():
+            assert arr.flags.c_contiguous, name
+            assert arr.base is group.flat, name
+            assert arr.ctypes.data == group.flat[lo:].ctypes.data, name
+            lo += arr.size
+        assert lo == group.flat.size
+
+    @pytest.mark.parametrize("kind", ["trainable", "frozen", "head"])
+    @pytest.mark.parametrize("make", ["copy", "zeros_like"])
+    def test_copy_and_zeros_like_share_no_memory(self, kind, make):
+        group = param_groups()[kind]
+        made = getattr(group, make)()
+        assert not np.shares_memory(made.flat, group.flat)
+        for name, arr in made.as_dict().items():
+            assert not np.shares_memory(arr, group.flat), name
+            assert arr.shape == getattr(group, name).shape
+        if make == "copy":
+            assert np.array_equal(made.flat, group.flat)
+        else:
+            assert not made.flat.any()
+
+    def test_as_dict_keeps_field_order(self):
+        groups = param_groups()
+        assert list(groups["trainable"].as_dict()) == ["E", "W1", "b1", "W2", "b2"]
+        assert list(groups["frozen"].as_dict()) == ["W1", "b1", "W2", "b2"]
+        assert list(groups["head"].as_dict()) == ["Wh", "bh", "Wo", "bo"]
+        for group in groups.values():
+            assert list(group.copy().as_dict()) == list(group.as_dict())
+            assert list(group.zeros_like().as_dict()) == list(group.as_dict())
+
+    def test_construction_copies_its_arrays(self):
+        W1 = np.arange(6.0).reshape(2, 3).T  # not C-contiguous
+        params = EncoderParams(E=None, W1=W1, b1=np.zeros(3), W2=np.ones((1, 3)), b2=np.zeros(1))
+        assert np.array_equal(params.W1, W1) and params.W1.flags.c_contiguous
+        assert not np.shares_memory(params.W1, W1)
+
+
 class TestInit:
     def test_seeded_and_bounded(self):
         config = EncoderConfig(mode=TRAINABLE, d_tok=8, h=16, d_out=8)
@@ -294,6 +349,23 @@ class TestModelFile:
         _, params2, _ = load_model(path)
         for a, b in zip(params.as_dict().values(), params2.as_dict().values()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["over-a-model", "new-path"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, existing):
+        config, params = tiny_trainable()
+        vocab = Vocabulary.from_tokens([UNK_TOKEN, "a", "b", "c", "d", "e"], 1)
+        path = tmp_path / "m.ptm"
+        if existing:
+            save_model(path, config, params, vocab)
+        before = path.read_bytes() if existing else None
+        # b2 comes last in the payload, so the write fails after E, W1, b1 and W2.
+        bad = EncoderParams(E=params.E, W1=params.W1, b1=params.b1, W2=params.W2,
+                            b2=np.zeros(config.d_out + 1))
+        with pytest.raises(ValueError, match="'b2'"):
+            save_model(path, config, bad, vocab)
+        assert sorted(tmp_path.iterdir()) == ([path] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ptm"

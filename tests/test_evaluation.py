@@ -221,7 +221,7 @@ class TestBatchedEvalMatchesReference:
             vocab = build_vocab(corpus)
             config = EncoderConfig(mode=TRAINABLE, d_tok=4, h=6, d_out=5)
             params = init_encoder_params(config, vocab_size=vocab.size, seed=3)
-            params.E = rng.normal(size=params.E.shape)
+            params.E[...] = rng.normal(size=params.E.shape)
 
             def embed_one(ex):
                 m = params.E[vocab.lookup(tokenize(ex.text))].mean(axis=0)

@@ -18,6 +18,7 @@ from pairtune.episodes import EpisodeSpec, PairSet, generate_episodes
 from pairtune.evaluation import EvalSpec, delta_cosine_distance
 from pairtune.synthetic import synthetic_corpus
 from pairtune.training import (
+    ADAM_BLOCK,
     NaiveConfig,
     NumericError,
     OptimizerState,
@@ -75,6 +76,27 @@ class TestSiameseLoss:
         assert math.isclose(loss, 0.09) and math.isclose(dloss, 0.6)
 
 
+def reference_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Straight-line per-array Adam, one whole-array operation at a time, in
+    the order the blocked optimizer_step must keep."""
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    m *= b1
+    tmp = np.multiply(1.0 - b1, g)
+    m += tmp
+    v *= b2
+    np.multiply(1.0 - b2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    step = np.divide(m, c1)
+    step *= lr
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    step /= tmp
+    p -= step
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
@@ -115,6 +137,42 @@ class TestAdam:
             optimizer_step(params, {"x": g}, state, lr)
             trajectory.append(float(params["x"][0]))
         np.testing.assert_allclose(trajectory, reference, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("batch_size", [None, 7], ids=["plain", "scale-and-zero"])
+    def test_blocked_step_is_bitwise_equal_to_reference(self, batch_size):
+        rng = np.random.default_rng(0)
+        n = 3 * ADAM_BLOCK + 80  # three full blocks and a ragged fourth
+        params = {"big": rng.normal(size=(n // 16, 16)), "small": rng.normal(size=5)}
+        grads = {k: np.zeros_like(p) for k, p in params.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros_like(p) for k, p in params.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in params.items()}
+        state = OptimizerState.for_params(params)
+        for t in range(1, 26):
+            drawn = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+                     for k, p in params.items()}
+            drawn["big"][rng.random(n // 16) < 0.3] = 0.0  # rows no item touched
+            for k, g in grads.items():
+                g[...] = drawn[k]
+            optimizer_step(params, grads, state, 1e-2, batch_size=batch_size)
+            for k, p in params.items():
+                g = drawn[k].copy()
+                if batch_size is not None:
+                    g *= 1.0 / batch_size
+                reference_adam_step(ref[k], g, ref_m[k], ref_v[k], t, 1e-2)
+                assert p.tobytes() == ref[k].tobytes(), (t, k)
+                assert state.m[k].tobytes() == ref_m[k].tobytes(), (t, k)
+                assert state.v[k].tobytes() == ref_v[k].tobytes(), (t, k)
+                if batch_size is None:
+                    assert np.array_equal(grads[k], drawn[k])
+                else:
+                    assert not grads[k].any()
+
+    def test_non_contiguous_parameter_is_rejected(self):
+        params = {"w": np.zeros((3, 4)).T}
+        state = OptimizerState.for_params({"w": np.zeros((4, 3))})
+        with pytest.raises(ValueError, match="C-contiguous"):
+            optimizer_step(params, {"w": np.zeros((4, 3))}, state, 1e-3)
 
     def test_shape_mismatch(self):
         params = {"w": np.zeros(3)}
