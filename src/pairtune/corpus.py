@@ -132,17 +132,22 @@ def open_text(path):
 
 @contextmanager
 def atomic_write(path):
-    """Open a binary temp file beside ``path``; when the block completes it
-    replaces ``path``. A block that raises leaves ``path`` as it was and
-    removes the temp file."""
+    """Open a binary temp file beside ``path``; when the block completes the
+    file is flushed to disk and replaces ``path``. A block that raises leaves
+    ``path`` as it was and removes the temp file. A failed open, write or
+    replace raises an OSError that names ``path``, not the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
             yield f
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         tmp.unlink(missing_ok=True)
+        if isinstance(err, OSError) and err.errno is not None:
+            raise OSError(err.errno, err.strerror, str(path)) from None
         raise
 
 

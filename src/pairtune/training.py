@@ -92,11 +92,8 @@ def init_head_params(d_out: int, hidden_dim: int, n_classes: int, seed: int = 0)
     )
 
 
-# Elements per block of the Adam step. One block of each of p, g, m, v and
-# the two scratch arrays (6 x 256 KiB) stays in a 2 MiB L2 cache. On a
-# 2-vCPU Xeon with 2 MiB L2 per core, a step over 284k elements took
-# 3.5 ms in 32k blocks and 4.9 ms in 4k blocks; with a fresh temporary per
-# whole-array operation it took 8.7 ms.
+# Elements per block of the Adam step: one 256 KiB block of each of p, g, m,
+# v and the two scratch arrays (6 x 256 KiB) stays in a 2 MiB L2 cache.
 ADAM_BLOCK = 32768
 
 
@@ -129,22 +126,23 @@ def optimizer_step(
     state: OptimizerState,
     learning_rate: float,
     *,
-    batch_size: int | None = None,
+    batch_size: int = 1,
 ) -> tuple[dict[str, np.ndarray], OptimizerState]:
     """One bias-corrected Adam update; parameter arrays change in place.
 
-    With ``batch_size``, ``grads`` hold sums over a batch of that many
-    items: the update uses their mean and leaves them zeroed for the next
-    batch. Each array is walked in ADAM_BLOCK-element blocks through the
-    state's scratch blocks, so a step allocates nothing; every element sees
-    the same operations in the same order whatever the block size.
+    ``grads`` hold sums over a batch of ``batch_size`` items: the update
+    uses their mean and leaves ``grads`` zeroed for the next batch (scaling
+    by 1/1 is exact, so the default is a plain step). Each array is walked
+    in ADAM_BLOCK-element blocks through the state's scratch blocks, so a
+    step allocates nothing; every element sees the same operations in the
+    same order whatever the block size.
     """
     state.t += 1
     c1 = 1.0 - state.beta1**state.t
     c2 = 1.0 - state.beta2**state.t
     a1 = 1.0 - state.beta1
     a2 = 1.0 - state.beta2
-    scale = None if batch_size is None else 1.0 / batch_size
+    scale = 1.0 / batch_size
     tmp_block, step_block = state.scratch
     for name, g in grads.items():
         if name not in params:
@@ -160,8 +158,7 @@ def optimizer_step(
             hi = lo + ADAM_BLOCK
             gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
             tmp, step = tmp_block[: len(gb)], step_block[: len(gb)]
-            if scale is not None:
-                gb *= scale
+            gb *= scale
             # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time.
             mb *= state.beta1
             np.multiply(a1, gb, out=tmp)
@@ -177,8 +174,7 @@ def optimizer_step(
             tmp += state.eps
             step /= tmp
             p[lo:hi] -= step
-            if scale is not None:
-                gb.fill(0.0)
+            gb.fill(0.0)
     return params, state
 
 

@@ -162,6 +162,18 @@ class TestTrainCommand:
         assert run("train", "--mode", "SIAMESE", "--train", tmp_path / "nope.jsonl",
                    "--out", tmp_path / "m.ptm") == EXIT_DATA
 
+    def test_unwritable_out_names_the_target(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path / "c.jsonl", per_class=20)
+        model = tmp_path / "missing" / "m.ptm"
+        capsys.readouterr()
+        assert run("train", "--mode", "SIAMESE", "--train", corpus, "--out", model,
+                   "--d-tok", 8, "--hidden-width", 16, "--d-out", 8,
+                   "--epochs", 1, "--pairs", 20) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()[-1]  # after the epoch progress lines
+        assert err.startswith("i/o error: ") and f"'{model}'" in err, err
+        assert ".tmp" not in err, err
+        assert not (tmp_path / "missing").exists()
+
     def test_divergent_learning_rate_is_numeric_failure(self, tmp_path):
         corpus = gen_corpus(tmp_path / "c.jsonl")
         import numpy as np

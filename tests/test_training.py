@@ -138,7 +138,7 @@ class TestAdam:
             trajectory.append(float(params["x"][0]))
         np.testing.assert_allclose(trajectory, reference, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("batch_size", [None, 7], ids=["plain", "scale-and-zero"])
+    @pytest.mark.parametrize("batch_size", [None, 7], ids=["default", "scale-and-zero"])
     def test_blocked_step_is_bitwise_equal_to_reference(self, batch_size):
         rng = np.random.default_rng(0)
         n = 3 * ADAM_BLOCK + 80  # three full blocks and a ragged fourth
@@ -154,7 +154,8 @@ class TestAdam:
             drawn["big"][rng.random(n // 16) < 0.3] = 0.0  # rows no item touched
             for k, g in grads.items():
                 g[...] = drawn[k]
-            optimizer_step(params, grads, state, 1e-2, batch_size=batch_size)
+            kwargs = {} if batch_size is None else {"batch_size": batch_size}
+            optimizer_step(params, grads, state, 1e-2, **kwargs)
             for k, p in params.items():
                 g = drawn[k].copy()
                 if batch_size is not None:
@@ -163,10 +164,7 @@ class TestAdam:
                 assert p.tobytes() == ref[k].tobytes(), (t, k)
                 assert state.m[k].tobytes() == ref_m[k].tobytes(), (t, k)
                 assert state.v[k].tobytes() == ref_v[k].tobytes(), (t, k)
-                if batch_size is None:
-                    assert np.array_equal(grads[k], drawn[k])
-                else:
-                    assert not grads[k].any()
+                assert not grads[k].any()
 
     def test_non_contiguous_parameter_is_rejected(self):
         params = {"w": np.zeros((3, 4)).T}
