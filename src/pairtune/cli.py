@@ -21,6 +21,7 @@ from .corpus import (
     RANDOM_BY_EXAMPLE,
     SplitSpec,
     VectorTable,
+    atomic_write,
     load_corpus,
     load_vectors,
     split_corpus,
@@ -311,6 +312,14 @@ def _load_vector_tables(paths) -> list[VectorTable]:
     return tables
 
 
+def _check_vectors(corpora, tables, paths) -> None:
+    """Every example of corpora[i] has a vector in tables[i], read from paths[i]."""
+    for corpus, table, path in zip(corpora, tables, paths):
+        for ex in corpus.examples:
+            if ex.id not in table:
+                raise CorpusError(f"{path}: no vector for example id '{ex.id}'")
+
+
 def _base_params(config: EncoderConfig, vocab, seed: int) -> EncoderParams:
     """The seed-initialised encoder that every variant starts from."""
     vocab_size = vocab.size if vocab is not None else None
@@ -374,6 +383,7 @@ def cmd_train(args) -> None:
         if len(args.vectors) != len(corpora):
             raise ConfigError("need one --vectors file per train set")
         loaded = _load_vector_tables(args.vectors)
+        _check_vectors(corpora, loaded, args.vectors)
         tables = {c.dataset_id: t for c, t in zip(corpora, loaded)}
         config = EncoderConfig(
             mode=FROZEN_PROJECTION, d_in=loaded[0].dim, h=args.hidden_width, d_out=args.d_out
@@ -408,7 +418,7 @@ def cmd_train(args) -> None:
 
 
 def _write_loss_curve(path, report) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         f.write("epoch\tmean_loss\n")
         for epoch, loss in enumerate(report.epoch_losses, start=1):
             f.write(f"{epoch}\t{loss:.9g}\n")
@@ -419,8 +429,11 @@ def _eval_tables(args, tests):
         return None
     if len(args.vectors) not in (1, len(tests)):
         raise ConfigError("--vectors must appear once or once per test set")
-    tables = _load_vector_tables(args.vectors)
-    return tables * len(tests) if len(tables) == 1 else tables
+    # One file may serve every test set.
+    n = len(tests) if len(args.vectors) == 1 else 1
+    tables = _load_vector_tables(args.vectors) * n
+    _check_vectors(tests, tables, args.vectors * n)
+    return tables
 
 
 def _evaluate(name, config, params, vocab, tests, tables, spec: EvalSpec) -> list:
@@ -437,9 +450,10 @@ def _evaluate(name, config, params, vocab, tests, tables, spec: EvalSpec) -> lis
 
 
 def cmd_eval(args) -> None:
+    _check_same_fraction(args.same_fraction, "--same-fraction")
+    spec = EvalSpec(n_pairs=args.n_pairs, same_fraction=args.same_fraction, seed=args.seed)
     tests = _load_corpora(args.test)
     tables = _eval_tables(args, tests)
-    spec = EvalSpec(n_pairs=args.n_pairs, same_fraction=args.same_fraction, seed=args.seed)
 
     if args.model:
         config, params, vocab = load_model(args.model)
@@ -502,7 +516,9 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
         config = EncoderConfig(mode=TRAINABLE, d_tok=enc["d_tok"], h=enc["h"], d_out=enc["d_out"])
         vocab = build_vocab(train_corpora or test_corpora, min_count=enc["min_count"])
     else:
-        tables = _load_vector_tables(cfg["train_vectors"] + cfg["test_vectors"])
+        paths = cfg["train_vectors"] + cfg["test_vectors"]
+        tables = _load_vector_tables(paths)
+        _check_vectors(train_corpora + test_corpora, tables, paths)
         train_tables = {c.dataset_id: t for c, t in zip(train_corpora, tables)}
         test_tables = tables[len(train_corpora):]
         config = EncoderConfig(
@@ -552,9 +568,8 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
             "vectors), not from a pretrained sentence encoder."
         ),
     }
-    (out_dir / "metadata.json").write_text(
-        json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out_dir / "metadata.json", encoding="utf-8") as f:
+        f.write(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
     _log(f"consolidated report: {out_dir / 'consolidated.tsv'}")
 
 

@@ -12,6 +12,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -131,15 +132,16 @@ def open_text(path):
 
 
 @contextmanager
-def atomic_write(path):
-    """Open a binary temp file beside ``path``; when the block completes the
-    file is flushed to disk and replaces ``path``. A block that raises leaves
-    ``path`` as it was and removes the temp file. A failed open, write or
-    replace raises an OSError that names ``path``, not the temp file."""
+def atomic_write(path, encoding: str | None = None):
+    """Open a temp file beside ``path``, binary or, given an ``encoding``,
+    text; when the block completes the file is flushed to disk and replaces
+    ``path``. A block that raises leaves ``path`` as it was and removes the
+    temp file. A failed open, write or replace raises an OSError that names
+    ``path``, not the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as f:
+        with open(tmp, "wb" if encoding is None else "w", encoding=encoding) as f:
             yield f
             f.flush()
             os.fsync(f.fileno())
@@ -248,7 +250,7 @@ def write_corpus(corpus: Corpus, path, format: str | None = None) -> None:
     """Write a corpus so that load_corpus reproduces it exactly."""
     p = Path(path)
     fmt = _detect_format(p, format)
-    with open(p, "w", encoding="utf-8") as f:
+    with atomic_write(p, encoding="utf-8") as f:
         if fmt == JSON_LINES:
             for ex in corpus.examples:
                 f.write(json.dumps(
@@ -337,42 +339,93 @@ def _split_by_class(corpus: Corpus, spec: SplitSpec) -> tuple[list[int], list[in
 
 
 def load_vectors(path) -> VectorTable:
-    """Load precomputed vectors: a "dim=<N>" header then id<TAB>floats rows."""
+    """Load precomputed vectors: a "dim=<N>" header then id<TAB>floats rows.
+
+    Values are read exactly as ``float()`` reads them. One ``np.loadtxt``
+    call parses the values of every row, and the table's vectors are row
+    views of the matrix it returns. A file that it rejects, or whose values
+    are not all finite, is read again line by line: that raises the first
+    error in line order, or loads the values that only ``float()`` accepts
+    (``1_0``, non-ASCII digits).
+    """
     p = Path(path)
     if not p.is_file():
         raise CorpusError(f"no such vector file: {p}")
+    try:
+        with open_text(p) as f:
+            dim = _vector_dim(p, f)
+            ids: dict[str, None] = {}
+            texts = (_loadtxt_text(text) for _, _, text in _vector_rows(p, f, dim, ids))
+            first = next(texts, None)
+            if first is None:
+                return VectorTable(dim=dim)
+            values = np.loadtxt(
+                chain([first], texts), delimiter="\t", comments=None, dtype=np.float64, ndmin=2
+            )
+        if values.shape == (len(ids), dim) and np.isfinite(values).all():
+            return VectorTable(dim=dim, entries=dict(zip(ids, values)))
+    except (CorpusError, ValueError):
+        pass
+    return _load_vectors_by_line(p)
+
+
+def _loadtxt_text(text: str) -> str:
+    r"""``text``, unless np.loadtxt would read it otherwise than float(): an
+    empty one, which it skips as a blank line, or one holding a character
+    that it strips as whitespace and float() does not. float() strips only
+    ASCII space, \t, \n, \v, \f and \r, so "\x1c1" would load."""
+    if text in ("", "\n") or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text:
+        raise CorpusError("a value that np.loadtxt and float() read differently")
+    return text
+
+
+def _vector_dim(p: Path, f) -> int:
+    header = f.readline().strip()
+    if not header.startswith("dim=") or not header[4:].isdigit():
+        raise CorpusError(f"{p}:1: expected a 'dim=<N>' header, got '{header}'")
+    dim = int(header[4:])
+    if dim < 1:
+        raise CorpusError(f"{p}:1: dim must be positive")
+    return dim
+
+
+def _vector_rows(p: Path, f, dim: int, ids: dict[str, None]):
+    """Yield (line number, id, values text) for each non-blank row after the
+    header, once its field count is checked and its new id added to ``ids``."""
+    for lineno, line in enumerate(f, start=2):
+        if not line.strip():
+            continue
+        n_values = line.count("\t")
+        if n_values != dim:
+            raise CorpusError(f"{p}:{lineno}: expected {dim} values, got {n_values}")
+        ex_id, _, text = line.partition("\t")
+        if ex_id in ids:
+            raise CorpusError(f"{p}:{lineno}: duplicate id '{ex_id}'")
+        ids[ex_id] = None
+        yield lineno, ex_id, text
+
+
+def _load_vectors_by_line(p: Path) -> VectorTable:
+    """``load_vectors``' error path: every value through ``float()``, and
+    the first error in line order raised."""
     with open_text(p) as f:
-        header = f.readline().strip()
-        if not header.startswith("dim=") or not header[4:].isdigit():
-            raise CorpusError(f"{p}:1: expected a 'dim=<N>' header, got '{header}'")
-        dim = int(header[4:])
-        if dim < 1:
-            raise CorpusError(f"{p}:1: dim must be positive")
-        entries: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != dim + 1:
-                raise CorpusError(
-                    f"{p}:{lineno}: expected {dim} values, got {len(fields) - 1}"
-                )
-            ex_id = fields[0]
-            if ex_id in entries:
-                raise CorpusError(f"{p}:{lineno}: duplicate id '{ex_id}'")
+        dim = _vector_dim(p, f)
+        ids: dict[str, None] = {}
+        rows = []
+        for lineno, ex_id, text in _vector_rows(p, f, dim, ids):
             try:
-                vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+                vec = np.array([float(v) for v in text.rstrip("\n").split("\t")], dtype=np.float64)
             except ValueError:
                 raise CorpusError(f"{p}:{lineno}: non-numeric value") from None
             if not np.all(np.isfinite(vec)):
                 raise CorpusError(f"{p}:{lineno}: non-finite value for id '{ex_id}'")
-            entries[ex_id] = vec
-    return VectorTable(dim=dim, entries=entries)
+            rows.append(vec)
+    return VectorTable(dim=dim, entries=dict(zip(ids, rows)))
 
 
 def write_vectors(table: VectorTable, path) -> None:
     """Write a vector table; values round-trip at 9 significant digits."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         f.write(f"dim={table.dim}\n")
         for ex_id, vec in table.entries.items():
             f.write(ex_id)

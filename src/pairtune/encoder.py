@@ -116,7 +116,7 @@ def build_vocab(corpora, min_count: int = 1) -> Vocabulary:
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         f.write(f"min_count={vocab.min_count}\n")
         for tok in vocab.token_list():
             f.write(tok + "\n")
@@ -265,6 +265,59 @@ def identity_projection(dim: int) -> tuple[EncoderConfig, EncoderParams]:
 
 
 @dataclass
+class InputTable:
+    """Encoder inputs of a list of examples as arrays; row i is example i.
+
+    Trainable mode is CSR: row i's token indices are
+    ``tokens[offsets[i]:offsets[i + 1]]``. Frozen mode holds ``vectors``, an
+    object array of references to each row's (d_in,) vector, so a table
+    never copies the vectors it is built from. ``take`` gathers a batch;
+    ``encode_batch`` embeds one.
+    """
+
+    tokens: np.ndarray | None = None
+    offsets: np.ndarray | None = None
+    vectors: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.vectors) if self.vectors is not None else len(self.offsets) - 1
+
+    def take(self, rows: np.ndarray) -> "InputTable":
+        """The table of ``rows``, in that order (repeats allowed)."""
+        if self.vectors is not None:
+            return InputTable(vectors=self.vectors[rows])
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        # Position k of the batch reads tokens[starts[row] + k - offsets[row]].
+        positions = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return InputTable(tokens=self.tokens[positions], offsets=offsets)
+
+
+def input_table(config: EncoderConfig, xs) -> InputTable:
+    """Pack per-example inputs (token index sequences, or input vectors in
+    frozen mode) into one InputTable, checking each input once."""
+    if config.mode == TRAINABLE:
+        lengths = np.fromiter(map(np.size, xs), dtype=np.intp, count=len(xs))
+        if not lengths.all():
+            raise ValueError("trainable mode needs non-empty token index sequences")
+        # The leading empty array makes zero inputs valid and others 1-D.
+        tokens = np.concatenate([np.empty(0, dtype=np.intp), *xs], dtype=np.intp)
+        offsets = np.zeros(len(xs) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        return InputTable(tokens=tokens, offsets=offsets)
+    vectors = np.empty(len(xs), dtype=object)
+    for i, x in enumerate(xs):
+        vectors[i] = vec = np.asarray(x, dtype=np.float64)
+        if vec.shape != (config.d_in,):
+            raise ValueError(
+                f"expected input vectors of length {config.d_in}, got shape {vec.shape}"
+            )
+    return InputTable(vectors=vectors)
+
+
+@dataclass
 class BatchForward:
     """Forward intermediates of one ``encode_batch`` call, kept for its backward.
 
@@ -279,30 +332,24 @@ class BatchForward:
     lengths: np.ndarray | None = None
 
 
-def encode_batch(params: EncoderParams, config: EncoderConfig, xs) -> tuple[np.ndarray, BatchForward]:
-    """Embed a mini-batch of inputs at once; row i of Z is the embedding of xs[i].
+def encode_batch(
+    params: EncoderParams, config: EncoderConfig, batch: InputTable
+) -> tuple[np.ndarray, BatchForward]:
+    """Embed a gathered batch at once; row i of Z is the embedding of row i.
 
-    Trainable mode pools every example's token rows with one
+    Trainable mode pools every row's token embeddings with one
     ``np.add.reduceat`` over the flat token indices; frozen mode stacks the
-    vectors. The projection then runs as two matrix products over the batch.
+    rows' vectors. The projection then runs as two matrix products over the
+    batch.
     """
     if config.mode == TRAINABLE:
-        lengths = np.fromiter((np.size(x) for x in xs), dtype=np.intp)
-        if lengths.size == 0 or not lengths.all():
-            raise ValueError("trainable mode needs non-empty token index sequences")
-        tokens = np.concatenate(xs, dtype=np.intp)
-        if tokens.ndim != 1:
-            raise ValueError("trainable mode needs one-dimensional token index sequences")
-        offsets = np.cumsum(lengths) - lengths
-        M = np.add.reduceat(params.E[tokens], offsets, axis=0)
+        tokens = batch.tokens
+        lengths = np.diff(batch.offsets)
+        M = np.add.reduceat(params.E[tokens], batch.offsets[:-1], axis=0)
         M /= lengths[:, None]
     else:
         tokens = lengths = None
-        M = np.array(xs, dtype=np.float64, ndmin=2)
-        if M.ndim != 2 or M.shape[1] != config.d_in:
-            raise ValueError(
-                f"expected input vectors of length {config.d_in}, got shape {M.shape}"
-            )
+        M = np.concatenate(batch.vectors, dtype=np.float64).reshape(len(batch), config.d_in)
     A = M @ params.W1.T
     A += params.b1
     # np.maximum, unlike np.where(A > 0, A, 0), lets a NaN reach the loss check.
@@ -318,7 +365,7 @@ def encode(params: EncoderParams, config: EncoderConfig, x) -> np.ndarray:
     The batch-of-one case of ``encode_batch``. Pure function of (params, x):
     identical inputs give bit-identical output.
     """
-    return encode_batch(params, config, [x])[0][0]
+    return encode_batch(params, config, input_table(config, [x]))[0][0]
 
 
 def encode_batch_backward(
@@ -369,7 +416,7 @@ def encode_backward(
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (config.d_out,):
         raise ValueError(f"upstream gradient must have shape ({config.d_out},)")
-    _, fwd = encode_batch(params, config, [x])
+    _, fwd = encode_batch(params, config, input_table(config, [x]))
     return encode_batch_backward(params, config, fwd, upstream[None, :], grad)
 
 
@@ -421,14 +468,16 @@ def make_embedder(
     vectors: VectorTable | None = None,
 ):
     """Return ``embed(examples)``, the (len(examples), d_out) matrix whose row
-    i embeds examples[i], filled EMBED_CHUNK rows per ``encode_batch`` call."""
+    i embeds examples[i]. Each call packs the examples into one InputTable
+    and embeds it EMBED_CHUNK rows per ``encode_batch`` call."""
     prepare = make_input_fn(config, vocab=vocab, vectors=vectors)
 
     def embed(examples) -> np.ndarray:
+        table = input_table(config, [prepare(ex) for ex in examples])
         Z = np.empty((len(examples), config.d_out))
         for lo in range(0, len(examples), EMBED_CHUNK):
-            xs = [prepare(ex) for ex in examples[lo : lo + EMBED_CHUNK]]
-            Z[lo : lo + len(xs)] = encode_batch(params, config, xs)[0]
+            rows = np.arange(lo, min(lo + EMBED_CHUNK, len(examples)))
+            Z[lo : lo + len(rows)] = encode_batch(params, config, table.take(rows))[0]
         return Z
 
     return embed

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, LabeledExample, open_text
+from .corpus import Corpus, LabeledExample, atomic_write, open_text
 
 
 class EpisodeError(Exception):
@@ -133,7 +133,7 @@ def _dataset_pairs(corpus: Corpus, offset: int, quota: int, spec: EpisodeSpec, r
 def write_pairs(pairs: PairSet, path) -> None:
     """Dump pairs as "<dataset>\\t<id_a>\\t<id_b>\\t<target>" lines."""
     examples = pairs.examples
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         for i, j, t in zip(pairs.a.tolist(), pairs.b.tolist(), pairs.target.tolist()):
             a = examples[i]
             f.write(f"{a.dataset_id}\t{a.id}\t{examples[j].id}\t{t}\n")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, atomic_write
 from .episodes import EpisodeSpec, generate_episodes
 from .training import NumericError, cosine_similarity
 
@@ -130,7 +130,7 @@ def emit_report(rows, path) -> None:
     rows = list(rows)
     if not rows:
         raise ValueError("no report rows to write")
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         f.write("\t".join(REPORT_HEADER) + "\n")
         for model_name, test_name, report in rows:
             f.write(

@@ -22,11 +22,13 @@ from .episodes import PairSet
 from .encoder import (  # noqa: F401
     EncoderConfig,
     EncoderParams,
+    InputTable,
     ParamGroup,
     encode,
     encode_backward,
     encode_batch,
     encode_batch_backward,
+    input_table,
 )
 
 
@@ -210,20 +212,19 @@ class TrainingReport:
 def siamese_batch_backward(
     params: EncoderParams,
     config: EncoderConfig,
-    xa,
-    xb,
+    batch: InputTable,
     targets,
     epsilon_norm: float,
     grad: EncoderParams,
 ) -> np.ndarray:
     """Per-pair losses of a batch; their summed gradient joins ``grad``.
 
-    Pair i is (xa[i], xb[i]). All 2B members go through one ``encode_batch``
-    call. When a norm sits at the epsilon guard it is constant, so its
-    branch of the cosine's quotient rule drops out.
+    ``batch`` holds 2B rows: pair i is (row i, row B + i). All 2B members go
+    through one ``encode_batch`` call. When a norm sits at the epsilon guard
+    it is constant, so its branch of the cosine's quotient rule drops out.
     """
-    n = len(xa)
-    Z, fwd = encode_batch(params, config, [*xa, *xb])
+    n = len(batch) // 2
+    Z, fwd = encode_batch(params, config, batch)
     za, zb = Z[:n], Z[n:]
     nu = np.linalg.norm(za, axis=1)
     nv = np.linalg.norm(zb, axis=1)
@@ -252,20 +253,21 @@ def siamese_pair_backward(
 
     The batch-of-one case of ``siamese_batch_backward``.
     """
-    return float(siamese_batch_backward(params, config, [xa], [xb], [target], epsilon_norm, grad)[0])
+    batch = input_table(config, [xa, xb])
+    return float(siamese_batch_backward(params, config, batch, [target], epsilon_norm, grad)[0])
 
 
 def naive_batch_backward(
     params: EncoderParams,
     config: EncoderConfig,
     head: HeadParams,
-    xs,
+    batch: InputTable,
     target_indices,
     egrad: EncoderParams,
     hgrad: HeadParams,
 ) -> np.ndarray:
-    """Per-example cross-entropy losses of a batch; gradients join the accumulators."""
-    Z, fwd = encode_batch(params, config, xs)
+    """Per-row cross-entropy losses of a batch; gradients join the accumulators."""
+    Z, fwd = encode_batch(params, config, batch)
     A = Z @ head.Wh.T
     A += head.bh
     H = np.maximum(A, 0.0)
@@ -295,7 +297,8 @@ def naive_example_backward(
 
     The batch-of-one case of ``naive_batch_backward``.
     """
-    return float(naive_batch_backward(params, config, head, [x], [target_index], egrad, hgrad)[0])
+    batch = input_table(config, [x])
+    return float(naive_batch_backward(params, config, head, batch, [target_index], egrad, hgrad)[0])
 
 
 def _run_epochs(n_items: int, cfg, params: dict, grads: dict, batch_losses, log) -> TrainingReport:
@@ -351,22 +354,22 @@ def train_siamese(
     Deterministic given the seed.
 
     ``input_fn`` maps a LabeledExample to the encoder input (token indices
-    or a fixed vector); it runs once for each example the pairs reference.
+    or a fixed vector); it runs once for each example the pairs reference,
+    and the inputs are packed into one InputTable that every batch gathers
+    its 2B rows from.
     """
     if len(pairs) == 0 and scfg.epochs > 0:
         raise ValueError("no training pairs")
-    inputs: list = [None] * len(pairs.examples)
-    for i in pairs.referenced().tolist():
-        inputs[i] = input_fn(pairs.examples[i])
+    ref = pairs.referenced()
+    table = input_table(config, [input_fn(pairs.examples[i]) for i in ref.tolist()])
+    a, b = np.searchsorted(ref, pairs.a), np.searchsorted(ref, pairs.b)  # rows of the table
     targets = np.where(pairs.target == 1, scfg.target_same, scfg.target_diff)
     grad = params.zeros_like()
 
     def batch_losses(batch):
+        members = table.take(np.concatenate((a[batch], b[batch])))
         return siamese_batch_backward(
-            params, config,
-            [inputs[i] for i in pairs.a[batch].tolist()],
-            [inputs[i] for i in pairs.b[batch].tolist()],
-            targets[batch], scfg.epsilon_norm, grad,
+            params, config, members, targets[batch], scfg.epsilon_norm, grad
         )
 
     report = _run_epochs(
@@ -409,14 +412,15 @@ def train_naive(
     # stable class -> output index assignment: sorted labels
     label_index = {label: i for i, label in enumerate(sorted(corpus.class_index))}
     head = init_head_params(config.d_out, ncfg.hidden_dim, len(label_index), seed=ncfg.seed)
-    inputs = [input_fn(ex) for ex in corpus.examples]
+    table = input_table(config, [input_fn(ex) for ex in corpus.examples])
     targets = np.array([label_index[ex.class_label] for ex in corpus.examples], dtype=np.intp)
     egrad = params.zeros_like()
     hgrad = head.zeros_like()
 
     def batch_losses(batch):
-        xs = [inputs[i] for i in batch.tolist()]
-        return naive_batch_backward(params, config, head, xs, targets[batch], egrad, hgrad)
+        return naive_batch_backward(
+            params, config, head, table.take(batch), targets[batch], egrad, hgrad
+        )
 
     report = _run_epochs(
         len(corpus), ncfg,

@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 
 import pairtune
+import pairtune.corpus
 from pairtune.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     SEED_EVAL,
+    _write_loss_curve,
     default_experiment_config,
+    load_experiment_config,
     main,
+    run_experiment,
 )
-from pairtune.corpus import VectorTable, load_corpus, write_vectors
+from pairtune.corpus import VectorTable, load_corpus, write_corpus, write_vectors
 from pairtune.encoder import (
     TRAINABLE,
     EncoderConfig,
@@ -26,8 +30,11 @@ from pairtune.encoder import (
     load_model,
     load_vocab,
     save_model,
+    save_vocab,
 )
-from pairtune.evaluation import parse_report
+from pairtune.episodes import EpisodeSpec, generate_episodes, write_pairs
+from pairtune.evaluation import DeltaReport, emit_report, parse_report
+from pairtune.training import TrainingReport
 
 
 def run(*argv):
@@ -306,6 +313,20 @@ class TestEvalCommand:
         test = gen_corpus(tmp_path / "t.jsonl")
         assert run("eval", "--orig", "--test", test,
                    "--out", tmp_path / "r.tsv") == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv,prefix,word", [
+        (("--same-fraction", 0), "config error: ", "--same-fraction"),
+        (("--same-fraction", 1.5), "config error: ", "--same-fraction"),
+        (("--n-pairs", 1), "invalid value: ", "n_pairs"),
+    ], ids=["same-fraction-0", "same-fraction-1.5", "n-pairs-1"])
+    def test_bad_flag_fails_before_any_file_is_read(self, tmp_path, capsys, argv, prefix, word):
+        out = tmp_path / "r.tsv"
+        capsys.readouterr()
+        assert run("eval", "--orig", "--vectors", tmp_path / "missing.vec",
+                   "--test", tmp_path / "missing.jsonl", *argv, "--out", out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and len(err.splitlines()) == 1 and word in err, err
+        assert not out.exists()
 
 
 def rewrite_model(path, edit_header=None, edit_payload=None):
@@ -615,6 +636,134 @@ def test_eval_orig_matches_experiment_orig_rows(tmp_path):
         argv += ["--test", test, "--vectors", vec]
     assert run(*argv) == EXIT_OK
     assert report.read_bytes() == (tmp_path / "run" / "consolidated.tsv").read_bytes()
+
+
+def vector_file(path, corpus_path, drop=None):
+    """Write 3-d vectors for every example of a corpus file except ``drop``."""
+    ids = [ex.id for ex in load_corpus(corpus_path).examples if ex.id != drop]
+    rng = np.random.default_rng(len(ids))
+    write_vectors(VectorTable(dim=3, entries={i: rng.normal(size=3) for i in ids}), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["experiment", "train", "eval"])
+def test_missing_vector_fails_before_any_output(tmp_path, capsys, command):
+    train = gen_corpus(tmp_path / "train.jsonl", per_class=10, seed=1)
+    test = gen_corpus(tmp_path / "test.jsonl", per_class=6, seed=2)
+    short = train if command == "train" else test  # the corpus whose vector file lacks one id
+    missing = load_corpus(short).examples[-1].id
+    train_vec = vector_file(tmp_path / "train.vec", train, drop=missing if short == train else None)
+    test_vec = vector_file(tmp_path / "test.vec", test, drop=missing if short == test else None)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "train": ("train", "--mode", "SIAMESE", "--train", train, "--vectors", train_vec,
+                  "--out", out / "m.ptm", "--hidden-width", 4, "--d-out", 3,
+                  "--epochs", 1, "--pairs", 20),
+        "eval": ("eval", "--orig", "--test", test, "--vectors", test_vec,
+                 "--n-pairs", 20, "--out", out / "r.tsv"),
+    }
+    if command == "experiment":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "train_sets": [str(train)], "test_sets": [str(test)],
+            "train_vectors": [str(train_vec)], "test_vectors": [str(test_vec)],
+            "out_dir": str(out), "encoder": {"mode": "frozen-projection", "h": 4, "d_out": 3},
+            "siamese": {"epochs": 1}, "naive": {"epochs": 1, "hidden_dim": 4},
+            "episodes": {"siamese_pairs": 20, "all_pairs_per_dataset": 20},
+            "eval": {"n_pairs": 20},
+        }))
+        argv[command] = ("experiment", "--config", config)
+    capsys.readouterr()
+    assert run(*argv[command]) == EXIT_DATA
+    assert_one_line_error(capsys, f"no vector for example id '{missing}'",
+                          short.with_suffix(".vec").name)
+    assert not list(out.glob("*.ptm")) and not list(out.glob("*.tsv"))
+
+
+class _InterruptedFile:
+    """A file whose first write lands on disk and then raises."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data)
+        self._f.flush()
+        raise RuntimeError("interrupted write")
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def _writers(tmp_path):
+    """Each output writer as (file name, function writing that file into a directory)."""
+    corpus_path = gen_corpus(tmp_path / "c.jsonl", classes=3, per_class=5)
+    corpus = load_corpus(corpus_path)
+    pairs = generate_episodes(corpus, EpisodeSpec(quotas={"c": 10}, seed=1))
+    report = DeltaReport(10, 5, 5, 0.1, 0.2, 0.01, 0.01, 0.1)
+    config = EncoderConfig(mode=TRAINABLE, d_tok=2, h=2, d_out=2)
+    vocab = build_vocab(corpus)
+    params = init_encoder_params(config, vocab_size=vocab.size, seed=0)
+    table = VectorTable(dim=2, entries={"a": np.ones(2), "b": np.zeros(2)})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "test_sets": [str(corpus_path)],
+        "test_vectors": [str(vector_file(tmp_path / "c.vec", corpus_path))],
+        "models": ["ORIG"], "encoder": {"mode": "frozen-projection", "d_out": 3},
+        "eval": {"n_pairs": 20},
+    }))
+
+    def orig_experiment(out_dir):
+        run_experiment(dict(load_experiment_config(config_path), out_dir=str(out_dir)))
+
+    return {
+        "vectors": ("v.vec", lambda d: write_vectors(table, d / "v.vec")),
+        "corpus-jsonl": ("c.jsonl", lambda d: write_corpus(corpus, d / "c.jsonl")),
+        "corpus-tsv": ("c.tsv", lambda d: write_corpus(corpus, d / "c.tsv")),
+        "vocab": ("vocab.txt", lambda d: save_vocab(vocab, d / "vocab.txt")),
+        "pairs": ("pairs.tsv", lambda d: write_pairs(pairs, d / "pairs.tsv")),
+        "report": ("r.tsv", lambda d: emit_report([("M", "c", report)], d / "r.tsv")),
+        "loss-curve": ("l.tsv", lambda d: _write_loss_curve(
+            d / "l.tsv", TrainingReport(epoch_losses=[0.5, 0.25]))),
+        "model": ("m.ptm", lambda d: save_model(d / "m.ptm", config, params, vocab)),
+        "metadata": ("metadata.json", orig_experiment),
+    }
+
+
+WRITERS = ["vectors", "corpus-jsonl", "corpus-tsv", "vocab", "pairs", "report",
+           "loss-curve", "model", "metadata"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("writer", WRITERS)
+def test_interrupted_writer_leaves_no_partial_file(tmp_path, monkeypatch, writer, existing):
+    name, write = _writers(tmp_path)[writer]
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / name
+    if existing:
+        target.write_bytes(b"previous contents\n")
+    real_open = open
+
+    def interrupting_open(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        return _InterruptedFile(f) if "w" in mode and Path(path).name.startswith(f".{name}.") else f
+
+    monkeypatch.setattr(pairtune.corpus, "open", interrupting_open, raising=False)
+    with pytest.raises(RuntimeError, match="interrupted write"):
+        write(out)
+    if existing:
+        assert target.read_bytes() == b"previous contents\n"
+    else:
+        assert not target.exists()
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 class TestDefaults:

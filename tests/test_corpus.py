@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,56 @@ class TestVectors:
         back = load_vectors(path)
         assert back.dim == 512
         assert len(back) == 5
+
+    @pytest.mark.parametrize("text,expected", [
+        ("dim=2\na\t1_0\t2\n", {"a": [10.0, 2.0]}),
+        ("dim=1\na\t\u0661\u0662\n", {"a": [12.0]}),
+        ("dim=2\r\na\t1\t2\r\nb\t3\t4\r\n", {"a": [1.0, 2.0], "b": [3.0, 4.0]}),
+        ("dim=2\n\n  \na\t1\t2\n\n", {"a": [1.0, 2.0]}),
+        ("dim=2\n\t1\t2\n", {"": [1.0, 2.0]}),
+        ("dim=3\n", {}),
+        ("dim=1\na\t5\nb\t-1e-310\n", {"a": [5.0], "b": [-1e-310]}),
+        ("dim=2\na\t 1e5 \t\u00a0.5", {"a": [1e5, 0.5]}),
+    ], ids=["underscore", "arabic-indic-digits", "crlf", "blank-lines", "empty-id",
+            "header-only", "dim-1", "padded-no-final-newline"])
+    def test_loads_what_float_accepts(self, tmp_path, text, expected):
+        path = tmp_path / "v.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = load_vectors(path)
+        assert list(table.entries) == list(expected)
+        for key, values in expected.items():
+            assert table[key].tobytes() == np.array(values).tobytes()
+
+    @pytest.mark.parametrize("text,message", [
+        ("dim=2\na\t1\t2\nb\t1\n", ":3: expected 2 values, got 1"),
+        ("dim=1\na\t1\na\t2\n", ":3: duplicate id 'a'"),
+        ("dim=2\na\t1\tnan\n", ":2: non-finite value for id 'a'"),
+        ("dim=2\na\t1\n\nb\t-inf\t2\n", ":2: expected 2 values, got 1"),
+        ("dim=2\na\t1\t2\nb\tinf\t2\n", ":3: non-finite value for id 'b'"),
+        ("dim=2\na\t1\tx\nb\t1\n", ":2: non-numeric value"),
+        ("dim=2\na\t1\t2\nb\tnan\t1\nc\t1\t2\t3\n", ":3: non-finite value for id 'b'"),
+        ("dim=1\na\t\n", ":2: non-numeric value"),
+        ("dim=2\na\t\x1c1\t2\n", ":2: non-numeric value"),
+        ("dim=x\na\t1\n", ":1: expected a 'dim=<N>' header"),
+    ], ids=["wrong-count", "duplicate", "nan", "count-before-inf", "inf",
+            "first-error-wins", "non-finite-before-count", "dim-1-empty-value",
+            "file-separator", "bad-header"])
+    def test_first_error_in_line_order(self, tmp_path, text, message):
+        path = tmp_path / "v.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorpusError) as err:
+                load_vectors(path)
+        assert str(err.value).startswith(f"{path}{message}")
+
+    def test_vectors_are_row_views_of_one_matrix(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text("dim=2\na\t1\t2\nb\t3\t4\n")
+        rows = list(load_vectors(path).entries.values())
+        assert rows[0].base is not None and all(row.base is rows[0].base for row in rows)
 
     def test_round_trip_nine_significant_digits(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -15,8 +15,10 @@ from pairtune.encoder import (
     build_vocab,
     encode,
     encode_backward,
+    encode_batch,
     identity_projection,
     init_encoder_params,
+    input_table,
     load_model,
     load_vocab,
     make_embedder,
@@ -400,6 +402,43 @@ class TestModelFile:
         path.write_bytes(b"\n".join([magic, json.dumps(header).encode(), *rows]))
         with pytest.raises(CorpusError, match=message):
             load_model(path)
+
+
+class TestInputTable:
+    ROWS = np.array([4, 0, 0, 2, 1, 4, 3])
+
+    def test_trainable_gather_equals_per_example_concatenate(self):
+        rng = np.random.default_rng(3)
+        xs = [rng.integers(0, 50, size=n) for n in (3, 1, 7, 2, 5)]
+        config, params = tiny_trainable(vocab_size=50, d_tok=4, h=5, d_out=3, seed=3)
+        batch = input_table(config, xs).take(self.ROWS)
+        picked = [xs[i] for i in self.ROWS]
+        tokens = np.concatenate(picked, dtype=np.intp)
+        lengths = np.array([x.size for x in picked])
+        assert batch.tokens.tobytes() == tokens.tobytes()
+        np.testing.assert_array_equal(np.diff(batch.offsets), lengths)
+        _, fwd = encode_batch(params, config, batch)
+        M = np.add.reduceat(params.E[tokens], np.cumsum(lengths) - lengths, axis=0)
+        M /= lengths[:, None]
+        assert fwd.M.tobytes() == M.tobytes()
+
+    def test_frozen_gather_equals_row_stack_and_copies_no_vector(self):
+        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=4, h=5, d_out=3)
+        params = init_encoder_params(config, seed=4)
+        xs = list(np.random.default_rng(4).normal(size=(5, 4)))
+        table = input_table(config, xs)
+        assert all(v is x for v, x in zip(table.vectors, xs))
+        _, fwd = encode_batch(params, config, table.take(self.ROWS))
+        stacked = np.array([xs[i] for i in self.ROWS], dtype=np.float64)
+        assert fwd.M.tobytes() == stacked.tobytes()
+
+    def test_inputs_are_checked_when_packed(self):
+        config, _ = tiny_trainable()
+        with pytest.raises(ValueError, match="non-empty"):
+            input_table(config, [[1, 2], []])
+        fconfig = EncoderConfig(mode=FROZEN_PROJECTION, d_in=4, h=3, d_out=2)
+        with pytest.raises(ValueError, match="length 4"):
+            input_table(fconfig, [np.zeros(4), np.zeros(3)])
 
 
 class TestEmbedder:

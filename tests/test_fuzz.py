@@ -1,15 +1,29 @@
 """Property tests: pair-dump round trips and byte-mutation fuzzing of loaders.
 
 A mutated file may load or may be rejected, but only with the documented
-data error types; any other exception is a loader bug. Examples are
-derandomized and bounded so the suite stays fast and repeatable.
+data error types; any other exception is a loader bug. A mutated vector file
+must load exactly as the straight-line per-line parser below loads it.
+Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
+
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pairtune.corpus import CorpusError
+from pairtune.corpus import (
+    DELIMITED_TEXT,
+    JSON_LINES,
+    CorpusError,
+    VectorTable,
+    load_corpus,
+    load_vectors,
+    open_text,
+    write_corpus,
+    write_vectors,
+)
 from pairtune.encoder import (
     FROZEN_PROJECTION,
     STORAGE_BINARY,
@@ -144,3 +158,88 @@ def test_fuzzed_model_loads_or_raises_data_error(tmp_path, mode, storage, data):
         params = init_encoder_params(config, seed=0)
     save_model(path, config, params, vocab, storage=storage)
     fuzz_loader(tmp_path, data, path.read_bytes(), load_model, CorpusError)
+
+
+@pytest.mark.parametrize("fmt,name", [(JSON_LINES, "c.jsonl"), (DELIMITED_TEXT, "c.tsv")])
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_corpus_loads_or_raises_data_error(tmp_path, fmt, name, data):
+    path = tmp_path / name
+    write_corpus(small_corpus(), path)
+    fuzz_loader(tmp_path, data, path.read_bytes(),
+                lambda p: load_corpus(p, format=fmt), CorpusError)
+
+
+def reference_load_vectors(path):
+    """The per-line vector parser that load_vectors must agree with: every
+    value through float(), checks in line order."""
+    p = Path(path)
+    if not p.is_file():
+        raise CorpusError(f"no such vector file: {p}")
+    with open_text(p) as f:
+        header = f.readline().strip()
+        if not header.startswith("dim=") or not header[4:].isdigit():
+            raise CorpusError(f"{p}:1: expected a 'dim=<N>' header, got '{header}'")
+        dim = int(header[4:])
+        if dim < 1:
+            raise CorpusError(f"{p}:1: dim must be positive")
+        entries = {}
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != dim + 1:
+                raise CorpusError(
+                    f"{p}:{lineno}: expected {dim} values, got {len(fields) - 1}"
+                )
+            ex_id = fields[0]
+            if ex_id in entries:
+                raise CorpusError(f"{p}:{lineno}: duplicate id '{ex_id}'")
+            try:
+                vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+            except ValueError:
+                raise CorpusError(f"{p}:{lineno}: non-numeric value") from None
+            if not np.all(np.isfinite(vec)):
+                raise CorpusError(f"{p}:{lineno}: non-finite value for id '{ex_id}'")
+            entries[ex_id] = vec
+    return VectorTable(dim=dim, entries=entries)
+
+
+def vector_outcome(load, path):
+    """(dim, ids in order, each vector's bytes) or (exception type, message);
+    a warning counts as an exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = load(path)
+        except Exception as err:
+            return type(err), str(err)
+    return table.dim, list(table.entries), [np.asarray(v, dtype=np.float64).tobytes()
+                                            for v in table.entries.values()]
+
+
+# Text that float() and np.loadtxt may read differently, spliced in whole.
+SNIPPETS = ["_", "\x1c", "\x1f", "\x0b", " ", "\u00a0", "\u3000", "\u0661", "\u00b2",
+            "nan", "inf", "-", "e", ".", "\t", "\n", "\r", "\r\n", ""]
+
+
+@st.composite
+def vector_file_mutations(draw, blob: bytes) -> bytes:
+    """Byte mutations of a vector file, or one snippet spliced into it."""
+    if draw(st.booleans()):
+        return draw(mutations(blob))
+    pos = draw(st.integers(0, len(blob)))
+    snippet = draw(st.sampled_from(SNIPPETS)).encode("utf-8")
+    return blob[:pos] + snippet + blob[pos + draw(st.integers(0, 2)):]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_vectors_load_as_the_per_line_parser_does(tmp_path, dim, data):
+    rng = np.random.default_rng(dim)
+    values = rng.normal(size=(4, dim)) * 10.0 ** rng.integers(-5, 5, size=(4, 1))
+    path = tmp_path / "v.tsv"
+    write_vectors(VectorTable(dim=dim, entries={f"e{i}": v for i, v in enumerate(values)}), path)
+    path.write_bytes(data.draw(vector_file_mutations(path.read_bytes())))
+    assert vector_outcome(load_vectors, path) == vector_outcome(reference_load_vectors, path)

@@ -11,6 +11,7 @@ from pairtune.encoder import (
     build_vocab,
     encode,
     init_encoder_params,
+    input_table,
     make_embedder,
     make_input_fn,
 )
@@ -480,7 +481,8 @@ class TestBatchKernel:
         assert np.linalg.norm(encode(params, config, xs[2])) < eps
 
         batched = params.zeros_like()
-        losses = siamese_batch_backward(params, config, xa, xb, targets, eps, batched)
+        batch = input_table(config, xa + xb)
+        losses = siamese_batch_backward(params, config, batch, targets, eps, batched)
         summed = params.zeros_like()
         single = [
             siamese_pair_backward(params, config, a, b, t, eps, summed)
@@ -495,7 +497,7 @@ class TestBatchKernel:
         ys = [0, 2, 1, 1, 0, 2, 2, 1]
 
         eb, hb = params.zeros_like(), head.zeros_like()
-        losses = naive_batch_backward(params, config, head, xs, ys, eb, hb)
+        losses = naive_batch_backward(params, config, head, input_table(config, xs), ys, eb, hb)
         es, hs = params.zeros_like(), head.zeros_like()
         single = [
             naive_example_backward(params, config, head, x, y, es, hs)
