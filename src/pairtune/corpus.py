@@ -341,12 +341,13 @@ def _split_by_class(corpus: Corpus, spec: SplitSpec) -> tuple[list[int], list[in
 def load_vectors(path) -> VectorTable:
     """Load precomputed vectors: a "dim=<N>" header then id<TAB>floats rows.
 
-    Values are read exactly as ``float()`` reads them. One ``np.loadtxt``
-    call parses the values of every row, and the table's vectors are row
-    views of the matrix it returns. A file that it rejects, or whose values
-    are not all finite, is read again line by line: that raises the first
-    error in line order, or loads the values that only ``float()`` accepts
-    (``1_0``, non-ASCII digits).
+    Values are read exactly as ``float()`` reads them. One pass over the
+    lines skips blank ones, splits off and checks each id, and hands the
+    value text to one ``np.loadtxt`` call; the field count is checked on
+    the matrix it returns, whose rows become the table's vectors. A file
+    that this rejects, or whose values are not all finite, is read again
+    line by line: that raises the first error in line order, or loads the
+    values that only ``float()`` accepts (``1_0``, non-ASCII digits).
     """
     p = Path(path)
     if not p.is_file():
@@ -355,7 +356,7 @@ def load_vectors(path) -> VectorTable:
         with open_text(p) as f:
             dim = _vector_dim(p, f)
             ids: dict[str, None] = {}
-            texts = (_loadtxt_text(text) for _, _, text in _vector_rows(p, f, dim, ids))
+            texts = _value_texts(f, ids)
             first = next(texts, None)
             if first is None:
                 return VectorTable(dim=dim)
@@ -369,14 +370,24 @@ def load_vectors(path) -> VectorTable:
     return _load_vectors_by_line(p)
 
 
-def _loadtxt_text(text: str) -> str:
-    r"""``text``, unless np.loadtxt would read it otherwise than float(): an
-    empty one, which it skips as a blank line, or one holding a character
-    that it strips as whitespace and float() does not. float() strips only
-    ASCII space, \t, \n, \v, \f and \r, so "\x1c1" would load."""
-    if text in ("", "\n") or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text:
-        raise CorpusError("a value that np.loadtxt and float() read differently")
-    return text
+def _value_texts(f, ids: dict[str, None]):
+    r"""Yield the value text of each non-blank line, adding its id to ``ids``.
+
+    Raises CorpusError for a repeated id, and for text that np.loadtxt
+    would read otherwise than float(): an empty one, which it skips as a
+    blank line, or one holding a character that it strips as whitespace
+    and float() does not. float() strips only ASCII space, \t, \n, \v, \f
+    and \r, so "\x1c1" would load.
+    """
+    for line in f:
+        if not line.strip():
+            continue
+        ex_id, _, text = line.partition("\t")
+        if (ex_id in ids or text in ("", "\n")
+                or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text):
+            raise CorpusError("a line for the line-by-line reader")
+        ids[ex_id] = None
+        yield text
 
 
 def _vector_dim(p: Path, f) -> int:
@@ -389,38 +400,31 @@ def _vector_dim(p: Path, f) -> int:
     return dim
 
 
-def _vector_rows(p: Path, f, dim: int, ids: dict[str, None]):
-    """Yield (line number, id, values text) for each non-blank row after the
-    header, once its field count is checked and its new id added to ``ids``."""
-    for lineno, line in enumerate(f, start=2):
-        if not line.strip():
-            continue
-        n_values = line.count("\t")
-        if n_values != dim:
-            raise CorpusError(f"{p}:{lineno}: expected {dim} values, got {n_values}")
-        ex_id, _, text = line.partition("\t")
-        if ex_id in ids:
-            raise CorpusError(f"{p}:{lineno}: duplicate id '{ex_id}'")
-        ids[ex_id] = None
-        yield lineno, ex_id, text
-
-
 def _load_vectors_by_line(p: Path) -> VectorTable:
     """``load_vectors``' error path: every value through ``float()``, and
     the first error in line order raised."""
     with open_text(p) as f:
         dim = _vector_dim(p, f)
-        ids: dict[str, None] = {}
-        rows = []
-        for lineno, ex_id, text in _vector_rows(p, f, dim, ids):
+        entries: dict[str, np.ndarray] = {}
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != dim + 1:
+                raise CorpusError(
+                    f"{p}:{lineno}: expected {dim} values, got {len(fields) - 1}"
+                )
+            ex_id = fields[0]
+            if ex_id in entries:
+                raise CorpusError(f"{p}:{lineno}: duplicate id '{ex_id}'")
             try:
-                vec = np.array([float(v) for v in text.rstrip("\n").split("\t")], dtype=np.float64)
+                vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
             except ValueError:
                 raise CorpusError(f"{p}:{lineno}: non-numeric value") from None
             if not np.all(np.isfinite(vec)):
                 raise CorpusError(f"{p}:{lineno}: non-finite value for id '{ex_id}'")
-            rows.append(vec)
-    return VectorTable(dim=dim, entries=dict(zip(ids, rows)))
+            entries[ex_id] = vec
+    return VectorTable(dim=dim, entries=entries)
 
 
 def write_vectors(table: VectorTable, path) -> None:

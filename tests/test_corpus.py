@@ -254,6 +254,8 @@ class TestVectors:
 
     @pytest.mark.parametrize("text,message", [
         ("dim=2\na\t1\t2\nb\t1\n", ":3: expected 2 values, got 1"),
+        ("dim=3\na\t1\t2\nb\t3\t4\n", ":2: expected 3 values, got 2"),
+        ("dim=1\nab\n", ":2: expected 1 values, got 0"),
         ("dim=1\na\t1\na\t2\n", ":3: duplicate id 'a'"),
         ("dim=2\na\t1\tnan\n", ":2: non-finite value for id 'a'"),
         ("dim=2\na\t1\n\nb\t-inf\t2\n", ":2: expected 2 values, got 1"),
@@ -263,7 +265,7 @@ class TestVectors:
         ("dim=1\na\t\n", ":2: non-numeric value"),
         ("dim=2\na\t\x1c1\t2\n", ":2: non-numeric value"),
         ("dim=x\na\t1\n", ":1: expected a 'dim=<N>' header"),
-    ], ids=["wrong-count", "duplicate", "nan", "count-before-inf", "inf",
+    ], ids=["wrong-count", "same-wrong-count-everywhere", "no-tab", "duplicate", "nan", "count-before-inf", "inf",
             "first-error-wins", "non-finite-before-count", "dim-1-empty-value",
             "file-separator", "bad-header"])
     def test_first_error_in_line_order(self, tmp_path, text, message):
