@@ -40,7 +40,6 @@ from .evaluation import (
 )
 from .synthetic import synthetic_corpus
 from .training import (
-    HeadParams,
     NaiveConfig,
     NumericError,
     OptimizerState,

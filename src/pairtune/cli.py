@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -35,6 +36,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     build_vocab,
+    check_min_count,
     identity_projection,
     init_encoder_params,
     load_model,
@@ -193,19 +195,19 @@ def validate_experiment_config(cfg: dict) -> None:
         _check_train_sets(model, n_train)
     if not cfg["test_sets"]:
         raise ConfigError("test_sets: need at least one test set")
-    mode = cfg["encoder"]["mode"]
-    if mode not in (TRAINABLE, FROZEN_PROJECTION):
-        raise ConfigError(f"encoder.mode: unknown mode '{mode}'")
-    if mode == FROZEN_PROJECTION:
+    if cfg["encoder"]["mode"] == FROZEN_PROJECTION:
         if len(cfg["train_vectors"]) != n_train:
             raise ConfigError("train_vectors: need one vector file per train set")
         if len(cfg["test_vectors"]) != len(cfg["test_sets"]):
             raise ConfigError("test_vectors: need one vector file per test set")
     if cfg["model_format"] not in (STORAGE_BINARY, STORAGE_TEXT):
         raise ConfigError(f"model_format: unknown format '{cfg['model_format']}'")
-    for section, cls in (("siamese", SiameseConfig), ("naive", NaiveConfig), ("eval", EvalSpec)):
+    # The vector files set the encoder's d_in later; any valid width stands in.
+    sections = {"encoder": partial(_encoder_config, d_in=1), "siamese": SiameseConfig,
+                "naive": NaiveConfig, "eval": EvalSpec}
+    for section, make in sections.items():
         try:
-            cls(**cfg[section])
+            make(**cfg[section])
         except ValueError as err:
             raise ConfigError(f"{section}: {err}") from None
     ep = cfg["episodes"]
@@ -213,6 +215,17 @@ def validate_experiment_config(cfg: dict) -> None:
         if ep[quota] < 1:
             raise ConfigError(f"episodes.{quota} must be >= 1, got {ep[quota]}")
     _check_same_fraction(ep["same_fraction"], "episodes.same_fraction")
+
+
+def _encoder_config(mode, d_tok, h, d_out, min_count, d_in=None) -> EncoderConfig:
+    """The EncoderConfig of an "encoder" config section, which in trainable
+    mode must also pass build_vocab's min_count rule. Frozen mode reads
+    d_in-wide vectors; a check made before the vector files are read passes
+    any valid width."""
+    if mode == TRAINABLE:
+        check_min_count(min_count)
+        return EncoderConfig(mode=mode, d_tok=d_tok, h=h, d_out=d_out)
+    return EncoderConfig(mode=mode, d_in=d_in, h=h, d_out=d_out)
 
 
 def _check_same_fraction(value: float, name: str) -> None:
@@ -272,15 +285,23 @@ def cmd_gen_synthetic(args) -> None:
 
 
 def cmd_build_vocab(args) -> None:
+    check_min_count(args.min_count)
     corpora = _load_corpora(args.train, format=_corpus_format(args))
     vocab = build_vocab(corpora, min_count=args.min_count)
     save_vocab(vocab, args.out)
     _log(f"vocabulary of {vocab.size} tokens written to {args.out}")
 
 
-def _pairs_per_dataset(corpora, pairs, pairs_per_dataset) -> int:
-    if pairs is not None and pairs_per_dataset is not None:
+def _check_pair_flags(args) -> None:
+    """At most one of --pairs and --pairs-per-dataset, and each >= 1."""
+    if args.pairs is not None and args.pairs_per_dataset is not None:
         raise ConfigError("give either a total pair count or a per-dataset count, not both")
+    for flag, value in (("--pairs", args.pairs), ("--pairs-per-dataset", args.pairs_per_dataset)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+
+
+def _pairs_per_dataset(corpora, pairs, pairs_per_dataset) -> int:
     if pairs_per_dataset is not None:
         return pairs_per_dataset
     if pairs is not None:
@@ -294,6 +315,7 @@ def _pairs_per_dataset(corpora, pairs, pairs_per_dataset) -> int:
 
 def cmd_gen_pairs(args) -> None:
     _check_same_fraction(args.same_fraction, "--same-fraction")
+    _check_pair_flags(args)
     corpora = _load_corpora(args.train, format=_corpus_format(args))
     per = _pairs_per_dataset(corpora, args.pairs, args.pairs_per_dataset)
     quotas = {c.dataset_id: per for c in corpora}
@@ -374,6 +396,20 @@ def cmd_train(args) -> None:
     if mode == "NAIVE" and args.pairs_in:
         raise ConfigError("--pairs-in does not apply to NAIVE, which trains on examples")
     _check_same_fraction(args.same_fraction, "--same-fraction")
+    _check_pair_flags(args)
+    # The flags fill the same config sections an experiment reads, and
+    # those sections' rules run before any file is read.
+    cfg = default_experiment_config()
+    steps = {"epochs": args.epochs, "batch_size": args.batch_size, "learning_rate": args.learning_rate}
+    cfg["naive"].update(steps, hidden_dim=args.hidden_dim)
+    cfg["siamese"].update(steps)
+    cfg["episodes"]["same_fraction"] = args.same_fraction
+    enc = cfg["encoder"]
+    enc.update(mode=FROZEN_PROJECTION if args.vectors else TRAINABLE, d_tok=args.d_tok,
+               h=args.hidden_width, d_out=args.d_out, min_count=args.min_count)
+    NaiveConfig(**cfg["naive"])
+    SiameseConfig(**cfg["siamese"])
+    _encoder_config(**enc, d_in=1)  # the vector files set d_in later
     if mode == "ALL" and len(args.train) == 1:
         _log("note: ALL with a single train set is equivalent to SIAMESE")
 
@@ -385,23 +421,13 @@ def cmd_train(args) -> None:
         loaded = _load_vector_tables(args.vectors)
         _check_vectors(corpora, loaded, args.vectors)
         tables = {c.dataset_id: t for c, t in zip(corpora, loaded)}
-        config = EncoderConfig(
-            mode=FROZEN_PROJECTION, d_in=loaded[0].dim, h=args.hidden_width, d_out=args.d_out
-        )
+        config = _encoder_config(**enc, d_in=loaded[0].dim)
     else:
-        config = EncoderConfig(
-            mode=TRAINABLE, d_tok=args.d_tok, h=args.hidden_width, d_out=args.d_out
-        )
+        config = _encoder_config(**enc)
         vocab = load_vocab(args.vocab) if args.vocab else build_vocab(corpora, min_count=args.min_count)
     input_fn = make_input_fn(config, vocab=vocab, vectors=tables)
     params = _base_params(config, vocab, args.seed)
 
-    # The flags fill the same config sections an experiment reads.
-    cfg = default_experiment_config()
-    steps = {"epochs": args.epochs, "batch_size": args.batch_size, "learning_rate": args.learning_rate}
-    cfg["naive"].update(steps, hidden_dim=args.hidden_dim)
-    cfg["siamese"].update(steps)
-    cfg["episodes"]["same_fraction"] = args.same_fraction
     pairs = None
     if mode != "NAIVE":
         if args.pairs_in:
@@ -513,7 +539,7 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
 
     vocab = train_tables = test_tables = None
     if enc["mode"] == TRAINABLE:
-        config = EncoderConfig(mode=TRAINABLE, d_tok=enc["d_tok"], h=enc["h"], d_out=enc["d_out"])
+        config = _encoder_config(**enc)
         vocab = build_vocab(train_corpora or test_corpora, min_count=enc["min_count"])
     else:
         paths = cfg["train_vectors"] + cfg["test_vectors"]
@@ -521,9 +547,7 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
         _check_vectors(train_corpora + test_corpora, tables, paths)
         train_tables = {c.dataset_id: t for c, t in zip(train_corpora, tables)}
         test_tables = tables[len(train_corpora):]
-        config = EncoderConfig(
-            mode=FROZEN_PROJECTION, d_in=tables[0].dim, h=enc["h"], d_out=enc["d_out"]
-        )
+        config = _encoder_config(**enc, d_in=tables[0].dim)
 
     base_params = _base_params(config, vocab, seed)
     input_fn = make_input_fn(config, vocab=vocab, vectors=train_tables)

@@ -392,7 +392,7 @@ def _value_texts(f, ids: dict[str, None]):
 
 def _vector_dim(p: Path, f) -> int:
     header = f.readline().strip()
-    if not header.startswith("dim=") or not header[4:].isdigit():
+    if not header.startswith("dim=") or not header[4:].isdecimal():
         raise CorpusError(f"{p}:1: expected a 'dim=<N>' header, got '{header}'")
     dim = int(header[4:])
     if dim < 1:

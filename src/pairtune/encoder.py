@@ -92,14 +92,19 @@ class Vocabulary:
         return [tok for tok, _ in ordered]
 
 
+def check_min_count(min_count) -> None:
+    """``build_vocab``'s rule for min_count, for callers that check it first."""
+    if not _positive_int(min_count):
+        raise ValueError("min_count must be a positive integer")
+
+
 def build_vocab(corpora, min_count: int = 1) -> Vocabulary:
     """Count tokens over one or more corpora and keep those seen >= min_count.
 
     Indices are deterministic: descending frequency, ties broken
     lexicographically, with UNK fixed at index 0.
     """
-    if not _positive_int(min_count):
-        raise ValueError("min_count must be a positive integer")
+    check_min_count(min_count)
     if isinstance(corpora, Corpus):
         corpora = [corpora]
     counts: Counter[str] = Counter()
@@ -164,16 +169,25 @@ class EncoderConfig:
         return self.d_tok if self.mode == TRAINABLE else self.d_in
 
 
-class ParamGroup:
-    """A dataclass of named float arrays (None marks an absent one).
+@dataclass
+class EncoderParams:
+    """All trainable parameters of one encoder: the single set shared by both
+    Siamese branches, and also the naive trainer's classification head.
 
+    ``E`` is the token embedding table (trainable mode only, None otherwise).
     The present arrays are C-contiguous views into one float64 vector,
     ``flat``, laid out in field order, so an optimizer step, a gradient
     reset or a finiteness check is one pass over one vector. Construction
     copies the given arrays into a new ``flat``; assign into a field
-    (``group.W1[...] = ...``), never rebind it. A gradient accumulator is
-    an instance of the class it differentiates, made by ``zeros_like``.
+    (``params.W1[...] = ...``), never rebind it. A gradient accumulator is
+    an EncoderParams too, made by ``zeros_like``.
     """
+
+    E: np.ndarray | None
+    W1: np.ndarray
+    b1: np.ndarray
+    W2: np.ndarray
+    b2: np.ndarray
 
     def __post_init__(self):
         arrays = self.as_dict()
@@ -191,34 +205,20 @@ class ParamGroup:
             setattr(self, name, flat[lo:hi].reshape(np.shape(a)))
             lo = hi
 
-    def _with_flat(self, flat: np.ndarray):
-        group = copy.copy(self)
-        group._bind(flat, self.as_dict())
-        return group
+    def _with_flat(self, flat: np.ndarray) -> "EncoderParams":
+        params = copy.copy(self)
+        params._bind(flat, self.as_dict())
+        return params
 
     def as_dict(self) -> dict[str, np.ndarray]:
         """Live references to the present arrays, keyed by name."""
         return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
-    def copy(self):
+    def copy(self) -> "EncoderParams":
         return self._with_flat(self.flat.copy())
 
-    def zeros_like(self):
+    def zeros_like(self) -> "EncoderParams":
         return self._with_flat(np.zeros_like(self.flat))
-
-
-@dataclass
-class EncoderParams(ParamGroup):
-    """All trainable parameters; the single set shared by both Siamese branches.
-
-    ``E`` is the token embedding table (trainable mode only, None otherwise).
-    """
-
-    E: np.ndarray | None
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
 
 
 def init_encoder_params(
@@ -319,10 +319,10 @@ def input_table(config: EncoderConfig, xs) -> InputTable:
 
 @dataclass
 class BatchForward:
-    """Forward intermediates of one ``encode_batch`` call, kept for its backward.
+    """Forward intermediates of one ``project`` call, kept for its backward.
 
-    ``tokens`` and ``lengths`` are the batch's flat token indices and tokens
-    per example (trainable mode only, None otherwise).
+    ``encode_batch`` adds ``tokens`` and ``lengths``, the batch's flat token
+    indices and tokens per example (trainable mode only, None otherwise).
     """
 
     M: np.ndarray
@@ -332,6 +332,33 @@ class BatchForward:
     lengths: np.ndarray | None = None
 
 
+def project(params: EncoderParams, M: np.ndarray) -> tuple[np.ndarray, BatchForward]:
+    """The two-layer ReLU projection of every row of M, as two matrix products:
+    ``Z = relu(M @ W1.T + b1) @ W2.T + b2``."""
+    A = M @ params.W1.T
+    A += params.b1
+    # np.maximum, unlike np.where(A > 0, A, 0), lets a NaN reach the loss check.
+    H = np.maximum(A, 0.0)
+    Z = H @ params.W2.T
+    Z += params.b2
+    return Z, BatchForward(M=M, mask=A > 0.0, H=H)
+
+
+def project_backward(
+    params: EncoderParams, fwd: BatchForward, dZ: np.ndarray, grad: EncoderParams
+) -> np.ndarray:
+    """Accumulate d(sum_i dZ[i] . Z[i]) over W1, b1, W2 and b2 into ``grad``,
+    taking the ReLU subgradient at 0 as 0. Returns dA, the gradient at the
+    pre-activation; callers that need the input's gradient take dA @ W1."""
+    grad.W2 += dZ.T @ fwd.H
+    grad.b2 += dZ.sum(axis=0)
+    dA = dZ @ params.W2
+    dA *= fwd.mask
+    grad.W1 += dA.T @ fwd.M
+    grad.b1 += dA.sum(axis=0)
+    return dA
+
+
 def encode_batch(
     params: EncoderParams, config: EncoderConfig, batch: InputTable
 ) -> tuple[np.ndarray, BatchForward]:
@@ -339,24 +366,18 @@ def encode_batch(
 
     Trainable mode pools every row's token embeddings with one
     ``np.add.reduceat`` over the flat token indices; frozen mode stacks the
-    rows' vectors. The projection then runs as two matrix products over the
-    batch.
+    rows' vectors. ``project`` then runs over the pooled batch.
     """
+    lengths = None
     if config.mode == TRAINABLE:
-        tokens = batch.tokens
         lengths = np.diff(batch.offsets)
-        M = np.add.reduceat(params.E[tokens], batch.offsets[:-1], axis=0)
+        M = np.add.reduceat(params.E[batch.tokens], batch.offsets[:-1], axis=0)
         M /= lengths[:, None]
     else:
-        tokens = lengths = None
         M = np.concatenate(batch.vectors, dtype=np.float64).reshape(len(batch), config.d_in)
-    A = M @ params.W1.T
-    A += params.b1
-    # np.maximum, unlike np.where(A > 0, A, 0), lets a NaN reach the loss check.
-    H = np.maximum(A, 0.0)
-    Z = H @ params.W2.T
-    Z += params.b2
-    return Z, BatchForward(M=M, mask=A > 0.0, H=H, tokens=tokens, lengths=lengths)
+    Z, fwd = project(params, M)
+    fwd.tokens, fwd.lengths = batch.tokens, lengths
+    return Z, fwd
 
 
 def encode(params: EncoderParams, config: EncoderConfig, x) -> np.ndarray:
@@ -377,17 +398,12 @@ def encode_batch_backward(
 ) -> EncoderParams:
     """Accumulate d(sum_i dZ[i] . Z[i])/d(theta) into ``grad`` for one batch.
 
-    The ReLU subgradient at exactly 0 is taken as 0. In trainable mode each
-    token position contributes 1/n_tokens of its example's pooled gradient
-    to its embedding row; the rows are scattered into ``grad.E`` once per
-    batch, so repeated indices accumulate.
+    ``project_backward`` handles the projection. In trainable mode each
+    token position then contributes 1/n_tokens of its example's pooled
+    gradient to its embedding row; the rows are scattered into ``grad.E``
+    once per batch, so repeated indices accumulate.
     """
-    grad.W2 += dZ.T @ fwd.H
-    grad.b2 += dZ.sum(axis=0)
-    dA = dZ @ params.W2
-    dA *= fwd.mask
-    grad.W1 += dA.T @ fwd.M
-    grad.b1 += dA.sum(axis=0)
+    dA = project_backward(params, fwd, dZ, grad)
     if config.mode == TRAINABLE:
         dM = dA @ params.W1
         dM /= fwd.lengths[:, None]

@@ -3,8 +3,9 @@
 The Siamese trainer runs every pair member through one shared parameter
 set, scores the pair with cosine similarity, and regresses that score onto
 a binary target with a squared-error loss. The naive trainer attaches a
-ReLU classification head and trains with softmax cross-entropy; callers
-discard the head and keep the finetuned encoder.
+classification head, a frozen-projection encoder over the embeddings, and
+trains with softmax cross-entropy; callers discard the head and keep the
+finetuned encoder.
 """
 
 from __future__ import annotations
@@ -20,15 +21,18 @@ from .episodes import PairSet
 # encode_backward is no longer called here; it stays importable from this
 # module for code that looks it up as pairtune.training.encode_backward.
 from .encoder import (  # noqa: F401
+    FROZEN_PROJECTION,
     EncoderConfig,
     EncoderParams,
     InputTable,
-    ParamGroup,
     encode,
     encode_backward,
     encode_batch,
     encode_batch_backward,
+    init_encoder_params,
     input_table,
+    project,
+    project_backward,
 )
 
 
@@ -72,26 +76,10 @@ class NaiveConfig:
             raise ValueError("hidden_dim must be >= 1")
 
 
-@dataclass
-class HeadParams(ParamGroup):
-    """The discardable classification head: hidden ReLU layer plus softmax logits."""
-
-    Wh: np.ndarray
-    bh: np.ndarray
-    Wo: np.ndarray
-    bo: np.ndarray
-
-
-def init_head_params(d_out: int, hidden_dim: int, n_classes: int, seed: int = 0) -> HeadParams:
-    rng = np.random.default_rng(seed)
-    lim_h = 1.0 / np.sqrt(d_out)
-    lim_o = 1.0 / np.sqrt(hidden_dim)
-    return HeadParams(
-        Wh=rng.uniform(-lim_h, lim_h, size=(hidden_dim, d_out)),
-        bh=np.zeros(hidden_dim),
-        Wo=rng.uniform(-lim_o, lim_o, size=(n_classes, hidden_dim)),
-        bo=np.zeros(n_classes),
-    )
+def init_head_params(d_out: int, hidden_dim: int, n_classes: int, seed: int = 0) -> EncoderParams:
+    """The classification head: a frozen-projection encoder from embeddings to logits."""
+    config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=d_out, h=hidden_dim, d_out=n_classes)
+    return init_encoder_params(config, seed=seed)
 
 
 # Elements per block of the Adam step: one 256 KiB block of each of p, g, m,
@@ -260,38 +248,33 @@ def siamese_pair_backward(
 def naive_batch_backward(
     params: EncoderParams,
     config: EncoderConfig,
-    head: HeadParams,
+    head: EncoderParams,
     batch: InputTable,
     target_indices,
     egrad: EncoderParams,
-    hgrad: HeadParams,
+    hgrad: EncoderParams,
 ) -> np.ndarray:
-    """Per-row cross-entropy losses of a batch; gradients join the accumulators."""
+    """Per-row cross-entropy losses of a batch; gradients join the accumulators.
+
+    The head projects the batch's embeddings to logits; the embeddings'
+    gradient is the head's pre-activation gradient times ``head.W1``.
+    """
     Z, fwd = encode_batch(params, config, batch)
-    A = Z @ head.Wh.T
-    A += head.bh
-    H = np.maximum(A, 0.0)
-    logits = H @ head.Wo.T
-    logits += head.bo
+    logits, head_fwd = project(head, Z)
     losses, dlogits = softmax_cross_entropy(logits, target_indices)
-    hgrad.Wo += dlogits.T @ H
-    hgrad.bo += dlogits.sum(axis=0)
-    dA = dlogits @ head.Wo
-    dA *= A > 0.0
-    hgrad.Wh += dA.T @ Z
-    hgrad.bh += dA.sum(axis=0)
-    encode_batch_backward(params, config, fwd, dA @ head.Wh, egrad)
+    dA = project_backward(head, head_fwd, dlogits, hgrad)
+    encode_batch_backward(params, config, fwd, dA @ head.W1, egrad)
     return losses
 
 
 def naive_example_backward(
     params: EncoderParams,
     config: EncoderConfig,
-    head: HeadParams,
+    head: EncoderParams,
     x,
     target_index: int,
     egrad: EncoderParams,
-    hgrad: HeadParams,
+    hgrad: EncoderParams,
 ) -> float:
     """Cross-entropy loss of one example; gradients join the accumulators.
 
@@ -378,11 +361,9 @@ def train_siamese(
     return params, report
 
 
-def head_logits(params: EncoderParams, config: EncoderConfig, head: HeadParams, x) -> np.ndarray:
+def head_logits(params: EncoderParams, config: EncoderConfig, head: EncoderParams, x) -> np.ndarray:
     """Class logits for one input, through encoder and head."""
-    z = encode(params, config, x)
-    hidden = np.maximum(head.Wh @ z + head.bh, 0.0)
-    return head.Wo @ hidden + head.bo
+    return project(head, encode(params, config, x)[None, :])[0][0]
 
 
 def softmax_cross_entropy(logits: np.ndarray, target_indices) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +384,7 @@ def train_naive(
     input_fn,
     ncfg: NaiveConfig,
     log=None,
-) -> tuple[EncoderParams, HeadParams, TrainingReport]:
+) -> tuple[EncoderParams, EncoderParams, TrainingReport]:
     """Finetune encoder + classification head on the corpus's class labels.
 
     Gradients flow through the head into the encoder. Returns the finetuned

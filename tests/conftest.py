@@ -77,6 +77,17 @@ def finite_difference_gradients(loss_fn, arrays: dict[str, np.ndarray], step: fl
     return grads
 
 
+def encoder_and_head(encoder, head) -> dict[str, np.ndarray]:
+    """An encoder's and a naive head's arrays in one dict.
+
+    Both groups name their arrays W1, b1, W2 and b2, so the head's keys get
+    a ``head.`` prefix; the assert shows no array was dropped by a clash.
+    """
+    arrays = encoder.as_dict() | {f"head.{k}": v for k, v in head.as_dict().items()}
+    assert len(arrays) == len(encoder.as_dict()) + len(head.as_dict())
+    return arrays
+
+
 def max_relative_error(analytic: dict, numeric: dict, abs_floor: float = 1e-8) -> float:
     """Largest element-wise relative error between two gradient dicts."""
     worst = 0.0

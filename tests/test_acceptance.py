@@ -49,6 +49,7 @@ from pairtune.training import (
 
 from conftest import (
     brute_force_delta,
+    encoder_and_head,
     finite_difference_gradients,
     make_corpus,
     max_relative_error,
@@ -98,16 +99,17 @@ def test_criterion_1_gradient_correctness():
         egrad = params.zeros_like()
         hgrad = head.zeros_like()
         naive_example_backward(params, config, head, x, y, egrad, hgrad)
-        analytic = egrad.as_dict() | hgrad.as_dict()
+        analytic = encoder_and_head(egrad, hgrad)
 
         def naive_scalar_loss():
             logits = head_logits(params, config, head, x)
             shifted = logits - logits.max()
             return math.log(float(np.sum(np.exp(shifted)))) - float(shifted[y])
 
-        numeric = finite_difference_gradients(
-            naive_scalar_loss, params.as_dict() | head.as_dict()
-        )
+        numeric = finite_difference_gradients(naive_scalar_loss, encoder_and_head(params, head))
+        assert list(numeric) == list(analytic) == [
+            "E", "W1", "b1", "W2", "b2", "head.W1", "head.b1", "head.W2", "head.b2"
+        ]
         worst_naive = max(worst_naive, max_relative_error(analytic, numeric))
 
     elapsed = time.perf_counter() - started

@@ -219,6 +219,29 @@ class TestTrainCommand:
         assert_one_line_error(capsys, "--same-fraction", kind="config")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,prefix,word", [
+        (("gen-pairs", "--pairs", 0), "config error: ", "--pairs"),
+        (("gen-pairs", "--pairs-per-dataset", 0), "config error: ", "--pairs-per-dataset"),
+        (("train", "--mode", "SIAMESE", "--pairs", -3), "config error: ", "--pairs"),
+        (("train", "--mode", "SIAMESE", "--learning-rate", -1), "invalid value: ", "learning_rate"),
+        (("train", "--mode", "SIAMESE", "--d-out", 0), "invalid value: ", "d_out"),
+        (("train", "--mode", "SIAMESE", "--vectors", "missing.vec", "--hidden-width", 0),
+         "invalid value: ", "h must"),
+        (("train", "--mode", "NAIVE", "--hidden-dim", 0), "invalid value: ", "hidden_dim"),
+        (("train", "--mode", "SIAMESE", "--min-count", 0), "invalid value: ", "min_count"),
+        (("build-vocab", "--min-count", 0), "invalid value: ", "min_count"),
+    ], ids=["gen-pairs-pairs", "gen-pairs-per-dataset", "train-pairs", "train-learning-rate",
+            "train-d-out", "train-frozen-hidden-width", "train-hidden-dim", "train-min-count",
+            "build-vocab-min-count"])
+    def test_bad_numeric_flag_is_usage_error(self, tmp_path, capsys, argv, prefix, word):
+        # The train set does not exist: the flag must fail before any file is read.
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(*argv, "--train", tmp_path / "missing.jsonl", "--out", out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and len(err.splitlines()) == 1 and word in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("--mode", "SIAMESE", "--pairs", 20),
         ("--mode", "NAIVE", "--batch-size", 64),
@@ -561,6 +584,10 @@ class TestExperimentCommand:
         ("episodes", "same_fraction", 1.0),
         ("episodes", "siamese_pairs", 0),
         ("episodes", "all_pairs_per_dataset", 0),
+        ("encoder", "d_tok", 0),
+        ("encoder", "h", 0),
+        ("encoder", "d_out", 0),
+        ("encoder", "min_count", 0),
     ])
     def test_bad_section_value_fails_before_training(self, tmp_path, capsys, section, field, value):
         config, cfg = experiment_config(tmp_path)
@@ -571,6 +598,20 @@ class TestExperimentCommand:
         assert_one_line_error(capsys, section, kind="config")
         assert not (tmp_path / "run").exists()
         assert not list(tmp_path.rglob("*.ptm"))
+
+    @pytest.mark.parametrize("field", ["h", "d_out"])
+    def test_bad_frozen_encoder_width_fails_before_training(self, tmp_path, capsys, field):
+        # The vector files do not exist: the value must fail before any file is read.
+        config, cfg = experiment_config(
+            tmp_path,
+            encoder={"mode": "frozen-projection", "h": 16, "d_out": 8, field: 0},
+            train_vectors=[str(tmp_path / "train.vec")],
+            test_vectors=[str(tmp_path / "t1.vec"), str(tmp_path / "t2.vec")],
+        )
+        capsys.readouterr()
+        assert run("experiment", "--config", config) == EXIT_USAGE
+        assert_one_line_error(capsys, "encoder", field, kind="config")
+        assert not (tmp_path / "run").exists()
 
     def test_encoder_d_in_is_config_error(self, tmp_path, capsys):
         config, cfg = experiment_config(tmp_path)

@@ -265,9 +265,10 @@ class TestVectors:
         ("dim=1\na\t\n", ":2: non-numeric value"),
         ("dim=2\na\t\x1c1\t2\n", ":2: non-numeric value"),
         ("dim=x\na\t1\n", ":1: expected a 'dim=<N>' header"),
+        ("dim=\u00b2\na\t1\n", ":1: expected a 'dim=<N>' header"),
     ], ids=["wrong-count", "same-wrong-count-everywhere", "no-tab", "duplicate", "nan", "count-before-inf", "inf",
             "first-error-wins", "non-finite-before-count", "dim-1-empty-value",
-            "file-separator", "bad-header"])
+            "file-separator", "bad-header", "superscript-digit-header"])
     def test_first_error_in_line_order(self, tmp_path, text, message):
         path = tmp_path / "v.tsv"
         path.write_bytes(text.encode("utf-8"))

@@ -294,7 +294,7 @@ class TestParamGroupLayout:
         groups = param_groups()
         assert list(groups["trainable"].as_dict()) == ["E", "W1", "b1", "W2", "b2"]
         assert list(groups["frozen"].as_dict()) == ["W1", "b1", "W2", "b2"]
-        assert list(groups["head"].as_dict()) == ["Wh", "bh", "Wo", "bo"]
+        assert list(groups["head"].as_dict()) == ["W1", "b1", "W2", "b2"]
         for group in groups.values():
             assert list(group.copy().as_dict()) == list(group.as_dict())
             assert list(group.zeros_like().as_dict()) == list(group.as_dict())

@@ -178,7 +178,7 @@ def reference_load_vectors(path):
         raise CorpusError(f"no such vector file: {p}")
     with open_text(p) as f:
         header = f.readline().strip()
-        if not header.startswith("dim=") or not header[4:].isdigit():
+        if not header.startswith("dim=") or not header[4:].isdecimal():
             raise CorpusError(f"{p}:1: expected a 'dim=<N>' header, got '{header}'")
         dim = int(header[4:])
         if dim < 1:

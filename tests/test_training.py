@@ -38,6 +38,7 @@ from pairtune.training import (
 )
 
 from conftest import (
+    encoder_and_head,
     finite_difference_gradients,
     make_corpus,
     max_relative_error,
@@ -370,7 +371,7 @@ class TestTrainNaive:
         assert report.epoch_losses == []
         for k, v in out.as_dict().items():
             assert np.array_equal(v, before[k])
-        assert head.Wo.shape == (3, 128)
+        assert head.W2.shape == (3, 128)
 
     def test_full_loss_gradient_matches_finite_differences(self):
         corpus, _, config, params, input_fn = three_class_setup(seed=17)
@@ -383,9 +384,12 @@ class TestTrainNaive:
         hgrad = head.zeros_like()
         for x, y in items:
             naive_example_backward(params, config, head, x, y, egrad, hgrad)
-        analytic = egrad.as_dict() | hgrad.as_dict()
+        analytic = encoder_and_head(egrad, hgrad)
 
-        arrays = params.as_dict() | head.as_dict()
+        arrays = encoder_and_head(params, head)
+        assert list(arrays) == list(analytic) == [
+            "E", "W1", "b1", "W2", "b2", "head.W1", "head.b1", "head.W2", "head.b2"
+        ]
 
         def total_loss():
             total = 0.0
@@ -397,6 +401,17 @@ class TestTrainNaive:
 
         numeric = finite_difference_gradients(total_loss, arrays)
         assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_head_init_keeps_its_draws(self):
+        # Seeded NAIVE outputs depend on this stream: the hidden layer, then
+        # the logit layer, each uniform in +-1/sqrt(fan_in), and zero biases.
+        head = init_head_params(d_out=6, hidden_dim=5, n_classes=3, seed=19)
+        rng = np.random.default_rng(19)
+        W1 = rng.uniform(-1.0 / np.sqrt(6), 1.0 / np.sqrt(6), size=(5, 6))
+        W2 = rng.uniform(-1.0 / np.sqrt(5), 1.0 / np.sqrt(5), size=(3, 5))
+        expected = np.concatenate([W1.ravel(), np.zeros(5), W2.ravel(), np.zeros(3)])
+        assert head.E is None
+        assert head.flat.tobytes() == expected.tobytes()
 
     def test_determinism_bitwise(self):
         corpus, _, config, params, input_fn = three_class_setup(seed=2)
@@ -504,4 +519,4 @@ class TestBatchKernel:
             for x, y in zip(xs, ys)
         ]
         np.testing.assert_allclose(losses, single, rtol=1e-12, atol=0)
-        assert relative_error(eb.as_dict() | hb.as_dict(), es.as_dict() | hs.as_dict()) <= 1e-12
+        assert relative_error(encoder_and_head(eb, hb), encoder_and_head(es, hs)) <= 1e-12
