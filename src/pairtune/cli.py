@@ -475,23 +475,35 @@ def _evaluate(name, config, params, vocab, tests, tables, spec: EvalSpec) -> lis
     return rows
 
 
+def _orig_config(args, dim: int) -> EncoderConfig:
+    """``eval --orig``'s encoder over dim-wide vectors; --d-out defaults to dim."""
+    d_out = dim if args.d_out is None else args.d_out
+    return EncoderConfig(mode=FROZEN_PROJECTION, d_in=dim, h=args.hidden_width, d_out=d_out)
+
+
 def cmd_eval(args) -> None:
     _check_same_fraction(args.same_fraction, "--same-fraction")
     spec = EvalSpec(n_pairs=args.n_pairs, same_fraction=args.same_fraction, seed=args.seed)
+    if args.model:
+        config, params, vocab = load_model(args.model)
+        if config.mode == FROZEN_PROJECTION and not args.vectors:
+            raise ConfigError("a frozen-projection model needs --vectors for the test sets")
+        if config.mode == TRAINABLE and args.vectors:
+            raise ConfigError("--vectors does not apply to a trainable model, which reads text")
+    elif not args.vectors:
+        raise ConfigError("--orig needs --vectors with the test-set embeddings")
+    else:
+        _orig_config(args, 1)  # the vector files set d_in later
     tests = _load_corpora(args.test)
     tables = _eval_tables(args, tests)
 
     if args.model:
-        config, params, vocab = load_model(args.model)
         name = args.model_name or Path(args.model).stem
-        if config.mode == FROZEN_PROJECTION and tables is None:
-            raise ConfigError("a frozen-projection model needs --vectors for the test sets")
+        if tables is not None and tables[0].dim != config.d_in:
+            raise CorpusError(f"{args.vectors[0]}: vectors of width {tables[0].dim} do not fit "
+                              f"the model's input width d_in={config.d_in}")
     else:
-        if tables is None:
-            raise ConfigError("--orig needs --vectors with the test-set embeddings")
-        dim = tables[0].dim
-        d_out = dim if args.d_out is None else args.d_out
-        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=dim, h=args.hidden_width, d_out=d_out)
+        config = _orig_config(args, tables[0].dim)
         config, params = orig_model(config, _base_params(config, None, args.seed))
         vocab = None
         name = args.model_name or "ORIG"

@@ -263,7 +263,7 @@ def write_corpus(corpus: Corpus, path, format: str | None = None) -> None:
             for ex in corpus.examples:
                 for value in (ex.id, ex.text, ex.class_label):
                     # tab-separated rows cannot carry these losslessly
-                    if "\t" in value or "\n" in value:
+                    if "\t" in value or "\n" in value or "\r" in value:
                         raise CorpusError(
                             f"value for id '{ex.id}' contains a tab or newline; "
                             f"use the {JSON_LINES} format"
@@ -427,8 +427,18 @@ def _load_vectors_by_line(p: Path) -> VectorTable:
     return VectorTable(dim=dim, entries=entries)
 
 
+def check_field(value: str, name: str = "id") -> None:
+    """Refuse a value holding a tab or line break, on which readers split lines."""
+    if "\t" in value or "\n" in value or "\r" in value:
+        raise CorpusError(f"{name} {value!r} holds a tab or line break; "
+                          "a tab-separated file cannot carry it")
+
+
 def write_vectors(table: VectorTable, path) -> None:
-    """Write a vector table; values round-trip at 9 significant digits."""
+    """Write a vector table; values round-trip at 9 significant digits. Ids
+    are checked by ``check_field`` before anything is written."""
+    for ex_id in table.entries:
+        check_field(ex_id)
     with atomic_write(path, encoding="utf-8") as f:
         f.write(f"dim={table.dim}\n")
         for ex_id, vec in table.entries.items():

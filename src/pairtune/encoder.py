@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -169,6 +170,21 @@ class EncoderConfig:
         return self.d_tok if self.mode == TRAINABLE else self.d_in
 
 
+def _param_layout(config: EncoderConfig, vocab_size: int | None = None) -> list:
+    """A parameter set's (name, shape) pairs, in ``flat`` and model-payload order."""
+    layout = []
+    if config.mode == TRAINABLE:
+        if vocab_size is None or vocab_size < 1:
+            raise ValueError("trainable mode needs vocab_size >= 1")
+        layout.append(("E", (vocab_size, config.d_tok)))
+    return layout + [
+        ("W1", (config.h, config.d_in_eff)),
+        ("b1", (config.h,)),
+        ("W2", (config.d_out, config.h)),
+        ("b2", (config.d_out,)),
+    ]
+
+
 @dataclass
 class EncoderParams:
     """All trainable parameters of one encoder: the single set shared by both
@@ -177,10 +193,10 @@ class EncoderParams:
     ``E`` is the token embedding table (trainable mode only, None otherwise).
     The present arrays are C-contiguous views into one float64 vector,
     ``flat``, laid out in field order, so an optimizer step, a gradient
-    reset or a finiteness check is one pass over one vector. Construction
-    copies the given arrays into a new ``flat``; assign into a field
-    (``params.W1[...] = ...``), never rebind it. A gradient accumulator is
-    an EncoderParams too, made by ``zeros_like``.
+    reset or a finiteness check is one pass over one vector. ``zeros``
+    lays a set out by ``_param_layout``; construction copies the given
+    arrays into a new ``flat``. Assign into a field (``params.W1[...] = ...``),
+    never rebind it. A gradient accumulator is made by ``zeros_like``.
     """
 
     E: np.ndarray | None
@@ -191,23 +207,31 @@ class EncoderParams:
 
     def __post_init__(self):
         arrays = self.as_dict()
-        self._bind(np.empty(sum(np.size(a) for a in arrays.values())), arrays)
-        for name, a in arrays.items():
-            getattr(self, name)[...] = a
+        self._bind(np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64),
+                   [(name, np.shape(a)) for name, a in arrays.items()])
 
-    def _bind(self, flat: np.ndarray, like: dict) -> None:
-        """Make ``flat`` this group's vector and each field in ``like`` a view
-        into it with that array's shape."""
+    @classmethod
+    def zeros(cls, config: EncoderConfig, vocab_size: int | None = None) -> "EncoderParams":
+        """A zeroed set laid out by ``_param_layout(config, vocab_size)``."""
+        layout = _param_layout(config, vocab_size)
+        params = cls.__new__(cls)
+        params.E = None
+        params._bind(np.zeros(sum(math.prod(shape) for _, shape in layout)), layout)
+        return params
+
+    def _bind(self, flat: np.ndarray, layout) -> None:
+        """Make ``flat`` this set's vector and each (name, shape) of ``layout``
+        a view into it, in order."""
         self.flat = flat
         lo = 0
-        for name, a in like.items():
-            hi = lo + np.size(a)
-            setattr(self, name, flat[lo:hi].reshape(np.shape(a)))
+        for name, shape in layout:
+            hi = lo + math.prod(shape)
+            setattr(self, name, flat[lo:hi].reshape(shape))
             lo = hi
 
     def _with_flat(self, flat: np.ndarray) -> "EncoderParams":
         params = copy.copy(self)
-        params._bind(flat, self.as_dict())
+        params._bind(flat, [(name, a.shape) for name, a in self.as_dict().items()])
         return params
 
     def as_dict(self) -> dict[str, np.ndarray]:
@@ -225,19 +249,14 @@ def init_encoder_params(
     config: EncoderConfig, vocab_size: int | None = None, seed: int = 0
 ) -> EncoderParams:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), E in +-0.1, biases 0."""
+    params = EncoderParams.zeros(config, vocab_size)
     rng = np.random.default_rng(seed)
-    E = None
-    if config.mode == TRAINABLE:
-        if vocab_size is None or vocab_size < 1:
-            raise ValueError("trainable mode needs vocab_size >= 1")
-        E = rng.uniform(-0.1, 0.1, size=(vocab_size, config.d_tok))
-    lim1 = 1.0 / np.sqrt(config.d_in_eff)
-    W1 = rng.uniform(-lim1, lim1, size=(config.h, config.d_in_eff))
-    lim2 = 1.0 / np.sqrt(config.h)
-    W2 = rng.uniform(-lim2, lim2, size=(config.d_out, config.h))
-    return EncoderParams(
-        E=E, W1=W1, b1=np.zeros(config.h), W2=W2, b2=np.zeros(config.d_out)
-    )
+    if params.E is not None:
+        params.E[...] = rng.uniform(-0.1, 0.1, size=params.E.shape)
+    for W in (params.W1, params.W2):
+        lim = 1.0 / np.sqrt(W.shape[1])
+        W[...] = rng.uniform(-lim, lim, size=W.shape)
+    return params
 
 
 def identity_projection(dim: int) -> tuple[EncoderConfig, EncoderParams]:
@@ -247,15 +266,7 @@ def identity_projection(dim: int) -> tuple[EncoderConfig, EncoderParams]:
     relu(m) - relu(-m) == m, so the output equals the input bit for bit.
     """
     config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=dim, h=2 * dim, d_out=dim)
-    # Zero arrays take no memory until written, so the group's copy of
-    # them is the only full-size buffer; the blocks are then filled in place.
-    params = EncoderParams(
-        E=None,
-        W1=np.zeros((2 * dim, dim)),
-        b1=np.zeros(2 * dim),
-        W2=np.zeros((dim, 2 * dim)),
-        b2=np.zeros(dim),
-    )
+    params = EncoderParams.zeros(config)
     eye = np.eye(dim)
     params.W1[:dim] = eye
     np.negative(eye, out=params.W1[dim:])
@@ -499,19 +510,6 @@ def make_embedder(
     return embed
 
 
-def _matrix_order(config: EncoderConfig, vocab_size: int | None):
-    shapes = []
-    if config.mode == TRAINABLE:
-        shapes.append(("E", (vocab_size, config.d_tok)))
-    shapes += [
-        ("W1", (config.h, config.d_in_eff)),
-        ("b1", (config.h,)),
-        ("W2", (config.d_out, config.h)),
-        ("b2", (config.d_out,)),
-    ]
-    return shapes
-
-
 def save_model(
     path,
     config: EncoderConfig,
@@ -539,13 +537,13 @@ def save_model(
         "vocab": vocab.token_list() if vocab is not None else None,
         "min_count": vocab.min_count if vocab is not None else None,
     }
-    mats = params.as_dict()
-    order = _matrix_order(config, vocab.size if vocab is not None else None)
+    arrays = params.as_dict()
+    layout = _param_layout(config, vocab.size if vocab is not None else None)
     with atomic_write(path) as f:
         f.write((_MODEL_MAGIC + "\n").encode("utf-8"))
         f.write((json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8"))
-        for name, shape in order:
-            arr = mats[name]
+        for name, shape in layout:
+            arr = arrays[name]
             if arr.shape != shape:
                 raise ValueError(f"parameter '{name}' has shape {arr.shape}, expected {shape}")
             if storage == STORAGE_BINARY:
@@ -594,57 +592,44 @@ def load_model(path) -> tuple[EncoderConfig, EncoderParams, Vocabulary | None]:
     if config.mode == TRAINABLE and vocab is None:
         raise CorpusError(f"{p}: trainable model is missing its vocabulary")
 
-    order = _matrix_order(config, vocab.size if vocab is not None else None)
-    payload = blob[second_nl + 1 :]
-    mats: dict[str, np.ndarray] = {}
-    if header["storage"] == STORAGE_BINARY:
-        offset = 0
-        for name, shape in order:
-            count = int(np.prod(shape))
-            end = offset + count * 8
-            if end > len(payload):
-                raise CorpusError(f"{p}: payload too short for parameter '{name}'")
-            mats[name] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape)
-            offset = end
-        if offset != len(payload):
-            raise CorpusError(f"{p}: {len(payload) - offset} trailing payload bytes")
+    vocab_size = vocab.size if vocab is not None else None
+    payload = memoryview(blob)[second_nl + 1 :]
+    binary = header["storage"] == STORAGE_BINARY
+    if binary:
+        have, unit = len(payload), "bytes"
     elif header["storage"] == STORAGE_TEXT:
         try:
-            lines = payload.decode("utf-8").splitlines()
+            lines = str(payload, "utf-8").splitlines()
         except UnicodeDecodeError:
             raise CorpusError(f"{p}: text payload is not UTF-8") from None
-        pos = 0
-        for name, shape in order:
-            n_rows = shape[0] if len(shape) == 2 else 1
-            rows = []
-            for _ in range(n_rows):
-                if pos >= len(lines):
-                    raise CorpusError(f"{p}: payload too short for parameter '{name}'")
-                try:
-                    rows.append([float(v) for v in lines[pos].split()])
-                except ValueError:
-                    raise CorpusError(
-                        f"{p}: non-numeric value in parameter '{name}'"
-                    ) from None
-                pos += 1
-            try:
-                mats[name] = np.array(rows, dtype=np.float64).reshape(shape)
-            except ValueError:
-                raise CorpusError(f"{p}: wrong number of values for parameter '{name}'") from None
-        if pos != len(lines):
-            raise CorpusError(f"{p}: {len(lines) - pos} trailing payload lines")
+        have, unit = len(lines), "lines"
     else:
         raise CorpusError(f"{p}: unknown storage '{header['storage']}'")
+    # Size checks come before allocation: 8 bytes per value, or a text line per row.
+    end = 0
+    for name, shape in _param_layout(config, vocab_size):
+        end += 8 * math.prod(shape) if binary else math.prod(shape[:-1])
+        if end > have:
+            raise CorpusError(f"{p}: payload too short for parameter '{name}'")
+    if end != have:
+        raise CorpusError(f"{p}: {have - end} trailing payload {unit}")
 
-    for name, arr in mats.items():
+    params = EncoderParams.zeros(config, vocab_size)
+    arrays = params.as_dict()
+    if binary:
+        params.flat[...] = np.frombuffer(payload, dtype="<f8")
+    else:
+        lines = iter(lines)
+        for name, arr in arrays.items():
+            for row, line in zip(np.atleast_2d(arr), lines):
+                try:
+                    values = [float(v) for v in line.split()]
+                except ValueError:
+                    raise CorpusError(f"{p}: non-numeric value in parameter '{name}'") from None
+                if len(values) != len(row):
+                    raise CorpusError(f"{p}: wrong number of values for parameter '{name}'")
+                row[...] = values
+    for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise CorpusError(f"{p}: non-finite values in parameter '{name}'")
-
-    params = EncoderParams(
-        E=mats.get("E"),
-        W1=mats["W1"],
-        b1=mats["b1"],
-        W2=mats["W2"],
-        b2=mats["b2"],
-    )
     return config, params, vocab

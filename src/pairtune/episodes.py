@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, LabeledExample, atomic_write, open_text
+from .corpus import Corpus, LabeledExample, atomic_write, check_field, open_text
 
 
 class EpisodeError(Exception):
@@ -131,8 +131,12 @@ def _dataset_pairs(corpus: Corpus, offset: int, quota: int, spec: EpisodeSpec, r
 
 
 def write_pairs(pairs: PairSet, path) -> None:
-    """Dump pairs as "<dataset>\\t<id_a>\\t<id_b>\\t<target>" lines."""
+    """Dump pairs as "<dataset>\\t<id_a>\\t<id_b>\\t<target>" lines. The ids are
+    checked by ``check_field`` before anything is written."""
     examples = pairs.examples
+    for k in np.unique(np.concatenate([pairs.a, pairs.b])):
+        check_field(examples[k].dataset_id, "dataset id")
+        check_field(examples[k].id)
     with atomic_write(path, encoding="utf-8") as f:
         for i, j, t in zip(pairs.a.tolist(), pairs.b.tolist(), pairs.target.tolist()):
             a = examples[i]

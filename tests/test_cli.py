@@ -100,6 +100,17 @@ class TestGenPairs:
         assert len(lines) == 100
         assert sum(1 for l in lines if l.startswith("c1\t")) == 50
 
+    def test_id_with_a_tab_is_data_error_and_writes_no_dump(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        rows = [("x\t0", "a b", "p"), ("x1", "c d", "p"), ("y0", "e f", "q"), ("y1", "g", "q")]
+        corpus.write_text("".join(json.dumps({"id": i, "text": t, "label": l}) + "\n"
+                                  for i, t, l in rows))
+        out = tmp_path / "pairs.tsv"
+        capsys.readouterr()
+        assert run("gen-pairs", "--train", corpus, "--pairs", 40, "--out", out) == EXIT_DATA
+        assert_one_line_error(capsys, repr("x\t0"))
+        assert not out.exists()
+
     def test_uneven_total_is_usage_error(self, tmp_path):
         c1 = gen_corpus(tmp_path / "c1.jsonl", seed=1)
         c2 = gen_corpus(tmp_path / "c2.jsonl", seed=2, extra=("--namespace", "x"))
@@ -242,6 +253,33 @@ class TestTrainCommand:
         assert err.startswith(prefix) and len(err.splitlines()) == 1 and word in err, err
         assert not out.exists()
 
+    def test_frozen_model_with_vectors_of_another_width_is_data_error(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path / "c.jsonl", classes=3, per_class=5)
+        ids = [ex.id for ex in load_corpus(corpus).examples]
+        train_vec, test_vec = tmp_path / "train.vec", tmp_path / "test.vec"
+        write_vectors(VectorTable(dim=3, entries={i: np.arange(3.0) for i in ids}), train_vec)
+        write_vectors(VectorTable(dim=2, entries={i: np.ones(2) for i in ids}), test_vec)
+        model, out = tmp_path / "m.ptm", tmp_path / "r.tsv"
+        assert run("train", "--mode", "SIAMESE", "--train", corpus, "--vectors", train_vec,
+                   "--hidden-width", 4, "--d-out", 3, "--epochs", 1, "--pairs", 20,
+                   "--out", model) == EXIT_OK
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--vectors", test_vec, "--test", corpus,
+                   "--n-pairs", 20, "--out", out) == EXIT_DATA
+        assert_one_line_error(capsys, test_vec.name, "width 2", "d_in=3")
+        assert not out.exists()
+
+    def test_trainable_model_with_vectors_fails_before_they_are_read(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path / "c.jsonl")
+        model, out = tmp_path / "m.ptm", tmp_path / "r.tsv"
+        assert run("train", "--mode", "SIAMESE", "--train", corpus,
+                   "--out", model, *SMALL_TRAIN) == EXIT_OK
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--vectors", tmp_path / "missing.vec",
+                   "--test", corpus, "--n-pairs", 20, "--out", out) == EXIT_USAGE
+        assert_one_line_error(capsys, "--vectors", kind="config")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("--mode", "SIAMESE", "--pairs", 20),
         ("--mode", "NAIVE", "--batch-size", 64),
@@ -341,7 +379,9 @@ class TestEvalCommand:
         (("--same-fraction", 0), "config error: ", "--same-fraction"),
         (("--same-fraction", 1.5), "config error: ", "--same-fraction"),
         (("--n-pairs", 1), "invalid value: ", "n_pairs"),
-    ], ids=["same-fraction-0", "same-fraction-1.5", "n-pairs-1"])
+        (("--hidden-width", 0), "invalid value: ", "h must"),
+        (("--d-out", 0), "invalid value: ", "d_out"),
+    ], ids=["same-fraction-0", "same-fraction-1.5", "n-pairs-1", "hidden-width-0", "d-out-0"])
     def test_bad_flag_fails_before_any_file_is_read(self, tmp_path, capsys, argv, prefix, word):
         out = tmp_path / "r.tsv"
         capsys.readouterr()
@@ -349,6 +389,33 @@ class TestEvalCommand:
                    "--test", tmp_path / "missing.jsonl", *argv, "--out", out) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(prefix) and len(err.splitlines()) == 1 and word in err, err
+        assert not out.exists()
+
+    def test_frozen_model_with_vectors_of_another_width_is_data_error(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path / "c.jsonl", classes=3, per_class=5)
+        ids = [ex.id for ex in load_corpus(corpus).examples]
+        train_vec, test_vec = tmp_path / "train.vec", tmp_path / "test.vec"
+        write_vectors(VectorTable(dim=3, entries={i: np.arange(3.0) for i in ids}), train_vec)
+        write_vectors(VectorTable(dim=2, entries={i: np.ones(2) for i in ids}), test_vec)
+        model, out = tmp_path / "m.ptm", tmp_path / "r.tsv"
+        assert run("train", "--mode", "SIAMESE", "--train", corpus, "--vectors", train_vec,
+                   "--hidden-width", 4, "--d-out", 3, "--epochs", 1, "--pairs", 20,
+                   "--out", model) == EXIT_OK
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--vectors", test_vec, "--test", corpus,
+                   "--n-pairs", 20, "--out", out) == EXIT_DATA
+        assert_one_line_error(capsys, test_vec.name, "width 2", "d_in=3")
+        assert not out.exists()
+
+    def test_trainable_model_with_vectors_fails_before_they_are_read(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path / "c.jsonl")
+        model, out = tmp_path / "m.ptm", tmp_path / "r.tsv"
+        assert run("train", "--mode", "SIAMESE", "--train", corpus,
+                   "--out", model, *SMALL_TRAIN) == EXIT_OK
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--vectors", tmp_path / "missing.vec",
+                   "--test", corpus, "--n-pairs", 20, "--out", out) == EXIT_USAGE
+        assert_one_line_error(capsys, "--vectors", kind="config")
         assert not out.exists()
 
 

@@ -126,6 +126,13 @@ class TestRoundTrip:
         with pytest.raises(CorpusError, match="tab or newline"):
             write_corpus(corpus, tmp_path / "out.tsv")
 
+    def test_tsv_rejects_embedded_carriage_return(self, tmp_path):
+        # The reader decodes "\r" as a line break, so such a row cannot load.
+        corpus = make_corpus("d", [("t1", "has\rcr", "a"), ("t2", "ok", "b")])
+        with pytest.raises(CorpusError, match="tab or newline"):
+            write_corpus(corpus, tmp_path / "out.tsv")
+        assert not (tmp_path / "out.tsv").exists()
+
 
 class TestSplitCorpus:
     def test_random_split_8_2_and_reproducible(self):
@@ -294,3 +301,20 @@ class TestVectors:
         back = load_vectors(path)
         for key, vec in table.entries.items():
             np.testing.assert_allclose(back[key], vec, rtol=5e-9, atol=0)
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"], ids=["tab", "newline", "cr"])
+    def test_id_the_reader_cannot_split_is_refused(self, tmp_path, bad, existing):
+        path = tmp_path / "v.tsv"
+        if existing:
+            path.write_text("previous\n")
+        table = VectorTable(dim=1, entries={"ok": np.ones(1), bad: np.zeros(1)})
+        with pytest.raises(CorpusError, match="tab or line break"):
+            write_vectors(table, path)
+        assert path.read_text() == "previous\n" if existing else not path.exists()
+
+    def test_next_line_and_line_separator_ids_round_trip(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        write_vectors(VectorTable(dim=1, entries={"a\x85b": np.ones(1), "c\u2028d": np.zeros(1)}),
+                      path)
+        assert list(load_vectors(path).entries) == ["a\x85b", "c\u2028d"]

@@ -6,6 +6,7 @@ import pytest
 from pairtune.corpus import CorpusError, VectorTable
 from pairtune.encoder import (
     FROZEN_PROJECTION,
+    STORAGE_BINARY,
     STORAGE_TEXT,
     TRAINABLE,
     UNK_TOKEN,
@@ -401,6 +402,41 @@ class TestModelFile:
         header, rows = edit(json.loads(header), payload.split(b"\n"))
         path.write_bytes(b"\n".join([magic, json.dumps(header).encode(), *rows]))
         with pytest.raises(CorpusError, match=message):
+            load_model(path)
+
+
+class TestParamLayout:
+    def test_zeros_lays_out_views_of_one_zeroed_vector(self):
+        config = EncoderConfig(mode=TRAINABLE, d_tok=3, h=4, d_out=2)
+        params = EncoderParams.zeros(config, vocab_size=5)
+        shapes = {name: a.shape for name, a in params.as_dict().items()}
+        assert list(shapes.items()) == [
+            ("E", (5, 3)), ("W1", (4, 3)), ("b1", (4,)), ("W2", (2, 4)), ("b2", (2,)),
+        ]
+        assert params.flat.shape == (15 + 12 + 4 + 8 + 2,) and not params.flat.any()
+        for a in params.as_dict().values():
+            assert a.flags.c_contiguous and np.shares_memory(a, params.flat)
+        frozen = EncoderParams.zeros(EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=4, d_out=2))
+        assert frozen.E is None and list(frozen.as_dict()) == ["W1", "b1", "W2", "b2"]
+
+    @pytest.mark.parametrize("vocab_size", [None, 0])
+    def test_trainable_layout_needs_a_vocabulary(self, vocab_size):
+        config = EncoderConfig(mode=TRAINABLE, d_tok=3, h=4, d_out=2)
+        for build in (EncoderParams.zeros, init_encoder_params):
+            with pytest.raises(ValueError, match="vocab_size >= 1"):
+                build(config, vocab_size)
+
+    @pytest.mark.parametrize("storage", [STORAGE_BINARY, STORAGE_TEXT])
+    def test_header_wider_than_payload_fails_before_allocating(self, tmp_path, storage):
+        # 10**15 x 4 float64 values cannot be allocated, so only a size check
+        # made before allocation turns this into a data error.
+        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=4, d_out=2)
+        path = tmp_path / "m.ptm"
+        save_model(path, config, init_encoder_params(config, seed=8), storage=storage)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        wide = dict(json.loads(header), d_out=10**15)
+        path.write_bytes(b"\n".join([magic, json.dumps(wide).encode(), payload]))
+        with pytest.raises(CorpusError, match="payload too short for parameter 'W2'"):
             load_model(path)
 
 

@@ -3,9 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pairtune.corpus import CorpusError
 from pairtune.episodes import (
     EpisodeError,
     EpisodeSpec,
+    PairSet,
     generate_episodes,
     load_pairs,
     same_pair_count,
@@ -214,3 +216,17 @@ class TestPairDump:
         path.write_text("syn\tmissing\tsyn-c000-0000\t1\n")
         with pytest.raises(EpisodeError, match="unknown example"):
             load_pairs(path, corpus)
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("where,bad", [("dataset", "a\tb"), ("id_a", "a\nb"), ("id_b", "a\rb")])
+    def test_id_the_reader_cannot_split_is_refused(self, tmp_path, where, bad, existing):
+        ids = {"id_a": bad, "id_b": "y"} if where != "id_b" else {"id_a": "x", "id_b": bad}
+        corpus = make_corpus(bad if where == "dataset" else "d",
+                             [(ids["id_a"], "t", "p"), (ids["id_b"], "t", "q"), ("z", "t", "q")])
+        pairs = PairSet(corpus.examples, np.array([2, 0]), np.array([1, 1]), np.array([1, 0]))
+        path = tmp_path / "pairs.tsv"
+        if existing:
+            path.write_text("previous\n")
+        with pytest.raises(CorpusError, match="tab or line break"):
+            write_pairs(pairs, path)
+        assert path.read_text() == "previous\n" if existing else not path.exists()

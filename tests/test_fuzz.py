@@ -1,4 +1,7 @@
-"""Property tests: pair-dump round trips and byte-mutation fuzzing of loaders.
+"""Property tests: write -> load round trips and byte-mutation fuzzing of loaders.
+
+A written file loads back to what was written (bitwise, or at the format's
+stated precision), and writing the loaded value again gives the same bytes.
 
 A mutated file may load or may be rejected, but only with the documented
 data error types; any other exception is a loader bug. A mutated vector file
@@ -29,7 +32,10 @@ from pairtune.encoder import (
     STORAGE_BINARY,
     STORAGE_TEXT,
     TRAINABLE,
+    UNK_TOKEN,
     EncoderConfig,
+    EncoderParams,
+    Vocabulary,
     build_vocab,
     init_encoder_params,
     load_model,
@@ -38,6 +44,7 @@ from pairtune.encoder import (
     save_vocab,
 )
 from pairtune.episodes import EpisodeError, PairSet, load_pairs, write_pairs
+from pairtune.evaluation import REPORT_HEADER, DeltaReport, emit_report, parse_report
 from pairtune.synthetic import synthetic_corpus
 
 from conftest import make_corpus
@@ -49,6 +56,8 @@ FUZZ = settings(
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+# Round trips write (and fsync) every drawn file, so they draw fewer examples.
+ROUND_TRIP = settings(FUZZ, max_examples=50)
 
 # Ids and dataset names the tab-separated dump can carry: no tab, no line break.
 NAMES = st.text(
@@ -89,6 +98,136 @@ def test_pair_dump_round_trip(tmp_path, drawn):
     assert back.examples == pairs.examples
     for name in ("a", "b", "target"):
         np.testing.assert_array_equal(getattr(back, name), getattr(pairs, name))
+
+
+# Finite float64 values, always including the extremes a text payload must carry.
+EXTREMES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+
+# Ids with characters that text readers could take for line breaks but must not.
+LINE_BREAKS = "\t\n\r"
+SAFE_IDS = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters=LINE_BREAKS),
+        st.sampled_from("\x85\u2028\x0b\x1c "),
+    ),
+    max_size=5,
+)
+
+
+@st.composite
+def id_lists(draw, min_size=0, max_size=5):
+    """Distinct ids, of which one may hold a tab or line break, which a
+    tab-separated line cannot carry."""
+    ids = draw(st.lists(SAFE_IDS, min_size=min_size, max_size=max_size, unique=True))
+    bad = draw(st.sampled_from(["", *LINE_BREAKS]))
+    if ids and bad:
+        k = draw(st.integers(0, len(ids) - 1))
+        pos = draw(st.integers(0, len(ids[k])))
+        ids[k] = ids[k][:pos] + bad + ids[k][pos:]
+    return ids
+
+
+def splits_lines(value: str) -> bool:
+    return any(c in value for c in LINE_BREAKS)
+
+
+@pytest.mark.parametrize("mode", [TRAINABLE, FROZEN_PROJECTION])
+@pytest.mark.parametrize("storage", [STORAGE_BINARY, STORAGE_TEXT])
+@ROUND_TRIP
+@given(data=st.data())
+def test_model_round_trip_is_bitwise(tmp_path, mode, storage, data):
+    dims = {name: data.draw(st.integers(1, 3)) for name in ("d", "h", "d_out")}
+    vocab = None
+    if mode == TRAINABLE:
+        tokens = data.draw(st.lists(st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+                                    max_size=4, unique=True))
+        vocab = Vocabulary.from_tokens([UNK_TOKEN] + [t for t in tokens if t != UNK_TOKEN],
+                                       data.draw(st.integers(1, 3)))
+        config = EncoderConfig(mode=mode, d_tok=dims["d"], h=dims["h"], d_out=dims["d_out"])
+    else:
+        config = EncoderConfig(mode=mode, d_in=dims["d"], h=dims["h"], d_out=dims["d_out"])
+    params = EncoderParams.zeros(config, vocab.size if vocab is not None else None)
+    n = params.flat.size
+    params.flat[...] = data.draw(st.lists(FLOATS, min_size=n, max_size=n))
+    path, again = tmp_path / "m.ptm", tmp_path / "again.ptm"
+    save_model(path, config, params, vocab, storage=storage)
+    config2, params2, vocab2 = load_model(path)
+    assert config2 == config and vocab2 == vocab
+    assert params2.flat.tobytes() == params.flat.tobytes()
+    save_model(again, config2, params2, vocab2, storage=storage)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@ROUND_TRIP
+@given(texts=st.lists(st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+                      min_size=2, max_size=6),
+       min_count=st.integers(1, 3))
+def test_vocab_round_trip(tmp_path, texts, min_count):
+    rows = [(f"e{i}", f"{text} w{i % 3}", f"c{i % 2}") for i, text in enumerate(texts)]
+    vocab = build_vocab(make_corpus("d", rows), min_count=min_count)
+    path = tmp_path / "vocab.txt"
+    save_vocab(vocab, path)
+    back = load_vocab(path)
+    assert back.token_to_index == vocab.token_to_index and back.min_count == vocab.min_count
+
+
+@ROUND_TRIP
+@given(dim=st.integers(1, 3), data=st.data())
+def test_vector_file_round_trip_at_nine_digits(tmp_path, dim, data):
+    ids = data.draw(id_lists())
+    values = [np.array(data.draw(st.lists(FLOATS, min_size=dim, max_size=dim))) for _ in ids]
+    table = VectorTable(dim=dim, entries=dict(zip(ids, values)))
+    path, again = tmp_path / "v.tsv", tmp_path / "again.tsv"
+    path.unlink(missing_ok=True)  # tmp_path is shared by all examples
+    if any(map(splits_lines, ids)):
+        with pytest.raises(CorpusError, match="tab or line break"):
+            write_vectors(table, path)
+        assert not path.exists()
+        return
+    write_vectors(table, path)
+    back = load_vectors(path)
+    assert back.dim == dim and list(back.entries) == ids
+    for ex_id, vec in table.entries.items():
+        assert back[ex_id].tobytes() == np.array([float(f"{v:.9g}") for v in vec]).tobytes()
+    write_vectors(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@ROUND_TRIP
+@given(data=st.data())
+def test_pair_dump_refuses_ids_that_split_lines(tmp_path, data):
+    dataset_id, *ids = data.draw(id_lists(min_size=4, max_size=4))
+    corpus = make_corpus(dataset_id, [(ex_id, "t", f"c{k % 2}") for k, ex_id in enumerate(ids)])
+    a = np.array(data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)))
+    pairs = PairSet(corpus.examples, a, (a + 1) % 3, np.zeros_like(a))
+    written = [corpus.examples[k] for k in np.concatenate([pairs.a, pairs.b])]
+    path = tmp_path / "pairs.tsv"
+    path.unlink(missing_ok=True)  # tmp_path is shared by all examples
+    if any(splits_lines(ex.id) or splits_lines(ex.dataset_id) for ex in written):
+        with pytest.raises(CorpusError, match="tab or line break"):
+            write_pairs(pairs, path)
+        assert not path.exists()
+    else:
+        write_pairs(pairs, path)
+        back = load_pairs(path, corpus)
+        assert [back.a.tolist(), back.b.tolist()] == [pairs.a.tolist(), pairs.b.tolist()]
+
+
+@ROUND_TRIP
+@given(rows=st.lists(st.tuples(NAMES, NAMES, st.integers(0, 10**9),
+                               st.lists(FLOATS, min_size=5, max_size=5)),
+                     min_size=1, max_size=4))
+def test_report_round_trip_at_nine_digits(tmp_path, rows):
+    path = tmp_path / "r.tsv"
+    emit_report([(model, test, DeltaReport(n, 0, 0, *values))
+                 for model, test, n, values in rows], path)
+    parsed = parse_report(path)
+    assert len(parsed) == len(rows)
+    for row, (model, test, n, values) in zip(parsed, rows):
+        assert (row["model"], row["test_set"], row["n_pairs"]) == (model, test, n)
+        for key, v in zip(REPORT_HEADER[3:], values):
+            assert np.float64(row[key]).tobytes() == np.float64(float(f"{v:.9g}")).tobytes()
 
 
 @st.composite
