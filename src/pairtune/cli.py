@@ -23,6 +23,7 @@ from .corpus import (
     SplitSpec,
     VectorTable,
     atomic_write,
+    check_field,
     load_corpus,
     load_vectors,
     split_corpus,
@@ -450,9 +451,10 @@ def _write_loss_curve(path, report) -> None:
             f.write(f"{epoch}\t{loss:.9g}\n")
 
 
-def _eval_tables(args, tests):
+def _eval_tables(args, tests) -> list:
+    """Each test set's vector table, or None for each without --vectors."""
     if not args.vectors:
-        return None
+        return [None] * len(tests)
     if len(args.vectors) not in (1, len(tests)):
         raise ConfigError("--vectors must appear once or once per test set")
     # One file may serve every test set.
@@ -462,17 +464,18 @@ def _eval_tables(args, tests):
     return tables
 
 
-def _evaluate(name, config, params, vocab, tests, tables, spec: EvalSpec) -> list:
-    """One report row per test set; ``tables`` holds each test set's vectors."""
-    rows = []
-    for i, test in enumerate(tests):
-        embedder = make_embedder(
-            config, params, vocab=vocab, vectors=tables[i] if tables is not None else None
-        )
-        result = delta_cosine_distance(embedder, test, spec)
-        rows.append((name, test.dataset_id, result))
-        _log(f"{name} on {test.dataset_id}: delta={result.delta:.6f}")
-    return rows
+def _evaluate(models, tests, input_fns, spec: EvalSpec) -> list:
+    """One report row per (model, test set), model-major. ``models`` holds
+    (name, config, params) triples and ``input_fns[i]`` prepares tests[i]'s
+    inputs, which are prepared once and shared by every model."""
+    rows = [[] for _ in models]
+    for test, input_fn in zip(tests, input_fns):
+        inputs = input_fn(test.examples)
+        for model_rows, (name, config, params) in zip(rows, models):
+            result = delta_cosine_distance(make_embedder(config, params, inputs), test, spec)
+            model_rows.append((name, test.dataset_id, result))
+            _log(f"{name} on {test.dataset_id}: delta={result.delta:.6f}")
+    return [row for model_rows in rows for row in model_rows]
 
 
 def _orig_config(args, dim: int) -> EncoderConfig:
@@ -484,6 +487,11 @@ def _orig_config(args, dim: int) -> EncoderConfig:
 def cmd_eval(args) -> None:
     _check_same_fraction(args.same_fraction, "--same-fraction")
     spec = EvalSpec(n_pairs=args.n_pairs, same_fraction=args.same_fraction, seed=args.seed)
+    if args.model_name is not None:
+        try:
+            check_field(args.model_name, "--model-name")
+        except CorpusError as err:
+            raise ConfigError(str(err)) from None
     if args.model:
         config, params, vocab = load_model(args.model)
         if config.mode == FROZEN_PROJECTION and not args.vectors:
@@ -499,7 +507,7 @@ def cmd_eval(args) -> None:
 
     if args.model:
         name = args.model_name or Path(args.model).stem
-        if tables is not None and tables[0].dim != config.d_in:
+        if args.vectors and tables[0].dim != config.d_in:
             raise CorpusError(f"{args.vectors[0]}: vectors of width {tables[0].dim} do not fit "
                               f"the model's input width d_in={config.d_in}")
     else:
@@ -508,7 +516,8 @@ def cmd_eval(args) -> None:
         vocab = None
         name = args.model_name or "ORIG"
 
-    emit_report(_evaluate(name, config, params, vocab, tests, tables, spec), args.out)
+    input_fns = [make_input_fn(config, vocab, table) for table in tables]
+    emit_report(_evaluate([(name, config, params)], tests, input_fns, spec), args.out)
     _log(f"report written to {args.out}")
 
 
@@ -549,7 +558,8 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
     train_corpora = _load_corpora(cfg["train_sets"])
     test_corpora = _load_corpora(cfg["test_sets"])
 
-    vocab = train_tables = test_tables = None
+    vocab = train_tables = None
+    test_tables = [None] * len(test_corpora)
     if enc["mode"] == TRAINABLE:
         config = _encoder_config(**enc)
         vocab = build_vocab(train_corpora or test_corpora, min_count=enc["min_count"])
@@ -576,22 +586,15 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
             model_params, report = train_variant(
                 model, base_params.copy(), config, train_corpora, input_fn, cfg, seed
             )
-        model_vocab = vocab if model_config.mode == TRAINABLE else None
-        trained.append((model, model_config, model_params, model_vocab))
-        save_model(
-            out_dir / f"{model}.ptm",
-            model_config,
-            model_params,
-            model_vocab,
-            storage=cfg["model_format"],
-        )
+        trained.append((model, model_config, model_params))
+        save_model(out_dir / f"{model}.ptm", model_config, model_params, vocab,
+                   storage=cfg["model_format"])
         if report is not None:
             _write_loss_curve(out_dir / f"{model}.losses.tsv", report)
 
     eval_spec = EvalSpec(seed=seed + SEED_EVAL, **cfg["eval"])
-    rows = []
-    for model, *model_args in trained:
-        rows += _evaluate(model, *model_args, test_corpora, test_tables, eval_spec)
+    input_fns = [make_input_fn(config, vocab, table) for table in test_tables]
+    rows = _evaluate(trained, test_corpora, input_fns, eval_spec)
 
     emit_report(rows, out_dir / "consolidated.tsv")
     metadata = {

@@ -19,6 +19,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -122,9 +123,15 @@ def build_vocab(corpora, min_count: int = 1) -> Vocabulary:
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
+    """Write one token per line under a min_count header. A token holding a
+    line break is refused before anything is written."""
+    tokens = vocab.token_list()
+    for tok in tokens:
+        if "\n" in tok or "\r" in tok:
+            raise CorpusError(f"token {tok!r} holds a line break; a vocabulary file cannot carry it")
     with atomic_write(path, encoding="utf-8") as f:
         f.write(f"min_count={vocab.min_count}\n")
-        for tok in vocab.token_list():
+        for tok in tokens:
             f.write(tok + "\n")
 
 
@@ -452,59 +459,62 @@ def make_input_fn(
     vocab: Vocabulary | None = None,
     vectors: dict[str, VectorTable] | VectorTable | None = None,
 ):
-    """Return a function mapping a LabeledExample to the encoder's raw input.
-
-    Trainable mode yields token index arrays; frozen mode yields the stored
-    vectors. ``vectors`` may be one table or a dataset_id -> table map, and
+    """Return ``prepare(examples)``, the InputTable whose row i is the encoder
+    input of examples[i]: its token indices, or its stored vector in frozen
+    mode. ``vectors`` may be one table or a dataset_id -> table map, and
     every table must match the encoder's d_in.
     """
     if config.mode == TRAINABLE:
         if vocab is None:
             raise ValueError("trainable mode needs a vocabulary")
+        index = vocab.token_to_index.get
 
-        def prepare(example: LabeledExample):
-            return vocab.lookup(tokenize(example.text))
+        def prepare(examples) -> InputTable:
+            # One flat list of indices; unknown tokens map to UNK's index 0.
+            tokens, lengths = [], []
+            for ex in examples:
+                toks = tokenize(ex.text)
+                lengths.append(len(toks))
+                tokens.extend(map(index, toks, repeat(0)))
+            offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+            np.cumsum(lengths, out=offsets[1:])
+            return InputTable(tokens=np.array(tokens, dtype=np.intp), offsets=offsets)
 
-    else:
-        if vectors is None:
-            raise ValueError("frozen-projection mode needs vector table(s)")
-        tables = vectors if isinstance(vectors, dict) else None
-        for table in tables.values() if tables is not None else [vectors]:
-            if table.dim != config.d_in:
-                raise ValueError(
-                    f"vector table dim {table.dim} does not match encoder d_in {config.d_in}"
-                )
+        return prepare
 
-        def prepare(example: LabeledExample):
-            table = tables[example.dataset_id] if tables is not None else vectors
-            if example.id not in table:
-                raise CorpusError(f"no vector for example id '{example.id}'")
-            return table[example.id]
+    if vectors is None:
+        raise ValueError("frozen-projection mode needs vector table(s)")
+    tables = vectors if isinstance(vectors, dict) else None
+    for table in tables.values() if tables is not None else [vectors]:
+        if table.dim != config.d_in:
+            raise ValueError(
+                f"vector table dim {table.dim} does not match encoder d_in {config.d_in}"
+            )
 
-    return prepare
+    def vector_of(example: LabeledExample):
+        table = tables[example.dataset_id] if tables is not None else vectors
+        if example.id not in table:
+            raise CorpusError(f"no vector for example id '{example.id}'")
+        return table[example.id]
+
+    return lambda examples: input_table(config, [vector_of(ex) for ex in examples])
 
 
 # Examples per encode_batch call. 128 raised frozen 512-d peak RSS by ~2 MiB.
 EMBED_CHUNK = 64
 
 
-def make_embedder(
-    config: EncoderConfig,
-    params: EncoderParams,
-    vocab: Vocabulary | None = None,
-    vectors: VectorTable | None = None,
-):
-    """Return ``embed(examples)``, the (len(examples), d_out) matrix whose row
-    i embeds examples[i]. Each call packs the examples into one InputTable
-    and embeds it EMBED_CHUNK rows per ``encode_batch`` call."""
-    prepare = make_input_fn(config, vocab=vocab, vectors=vectors)
+def make_embedder(config: EncoderConfig, params: EncoderParams, inputs: InputTable):
+    """Return ``embed(rows)``, the (len(rows), d_out) matrix whose row k
+    embeds row rows[k] of ``inputs``, as made by ``make_input_fn``. The
+    rows are gathered and embedded EMBED_CHUNK per ``encode_batch`` call."""
 
-    def embed(examples) -> np.ndarray:
-        table = input_table(config, [prepare(ex) for ex in examples])
-        Z = np.empty((len(examples), config.d_out))
-        for lo in range(0, len(examples), EMBED_CHUNK):
-            rows = np.arange(lo, min(lo + EMBED_CHUNK, len(examples)))
-            Z[lo : lo + len(rows)] = encode_batch(params, config, table.take(rows))[0]
+    def embed(rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.intp)
+        Z = np.empty((len(rows), config.d_out))
+        for lo in range(0, len(rows), EMBED_CHUNK):
+            chunk = rows[lo : lo + EMBED_CHUNK]
+            Z[lo : lo + len(chunk)] = encode_batch(params, config, inputs.take(chunk))[0]
         return Z
 
     return embed

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, atomic_write
+from .corpus import Corpus, atomic_write, check_field
 from .episodes import EpisodeSpec, generate_episodes
 from .training import NumericError, cosine_similarity
 
@@ -65,9 +65,10 @@ def _stderr(values: np.ndarray) -> float:
 def delta_cosine_distance(embed, test_corpus: Corpus, spec: EvalSpec) -> DeltaReport:
     """Estimate the distance gap on spec.n_pairs sampled pairs.
 
-    ``embed(examples)``, as made by ``make_embedder``, runs once over the
-    distinct examples the pairs reference and returns one row per example.
-    Pairs score by ``cosine_distance``'s formula. Deterministic given the seed.
+    ``embed(rows)``, as made by ``make_embedder``, runs once over the
+    indices into ``test_corpus.examples`` of the distinct examples the pairs
+    reference and returns one embedding per index. Pairs score by
+    ``cosine_distance``'s formula. Deterministic given the seed.
     """
     pairs = generate_episodes(
         [test_corpus],
@@ -78,7 +79,7 @@ def delta_cosine_distance(embed, test_corpus: Corpus, spec: EvalSpec) -> DeltaRe
         ),
     )
     ref = pairs.referenced()
-    Z = np.asarray(embed([pairs.examples[i] for i in ref.tolist()]), dtype=np.float64)
+    Z = np.asarray(embed(ref), dtype=np.float64)
     squares = np.einsum("ij,ij->i", Z, Z)
     # Only a row whose sum of squares is non-finite can hold a non-finite entry.
     suspect = np.flatnonzero(~np.isfinite(squares))
@@ -125,11 +126,15 @@ REPORT_HEADER = (
 def emit_report(rows, path) -> None:
     """Write (model_name, test_name, DeltaReport) rows as a TSV table.
 
-    Floats carry 9 significant digits and parse back via parse_report.
+    Floats carry 9 significant digits and parse back via parse_report. Names
+    are checked by ``check_field`` before anything is written.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("no report rows to write")
+    for model_name, test_name, _ in rows:
+        check_field(model_name, "model name")
+        check_field(test_name, "test set name")
     with atomic_write(path, encoding="utf-8") as f:
         f.write("\t".join(REPORT_HEADER) + "\n")
         for model_name, test_name, report in rows:

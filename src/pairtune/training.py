@@ -336,15 +336,14 @@ def train_siamese(
     parameter set; batching and the Adam steps follow ``_run_epochs``.
     Deterministic given the seed.
 
-    ``input_fn`` maps a LabeledExample to the encoder input (token indices
-    or a fixed vector); it runs once for each example the pairs reference,
-    and the inputs are packed into one InputTable that every batch gathers
-    its 2B rows from.
+    ``input_fn``, as made by ``make_input_fn``, packs the examples the pairs
+    reference into one InputTable in one call; every batch gathers its 2B
+    rows from it.
     """
     if len(pairs) == 0 and scfg.epochs > 0:
         raise ValueError("no training pairs")
     ref = pairs.referenced()
-    table = input_table(config, [input_fn(pairs.examples[i]) for i in ref.tolist()])
+    table = input_fn([pairs.examples[i] for i in ref.tolist()])
     a, b = np.searchsorted(ref, pairs.a), np.searchsorted(ref, pairs.b)  # rows of the table
     targets = np.where(pairs.target == 1, scfg.target_same, scfg.target_diff)
     grad = params.zeros_like()
@@ -393,7 +392,7 @@ def train_naive(
     # stable class -> output index assignment: sorted labels
     label_index = {label: i for i, label in enumerate(sorted(corpus.class_index))}
     head = init_head_params(config.d_out, ncfg.hidden_dim, len(label_index), seed=ncfg.seed)
-    table = input_table(config, [input_fn(ex) for ex in corpus.examples])
+    table = input_fn(corpus.examples)
     targets = np.array([label_index[ex.class_label] for ex in corpus.examples], dtype=np.intp)
     egrad = params.zeros_like()
     hgrad = head.zeros_like()

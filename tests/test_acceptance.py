@@ -137,7 +137,7 @@ def test_criterion_2_metric_oracle_equivalence():
 
     exhaustive, _, _ = brute_force_delta(corpus, vectors)
     report = delta_cosine_distance(
-        stack_rows(lambda ex: vectors[ex.id]), corpus, EvalSpec(n_pairs=5000, seed=17)
+        stack_rows(lambda ex: vectors[ex.id], corpus), corpus, EvalSpec(n_pairs=5000, seed=17)
     )
     gap = abs(report.delta - exhaustive)
     elapsed = time.perf_counter() - started
@@ -187,8 +187,9 @@ def test_criterion_4_siamese_separability_end_to_end():
     params = init_encoder_params(config, vocab_size=vocab.size, seed=7)
     input_fn = make_input_fn(config, vocab=vocab)
     espec = EvalSpec(seed=99)
+    held_inputs = input_fn(held.examples)
 
-    untrained = delta_cosine_distance(make_embedder(config, params, vocab=vocab), held, espec)
+    untrained = delta_cosine_distance(make_embedder(config, params, held_inputs), held, espec)
     assert abs(untrained.delta) < 0.1, f"untrained delta {untrained.delta:.4f}"
 
     pairs = generate_episodes(train, EpisodeSpec(quotas={"sep4": 2000}, seed=5))
@@ -196,7 +197,7 @@ def test_criterion_4_siamese_separability_end_to_end():
     params, report = train_siamese(
         params, config, pairs, input_fn, SiameseConfig(epochs=30, seed=13)
     )
-    trained = delta_cosine_distance(make_embedder(config, params, vocab=vocab), held, espec)
+    trained = delta_cosine_distance(make_embedder(config, params, held_inputs), held, espec)
     elapsed = time.perf_counter() - started
     assert trained.delta > 0.5, f"trained delta {trained.delta:.4f}"
     assert elapsed < 300.0
@@ -225,22 +226,23 @@ def test_criterion_5_generalization_to_unseen_classes():
     base = init_encoder_params(config, vocab_size=vocab.size, seed=3)
     input_fn = make_input_fn(config, vocab=vocab)
     espec = EvalSpec(n_pairs=3000, seed=77)
+    unseen_inputs = input_fn(unseen.examples)
 
-    orig = delta_cosine_distance(make_embedder(config, base, vocab=vocab), unseen, espec)
+    orig = delta_cosine_distance(make_embedder(config, base, unseen_inputs), unseen, espec)
 
     pairs = generate_episodes(train, EpisodeSpec(quotas={"gen-train": 3000}, seed=31))
     siam_params, _ = train_siamese(
         base.copy(), config, pairs, input_fn, SiameseConfig(epochs=30, seed=32)
     )
     siam = delta_cosine_distance(
-        make_embedder(config, siam_params, vocab=vocab), unseen, espec
+        make_embedder(config, siam_params, unseen_inputs), unseen, espec
     )
 
     naive_params, _head, _ = train_naive(
         base.copy(), config, train, input_fn, NaiveConfig(epochs=30, seed=33)
     )
     naive = delta_cosine_distance(
-        make_embedder(config, naive_params, vocab=vocab), unseen, espec
+        make_embedder(config, naive_params, unseen_inputs), unseen, espec
     )
 
     elapsed = time.perf_counter() - started
@@ -302,10 +304,9 @@ def test_criterion_6_all_model_balance():
     espec = EvalSpec(n_pairs=3000, seed=53)
     margins = {}
     for ds, (_, test) in splits.items():
-        orig = delta_cosine_distance(make_embedder(config, base, vocab=vocab), test, espec)
-        allm = delta_cosine_distance(
-            make_embedder(config, all_params, vocab=vocab), test, espec
-        )
+        inputs = input_fn(test.examples)
+        orig = delta_cosine_distance(make_embedder(config, base, inputs), test, espec)
+        allm = delta_cosine_distance(make_embedder(config, all_params, inputs), test, espec)
         margins[ds] = (orig.delta, allm.delta)
         assert allm.delta > orig.delta, (
             f"{ds}: ALL {allm.delta:.4f} does not beat ORIG {orig.delta:.4f}"

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 import pairtune
 import pairtune.corpus
+import pairtune.encoder
 from pairtune.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -21,7 +24,7 @@ from pairtune.cli import (
     main,
     run_experiment,
 )
-from pairtune.corpus import VectorTable, load_corpus, write_corpus, write_vectors
+from pairtune.corpus import Corpus, VectorTable, load_corpus, write_corpus, write_vectors
 from pairtune.encoder import (
     TRAINABLE,
     EncoderConfig,
@@ -381,7 +384,10 @@ class TestEvalCommand:
         (("--n-pairs", 1), "invalid value: ", "n_pairs"),
         (("--hidden-width", 0), "invalid value: ", "h must"),
         (("--d-out", 0), "invalid value: ", "d_out"),
-    ], ids=["same-fraction-0", "same-fraction-1.5", "n-pairs-1", "hidden-width-0", "d-out-0"])
+        (("--model-name", "a\tb"), "config error: ", "--model-name"),
+        (("--model-name", "a\nb"), "config error: ", "--model-name"),
+    ], ids=["same-fraction-0", "same-fraction-1.5", "n-pairs-1", "hidden-width-0", "d-out-0",
+            "model-name-tab", "model-name-newline"])
     def test_bad_flag_fails_before_any_file_is_read(self, tmp_path, capsys, argv, prefix, word):
         out = tmp_path / "r.tsv"
         capsys.readouterr()
@@ -600,6 +606,30 @@ class TestExperimentCommand:
         assert run("experiment", "--config", config) == EXIT_OK
         for p in sorted(out_dir.iterdir()):
             assert p.read_bytes() == snapshot[p.name], p.name
+
+    def test_each_test_example_is_tokenized_once(self, tmp_path, monkeypatch):
+        config, cfg = experiment_config(tmp_path)
+        # A marker token makes every test text distinct from every other text.
+        tests = []
+        for path in cfg["test_sets"]:
+            corpus = load_corpus(path)
+            examples = [replace(ex, text=f"{ex.text} {ex.dataset_id}-{ex.id}")
+                        for ex in corpus.examples]
+            tests.append(Corpus.from_examples(corpus.dataset_id, examples))
+            write_corpus(tests[-1], path)
+        calls = Counter()
+        tokenize = pairtune.encoder.tokenize
+
+        def counting_tokenize(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(pairtune.encoder, "tokenize", counting_tokenize)
+        run_experiment(load_experiment_config(config))
+        texts = [ex.text for test in tests for ex in test.examples]
+        assert len(cfg["models"]) == 4 and len(tests) == 2
+        assert [calls[t] for t in texts] == [1] * len(texts)
+        assert len(parse_report(tmp_path / "run" / "consolidated.tsv")) == 8
 
     def test_empty_models_is_usage_error(self, tmp_path):
         config, _ = experiment_config(tmp_path, models=[])

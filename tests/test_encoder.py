@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from pairtune.corpus import CorpusError, VectorTable
 from pairtune.encoder import (
+    EMBED_CHUNK,
     FROZEN_PROJECTION,
     STORAGE_BINARY,
     STORAGE_TEXT,
@@ -23,10 +25,12 @@ from pairtune.encoder import (
     load_model,
     load_vocab,
     make_embedder,
+    make_input_fn,
     save_model,
     save_vocab,
     tokenize,
 )
+from pairtune.synthetic import synthetic_corpus
 from pairtune.training import init_head_params
 
 from conftest import finite_difference_gradients, make_corpus, max_relative_error
@@ -82,6 +86,19 @@ class TestVocabulary:
         back = load_vocab(tmp_path / "vocab.txt")
         assert back.token_to_index == vocab.token_to_index
         assert back.min_count == vocab.min_count
+
+    @pytest.mark.parametrize("token", ["a\nb", "c\rd", "e\r\n"])
+    def test_save_refuses_a_token_with_a_line_break(self, tmp_path, token):
+        # Written as is, the token would load back as several tokens.
+        vocab = Vocabulary.from_tokens([UNK_TOKEN, "x", token], 1)
+        path = tmp_path / "vocab.txt"
+        with pytest.raises(CorpusError, match=re.escape(repr(token))):
+            save_vocab(vocab, path)
+        assert not path.exists()
+        path.write_text("before\n")
+        with pytest.raises(CorpusError):
+            save_vocab(vocab, path)
+        assert path.read_text() == "before\n"
 
 
 def tiny_trainable(vocab_size=6, d_tok=3, h=4, d_out=3, seed=0):
@@ -477,20 +494,80 @@ class TestInputTable:
             input_table(fconfig, [np.zeros(4), np.zeros(3)])
 
 
+class TestMakeInputFn:
+    def test_trainable_table_equals_per_example_packing(self):
+        vocab = build_vocab(make_corpus("v", [("v1", "flu season", "x"), ("v2", "again", "y")]))
+        corpus = make_corpus("d", [
+            ("t1", "Flu season, again!", "x"),
+            ("t2", "... !!!", "y"),  # punctuation only: tokenises to <unk>
+            ("t3", "unseen words, flu", "x"),
+            ("t4", "season", "y"),
+        ])
+        config, _ = tiny_trainable(vocab_size=vocab.size)
+        table = make_input_fn(config, vocab=vocab)(corpus.examples)
+        packed = input_table(config, [vocab.lookup(tokenize(ex.text)) for ex in corpus.examples])
+        assert table.tokens.dtype == packed.tokens.dtype == np.intp
+        assert table.tokens.tobytes() == packed.tokens.tobytes()
+        assert table.offsets.tobytes() == packed.offsets.tobytes()
+        assert table.tokens.tolist() == [2, 3, 1, 0, 0, 0, 2, 3]  # again=1, flu=2, season=3
+        assert len(make_input_fn(config, vocab=vocab)([])) == 0
+
+    def test_frozen_table_references_each_example_vector(self):
+        corpus = make_corpus("d", [("t1", "a", "x"), ("t2", "b", "y"), ("t3", "c", "x")])
+        table = VectorTable(dim=2, entries={ex.id: np.full(2, float(i)) for i, ex in
+                                            enumerate(corpus.examples)})
+        config, _ = identity_projection(2)
+        inputs = make_input_fn(config, vectors=table)(corpus.examples[::-1])
+        assert all(v is table[ex.id] for v, ex in zip(inputs.vectors, corpus.examples[::-1]))
+
+
 class TestEmbedder:
+    @pytest.mark.parametrize("kind", ["trainable", "frozen", "identity-orig"])
+    def test_embed_rows_equals_packed_chunks_and_per_row_encode(self, kind):
+        corpus = synthetic_corpus("emb", 3, 30, n_groups=3, seed=1)
+        rng = np.random.default_rng(6)
+        if kind == "trainable":
+            vocab = build_vocab(corpus)
+            config, params = tiny_trainable(vocab_size=vocab.size, d_tok=4, h=6, d_out=5)
+            params.E[...] = rng.normal(size=params.E.shape)
+            prepare = make_input_fn(config, vocab=vocab)
+            xs = [vocab.lookup(tokenize(ex.text)) for ex in corpus.examples]
+        else:
+            table = VectorTable(dim=5, entries={ex.id: rng.normal(size=5) for ex in corpus.examples})
+            if kind == "identity-orig":
+                config, params = identity_projection(5)
+            else:
+                config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=5, h=6, d_out=4)
+                params = init_encoder_params(config, seed=2)
+            prepare = make_input_fn(config, vectors=table)
+            xs = [table[ex.id] for ex in corpus.examples]
+        # Repeated and unsorted rows spanning more than two chunks.
+        rows = rng.integers(0, len(corpus), size=2 * EMBED_CHUNK + 9)
+        Z = make_embedder(config, params, prepare(corpus.examples))(rows)
+        # Bitwise: the same EMBED_CHUNK-row batches packed from per-example inputs.
+        packed = np.concatenate([
+            encode_batch(params, config, input_table(config, [xs[i] for i in chunk]))[0]
+            for chunk in np.split(rows, range(EMBED_CHUNK, len(rows), EMBED_CHUNK))
+        ])
+        assert Z.shape == packed.shape and Z.tobytes() == packed.tobytes()
+        # A one-row product may round differently from a many-row one.
+        expected = np.array([encode(params, config, xs[i]) for i in rows])
+        np.testing.assert_allclose(Z, expected, rtol=0, atol=1e-12)
+
     def test_trainable_embedder_uses_tokens(self):
         corpus = make_corpus("d", [("t1", "a b", "x"), ("t2", "c", "y")])
         vocab = build_vocab(corpus)
         config, params = tiny_trainable(vocab_size=vocab.size)
-        embed = make_embedder(config, params, vocab=vocab)
+        embed = make_embedder(config, params, make_input_fn(config, vocab=vocab)(corpus.examples))
         expected = encode(params, config, vocab.lookup(["a", "b"]))
-        np.testing.assert_array_equal(embed(corpus.examples[:1])[0], expected)
+        np.testing.assert_array_equal(embed([0])[0], expected)
 
     def test_frozen_embedder_missing_id(self):
         corpus = make_corpus("d", [("t1", "a", "x"), ("t2", "b", "y")])
         config, params = identity_projection(2)
         table = VectorTable(dim=2, entries={"t1": np.array([1.0, 0.0])})
-        embed = make_embedder(config, params, vectors=table)
-        np.testing.assert_array_equal(embed(corpus.examples[:1])[0], [1.0, 0.0])
+        prepare = make_input_fn(config, vectors=table)
+        embed = make_embedder(config, params, prepare(corpus.examples[:1]))
+        np.testing.assert_array_equal(embed([0])[0], [1.0, 0.0])
         with pytest.raises(CorpusError, match="no vector for example id 't2'"):
-            embed(corpus.examples[1:])
+            prepare(corpus.examples[1:])

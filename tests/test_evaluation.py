@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
-from pairtune.corpus import VectorTable
+from pairtune.corpus import CorpusError, VectorTable
 from pairtune.encoder import (
     EMBED_CHUNK,
     FROZEN_PROJECTION,
@@ -14,6 +14,7 @@ from pairtune.encoder import (
     identity_projection,
     init_encoder_params,
     make_embedder,
+    make_input_fn,
     tokenize,
 )
 from pairtune.episodes import EpisodeSpec, generate_episodes
@@ -91,7 +92,7 @@ class TestDeltaCosineDistance:
         corpus, _ = two_class_six_examples()
         fixed = np.array([3.0, 4.0])
         report = delta_cosine_distance(
-            stack_rows(lambda ex: fixed), corpus, EvalSpec(n_pairs=200, seed=1)
+            stack_rows(lambda ex: fixed, corpus), corpus, EvalSpec(n_pairs=200, seed=1)
         )
         assert report.mean_same_distance == 0.0
         assert report.mean_diff_distance == 0.0
@@ -101,14 +102,14 @@ class TestDeltaCosineDistance:
         corpus, _ = two_class_six_examples()
         axes = {"A": np.array([1.0, 0.0]), "B": np.array([0.0, 1.0])}
         report = delta_cosine_distance(
-            stack_rows(lambda ex: axes[ex.class_label]), corpus, EvalSpec(n_pairs=500, seed=2)
+            stack_rows(lambda ex: axes[ex.class_label], corpus), corpus, EvalSpec(n_pairs=500, seed=2)
         )
         assert report.delta == 1.0
 
     def test_counts_partition_n_pairs(self):
         corpus, vectors = two_class_six_examples()
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id]), corpus,
+            stack_rows(lambda ex: vectors[ex.id], corpus), corpus,
             EvalSpec(n_pairs=101, same_fraction=0.3, seed=3),
         )
         assert report.s_count + report.d_count == 101
@@ -118,7 +119,7 @@ class TestDeltaCosineDistance:
         corpus, vectors = two_class_six_examples()
         exhaustive, _, _ = brute_force_delta(corpus, vectors)
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id]), corpus, EvalSpec(n_pairs=5000, seed=4)
+            stack_rows(lambda ex: vectors[ex.id], corpus), corpus, EvalSpec(n_pairs=5000, seed=4)
         )
         assert abs(report.delta - exhaustive) < 0.02
 
@@ -136,7 +137,7 @@ class TestDeltaCosineDistance:
         }
         exhaustive, _, _ = brute_force_delta(corpus, vectors)
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id]), corpus, EvalSpec(n_pairs=5000, seed=6)
+            stack_rows(lambda ex: vectors[ex.id], corpus), corpus, EvalSpec(n_pairs=5000, seed=6)
         )
         se = math.sqrt(report.same_stderr**2 + report.diff_stderr**2)
         assert abs(report.delta - exhaustive) <= 3.0 * se
@@ -150,7 +151,7 @@ class TestDeltaCosineDistance:
                 "B": np.array([math.cos(math.radians(theta)), math.sin(math.radians(theta))]),
             }
             report = delta_cosine_distance(
-                stack_rows(lambda ex: axes[ex.class_label]), corpus, EvalSpec(n_pairs=400, seed=7)
+                stack_rows(lambda ex: axes[ex.class_label], corpus), corpus, EvalSpec(n_pairs=400, seed=7)
             )
             expected = 1.0 - math.cos(math.radians(theta))
             assert abs(report.delta - expected) < 1e-12
@@ -171,8 +172,8 @@ class TestDeltaCosineDistance:
             return 7.3 * embed(ex)
 
         spec = EvalSpec(n_pairs=600, seed=8)
-        base = delta_cosine_distance(stack_rows(embed), corpus, spec)
-        scaled = delta_cosine_distance(stack_rows(embed_scaled), corpus, spec)
+        base = delta_cosine_distance(stack_rows(embed, corpus), corpus, spec)
+        scaled = delta_cosine_distance(stack_rows(embed_scaled, corpus), corpus, spec)
         assert scaled.delta == base.delta
         assert scaled.mean_same_distance == base.mean_same_distance
         assert scaled.mean_diff_distance == base.mean_diff_distance
@@ -183,7 +184,7 @@ class TestDeltaCosineDistance:
         bad["a2"] = np.array([np.nan, 1.0])
         with pytest.raises(NumericError, match="a2"):
             delta_cosine_distance(
-                stack_rows(lambda ex: bad[ex.id]), corpus, EvalSpec(n_pairs=50, seed=9)
+                stack_rows(lambda ex: bad[ex.id], corpus), corpus, EvalSpec(n_pairs=50, seed=9)
             )
 
     def test_spec_validation(self):
@@ -227,18 +228,21 @@ class TestBatchedEvalMatchesReference:
                 m = params.E[vocab.lookup(tokenize(ex.text))].mean(axis=0)
                 return params.W2 @ np.maximum(params.W1 @ m + params.b1, 0.0) + params.b2
 
-            return corpus, embed_one, make_embedder(config, params, vocab=vocab)
+            inputs = make_input_fn(config, vocab=vocab)(corpus.examples)
+            return corpus, embed_one, make_embedder(config, params, inputs)
         table = VectorTable(dim=6, entries={ex.id: rng.normal(size=6) for ex in corpus.examples})
         if kind == "identity-orig":
             config, params = identity_projection(6)
-            return corpus, lambda ex: table[ex.id], make_embedder(config, params, vectors=table)
+            inputs = make_input_fn(config, vectors=table)(corpus.examples)
+            return corpus, lambda ex: table[ex.id], make_embedder(config, params, inputs)
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=6, h=7, d_out=5)
         params = init_encoder_params(config, seed=4)
 
         def embed_one(ex):
             return params.W2 @ np.maximum(params.W1 @ table[ex.id] + params.b1, 0.0) + params.b2
 
-        return corpus, embed_one, make_embedder(config, params, vectors=table)
+        inputs = make_input_fn(config, vectors=table)(corpus.examples)
+        return corpus, embed_one, make_embedder(config, params, inputs)
 
     @pytest.mark.parametrize("kind", ["trainable", "frozen", "identity-orig"])
     def test_report_matches_per_pair_loop(self, kind):
@@ -309,3 +313,16 @@ class TestReportFile:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no report rows"):
             emit_report([], tmp_path / "r.tsv")
+
+    @pytest.mark.parametrize("model,test", [("a\tb", "t"), ("m", "t\nu"), ("m\r", "t")])
+    def test_name_the_parser_cannot_read_is_refused_before_writing(self, tmp_path, model, test):
+        path = tmp_path / "r.tsv"
+        rows = [("ok", "t", report_fixture()), (model, test, report_fixture(seed=1))]
+        with pytest.raises(CorpusError, match="holds a tab or line break"):
+            emit_report(rows, path)
+        assert not path.exists()
+        emit_report(rows[:1], path)
+        before = path.read_bytes()
+        with pytest.raises(CorpusError):
+            emit_report(rows, path)
+        assert path.read_bytes() == before

@@ -14,6 +14,7 @@ from pairtune.encoder import (
     input_table,
     make_embedder,
     make_input_fn,
+    tokenize,
 )
 from pairtune.episodes import EpisodeSpec, PairSet, generate_episodes
 from pairtune.evaluation import EvalSpec, delta_cosine_distance
@@ -201,6 +202,11 @@ def one_pair(corpus, i, j, target):
     return PairSet(corpus.examples, np.array([i]), np.array([j]), np.array([target]))
 
 
+def token_indices(vocab, example):
+    """One example's encoder input, for the batch-of-one functions."""
+    return vocab.lookup(tokenize(example.text))
+
+
 def toy_setup(seed=0, d_tok=3, h=4, d_out=3):
     corpus = two_class_corpus()
     vocab = build_vocab(corpus)
@@ -222,10 +228,10 @@ class TestTrainSiamese:
             assert np.array_equal(v, before[k])
 
     def test_single_step_is_adam_transform_of_pair_gradient(self):
-        corpus, _, config, params, input_fn = toy_setup(seed=5)
+        corpus, vocab, config, params, input_fn = toy_setup(seed=5)
         well_scaled_params(params, seed=50)
         pair = one_pair(corpus, 0, 2, 0)
-        xa, xb = input_fn(corpus.examples[0]), input_fn(corpus.examples[2])
+        xa, xb = token_indices(vocab, corpus.examples[0]), token_indices(vocab, corpus.examples[2])
         scfg = SiameseConfig(epochs=1, batch_size=1, seed=9)
 
         # analytic pair gradient, verified against finite differences
@@ -251,12 +257,13 @@ class TestTrainSiamese:
             )
 
     def test_full_pair_loss_gradient_matches_finite_differences(self):
-        corpus, _, config, params, input_fn = toy_setup(seed=11)
+        corpus, vocab, config, params, _ = toy_setup(seed=11)
         well_scaled_params(params, seed=51)
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 4}, seed=2))
         eps = 1e-12
         items = [
-            (input_fn(pairs.examples[i]), input_fn(pairs.examples[j]), float(t))
+            (token_indices(vocab, pairs.examples[i]), token_indices(vocab, pairs.examples[j]),
+             float(t))
             for i, j, t in zip(pairs.a, pairs.b, pairs.target)
         ]
         grad = params.zeros_like()
@@ -279,9 +286,9 @@ class TestTrainSiamese:
         corpus, _, config, params, input_fn = toy_setup()
         prepared = []
 
-        def counting_input_fn(ex):
-            prepared.append(ex.id)
-            return input_fn(ex)
+        def counting_input_fn(examples):
+            prepared.extend(ex.id for ex in examples)
+            return input_fn(examples)
 
         # examples 0, 1 and 2 appear in several pairs; example 3 in none
         pairs = PairSet(corpus.examples, np.array([0, 2, 0]), np.array([2, 0, 1]),
@@ -340,7 +347,7 @@ class TestTrainSiamese:
         assert report.epoch_losses[-1] < 0.05
         assert report.epoch_losses[-1] < report.epoch_losses[0]
         result = delta_cosine_distance(
-            make_embedder(config, params, vocab=vocab), held,
+            make_embedder(config, params, input_fn(held.examples)), held,
             EvalSpec(n_pairs=2_000, seed=35),
         )
         assert result.delta > 0.5
@@ -374,11 +381,11 @@ class TestTrainNaive:
         assert head.W2.shape == (3, 128)
 
     def test_full_loss_gradient_matches_finite_differences(self):
-        corpus, _, config, params, input_fn = three_class_setup(seed=17)
+        corpus, vocab, config, params, _ = three_class_setup(seed=17)
         well_scaled_params(params, seed=52)
         head = init_head_params(config.d_out, hidden_dim=4, n_classes=3, seed=18)
         labels = sorted(corpus.class_index)
-        items = [(input_fn(ex), labels.index(ex.class_label)) for ex in corpus.examples]
+        items = [(token_indices(vocab, ex), labels.index(ex.class_label)) for ex in corpus.examples]
 
         egrad = params.zeros_like()
         hgrad = head.zeros_like()
@@ -453,7 +460,7 @@ class TestTrainNaive:
         labels = sorted(corpus.class_index)
         correct = 0
         for ex in corpus.examples:
-            logits = head_logits(params, config, head, input_fn(ex))
+            logits = head_logits(params, config, head, token_indices(vocab, ex))
             correct += labels[int(np.argmax(logits))] == ex.class_label
         assert correct / len(corpus) >= 0.95
         assert report.epoch_losses[-1] < report.epoch_losses[0]
