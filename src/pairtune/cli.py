@@ -215,7 +215,7 @@ def validate_experiment_config(cfg: dict) -> None:
     for quota in ("siamese_pairs", "all_pairs_per_dataset"):
         if ep[quota] < 1:
             raise ConfigError(f"episodes.{quota} must be >= 1, got {ep[quota]}")
-    _check_same_fraction(ep["same_fraction"], "episodes.same_fraction")
+    _check_fraction(ep["same_fraction"], "episodes.same_fraction")
 
 
 def _encoder_config(mode, d_tok, h, d_out, min_count, d_in=None) -> EncoderConfig:
@@ -229,7 +229,7 @@ def _encoder_config(mode, d_tok, h, d_out, min_count, d_in=None) -> EncoderConfi
     return EncoderConfig(mode=mode, d_in=d_in, h=h, d_out=d_out)
 
 
-def _check_same_fraction(value: float, name: str) -> None:
+def _check_fraction(value: float, name: str) -> None:
     if not 0.0 < value < 1.0:
         raise ConfigError(f"{name} must be strictly between 0 and 1, got {value}")
 
@@ -256,6 +256,13 @@ def _load_corpora(paths, format=None):
 
 
 def cmd_gen_synthetic(args) -> None:
+    if args.test_fraction is None:
+        if args.test_out is not None:
+            raise ConfigError("--test-out needs --test-fraction")
+    elif args.test_out is None:
+        raise ConfigError("--test-fraction needs --test-out")
+    else:
+        _check_fraction(args.test_fraction, "--test-fraction")
     corpus = synthetic_corpus(
         args.dataset_id or Path(args.out).stem,
         args.classes,
@@ -271,8 +278,6 @@ def cmd_gen_synthetic(args) -> None:
     )
     fmt = _corpus_format(args)
     if args.test_fraction is not None:
-        if args.test_out is None:
-            raise ConfigError("--test-fraction needs --test-out")
         train, test = split_corpus(
             corpus,
             SplitSpec(mode=RANDOM_BY_EXAMPLE, fraction=1.0 - args.test_fraction, seed=args.seed),
@@ -315,7 +320,7 @@ def _pairs_per_dataset(corpora, pairs, pairs_per_dataset) -> int:
 
 
 def cmd_gen_pairs(args) -> None:
-    _check_same_fraction(args.same_fraction, "--same-fraction")
+    _check_fraction(args.same_fraction, "--same-fraction")
     _check_pair_flags(args)
     corpora = _load_corpora(args.train, format=_corpus_format(args))
     per = _pairs_per_dataset(corpora, args.pairs, args.pairs_per_dataset)
@@ -396,7 +401,7 @@ def cmd_train(args) -> None:
         raise ConfigError("--vocab does not apply with --vectors, which has no vocabulary")
     if mode == "NAIVE" and args.pairs_in:
         raise ConfigError("--pairs-in does not apply to NAIVE, which trains on examples")
-    _check_same_fraction(args.same_fraction, "--same-fraction")
+    _check_fraction(args.same_fraction, "--same-fraction")
     _check_pair_flags(args)
     # The flags fill the same config sections an experiment reads, and
     # those sections' rules run before any file is read.
@@ -485,7 +490,7 @@ def _orig_config(args, dim: int) -> EncoderConfig:
 
 
 def cmd_eval(args) -> None:
-    _check_same_fraction(args.same_fraction, "--same-fraction")
+    _check_fraction(args.same_fraction, "--same-fraction")
     spec = EvalSpec(n_pairs=args.n_pairs, same_fraction=args.same_fraction, seed=args.seed)
     if args.model_name is not None:
         try:

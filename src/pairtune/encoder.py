@@ -118,7 +118,10 @@ def build_vocab(corpora, min_count: int = 1) -> Vocabulary:
     if n_examples == 0:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
     kept = [t for t, c in counts.items() if c >= min_count and t != UNK_TOKEN]
-    kept.sort(key=lambda t: (-counts[t], t))
+    # Lexicographic first, then a stable descending count sort (reverse=True
+    # keeps ties in order): the (-count, token) order without a key tuple per token.
+    kept.sort()
+    kept.sort(key=counts.__getitem__, reverse=True)
     return Vocabulary.from_tokens([UNK_TOKEN] + kept, min_count)
 
 

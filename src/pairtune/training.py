@@ -83,14 +83,14 @@ def init_head_params(d_out: int, hidden_dim: int, n_classes: int, seed: int = 0)
 
 
 # Elements per block of the Adam step: one 256 KiB block of each of p, g, m,
-# v and the two scratch arrays (6 x 256 KiB) stays in a 2 MiB L2 cache.
+# v and the scratch array (5 x 256 KiB) stays in a 2 MiB L2 cache.
 ADAM_BLOCK = 32768
 
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators mirroring the parameter shapes, plus two
-    scratch blocks that ``optimizer_step`` reuses instead of allocating."""
+    """Adam moment accumulators mirroring the parameter shapes, plus one
+    scratch block that ``optimizer_step`` reuses instead of allocating."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -98,9 +98,7 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    scratch: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, default_factory=lambda: (np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK))
-    )
+    scratch: np.ndarray = field(init=False, repr=False, default_factory=lambda: np.empty(ADAM_BLOCK))
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
@@ -121,19 +119,20 @@ def optimizer_step(
     """One bias-corrected Adam update; parameter arrays change in place.
 
     ``grads`` hold sums over a batch of ``batch_size`` items: the update
-    uses their mean and leaves ``grads`` zeroed for the next batch (scaling
-    by 1/1 is exact, so the default is a plain step). Each array is walked
-    in ADAM_BLOCK-element blocks through the state's scratch blocks, so a
-    step allocates nothing; every element sees the same operations in the
-    same order whatever the block size.
+    uses their mean and leaves ``grads`` zeroed for the next batch. The step
+    is Kingma & Ba's folded form (arXiv:1412.6980, section 2, after
+    Algorithm 1): both bias corrections fold into the step size and epsilon,
+    and the batch mean folds into the moment weights, so ``m`` and ``v`` stay
+    the textbook moments. Each array is walked in ADAM_BLOCK-element blocks
+    through the state's scratch block, so a step allocates nothing; every
+    element sees the same operations in the same order whatever the block size.
     """
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
-    a1 = 1.0 - state.beta1
-    a2 = 1.0 - state.beta2
-    scale = 1.0 / batch_size
-    tmp_block, step_block = state.scratch
+    r2 = math.sqrt(1.0 - state.beta2**state.t)
+    step_size = learning_rate * r2 / (1.0 - state.beta1**state.t)
+    eps_hat = state.eps * r2
+    a1 = (1.0 - state.beta1) / batch_size
+    a2 = (1.0 - state.beta2) / (batch_size * batch_size)
     for name, g in grads.items():
         if name not in params:
             raise ValueError(f"gradient for unknown parameter '{name}'")
@@ -147,23 +146,20 @@ def optimizer_step(
         for lo in range(0, p.size, ADAM_BLOCK):
             hi = lo + ADAM_BLOCK
             gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-            tmp, step = tmp_block[: len(gb)], step_block[: len(gb)]
-            gb *= scale
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time.
+            tmp = state.scratch[: len(gb)]
             mb *= state.beta1
             np.multiply(a1, gb, out=tmp)
             mb += tmp
             vb *= state.beta2
-            np.multiply(a2, gb, out=tmp)
-            tmp *= gb
+            np.multiply(gb, gb, out=tmp)
+            tmp *= a2
             vb += tmp
-            np.divide(mb, c1, out=step)
-            step *= learning_rate
-            np.divide(vb, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += state.eps
-            step /= tmp
-            p[lo:hi] -= step
+            # p -= step_size * m / (sqrt(v) + eps_hat), one operation at a time.
+            np.sqrt(vb, out=tmp)
+            tmp += eps_hat
+            np.divide(mb, tmp, out=tmp)
+            tmp *= step_size
+            p[lo:hi] -= tmp
             gb.fill(0.0)
     return params, state
 

@@ -80,6 +80,25 @@ class TestGenSynthetic:
             "--classes", 3, "--examples-per-class", 5, "--groups", 3,
         ) == EXIT_USAGE
 
+    @pytest.mark.parametrize("fraction", ["0", "1.0", "1.5", "-0.2", "nan"])
+    def test_test_fraction_out_of_range_is_usage_error(self, tmp_path, capsys, fraction):
+        assert run(
+            "gen-synthetic", "--out", tmp_path / "x.jsonl", "--test-out", tmp_path / "y.jsonl",
+            "--test-fraction", fraction, "--classes", 3, "--examples-per-class", 5, "--groups", 3,
+        ) == EXIT_USAGE
+        assert f"--test-fraction must be strictly between 0 and 1, got {float(fraction)}" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_test_out_without_test_fraction_is_usage_error(self, tmp_path, capsys):
+        assert run(
+            "gen-synthetic", "--out", tmp_path / "x.jsonl", "--test-out", tmp_path / "y.jsonl",
+            "--classes", 3, "--examples-per-class", 5, "--groups", 3,
+        ) == EXIT_USAGE
+        assert "--test-out needs --test-fraction" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBuildVocab:
     def test_vocab_file(self, tmp_path):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pairtune.corpus import CorpusError, VectorTable
 from pairtune.encoder import (
@@ -62,6 +63,20 @@ class TestVocabulary:
         corpus = make_corpus("d", [("t1", "a b", "x"), ("t2", "a c", "y")])
         vocab = build_vocab(corpus, min_count=1)
         assert vocab.token_to_index == {UNK_TOKEN: 0, "a": 1, "b": 2, "c": 3}
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(counts=st.dictionaries(st.text(alphabet="abc", min_size=1, max_size=3),
+                                  st.integers(1, 4), max_size=30),
+           min_count=st.integers(1, 3))
+    def test_order_is_descending_count_then_token(self, counts, min_count):
+        # Few distinct counts over many tokens: most tokens tie on count.
+        # Text k holds each token seen more than k times, so a token occurs
+        # counts[token] times; a text of only "." is <unk>, which is never kept.
+        texts = [" ".join(tok for tok, c in counts.items() if c > k) or "." for k in range(4)]
+        corpus = make_corpus("d", [(f"t{k}", text, f"c{k % 2}") for k, text in enumerate(texts)])
+        kept = [tok for tok, c in counts.items() if c >= min_count]
+        expected = [UNK_TOKEN] + sorted(kept, key=lambda t: (-counts[t], t))
+        assert build_vocab(corpus, min_count=min_count).token_list() == expected
 
     def test_deterministic_across_runs(self):
         corpus = make_corpus("d", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,8 +81,9 @@ class TestSiameseLoss:
 
 
 def reference_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-    """Straight-line per-array Adam, one whole-array operation at a time, in
-    the order the blocked optimizer_step must keep."""
+    """Adam as Kingma & Ba's Algorithm 1 writes it, on the batch-mean
+    gradient ``g``: bias-corrected moments, then the step, one whole-array
+    operation at a time."""
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     m *= b1
@@ -98,6 +100,35 @@ def reference_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     tmp += eps
     step /= tmp
     p -= step
+
+
+def folded_adam_step(p, g, m, v, t, lr, batch_size=1, b1=0.9, b2=0.999, eps=1e-8):
+    """Straight-line per-array Adam in the folded form, on the summed
+    gradient ``g`` of ``batch_size`` items, one whole-array operation at a
+    time in the order the blocked optimizer_step must keep."""
+    r2 = math.sqrt(1.0 - b2**t)
+    step_size = lr * r2 / (1.0 - b1**t)
+    eps_hat = eps * r2
+    m *= b1
+    tmp = np.multiply((1.0 - b1) / batch_size, g)
+    m += tmp
+    v *= b2
+    np.multiply(g, g, out=tmp)
+    tmp *= (1.0 - b2) / (batch_size * batch_size)
+    v += tmp
+    np.sqrt(v, out=tmp)
+    tmp += eps_hat
+    np.divide(m, tmp, out=tmp)
+    tmp *= step_size
+    p -= tmp
+
+
+def drawn_gradients(rng, params):
+    """Gradients at a drawn scale in 1e-6..1e2, with 30% of "big"'s rows zero
+    (rows no item of the batch touched)."""
+    drawn = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3) for k, p in params.items()}
+    drawn["big"][rng.random(len(drawn["big"])) < 0.3] = 0.0
+    return drawn
 
 
 class TestAdam:
@@ -151,23 +182,49 @@ class TestAdam:
         ref_m = {k: np.zeros_like(p) for k, p in params.items()}
         ref_v = {k: np.zeros_like(p) for k, p in params.items()}
         state = OptimizerState.for_params(params)
+        kwargs = {} if batch_size is None else {"batch_size": batch_size}
         for t in range(1, 26):
-            drawn = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
-                     for k, p in params.items()}
-            drawn["big"][rng.random(n // 16) < 0.3] = 0.0  # rows no item touched
+            drawn = drawn_gradients(rng, params)
             for k, g in grads.items():
                 g[...] = drawn[k]
-            kwargs = {} if batch_size is None else {"batch_size": batch_size}
             optimizer_step(params, grads, state, 1e-2, **kwargs)
             for k, p in params.items():
-                g = drawn[k].copy()
-                if batch_size is not None:
-                    g *= 1.0 / batch_size
-                reference_adam_step(ref[k], g, ref_m[k], ref_v[k], t, 1e-2)
+                folded_adam_step(ref[k], drawn[k], ref_m[k], ref_v[k], t, 1e-2, **kwargs)
                 assert p.tobytes() == ref[k].tobytes(), (t, k)
                 assert state.m[k].tobytes() == ref_m[k].tobytes(), (t, k)
                 assert state.v[k].tobytes() == ref_v[k].tobytes(), (t, k)
                 assert not grads[k].any()
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 32])
+    def test_folded_step_matches_algorithm_one_within_tolerance(self, batch_size):
+        rng = np.random.default_rng(batch_size)
+        params = {"big": rng.normal(size=(512, 16)), "small": rng.normal(size=5)}
+        ref = {k: p.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros_like(p) for k, p in params.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in params.items()}
+        state = OptimizerState.for_params(params)
+        for t in range(1, 26):
+            drawn = drawn_gradients(rng, params)
+            optimizer_step(params, {k: g.copy() for k, g in drawn.items()}, state, 1e-2,
+                           batch_size=batch_size)
+            for k, p in params.items():
+                reference_adam_step(ref[k], drawn[k] / batch_size, ref_m[k], ref_v[k], t, 1e-2)
+                np.testing.assert_allclose(p, ref[k], rtol=0, atol=1e-14)
+                for ours, theirs in ((state.m[k], ref_m[k]), (state.v[k], ref_v[k])):
+                    scale = np.abs(theirs).max()
+                    np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-14 * scale)
+
+    def test_step_allocates_nothing(self):
+        params = {"w": np.random.default_rng(0).normal(size=3 * ADAM_BLOCK)}
+        grads = {"w": np.ones_like(params["w"])}
+        state = OptimizerState.for_params(params)
+        tracemalloc.start()
+        try:
+            optimizer_step(params, grads, state, 1e-3, batch_size=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ADAM_BLOCK * 8 // 4, peak  # a quarter of one block
 
     def test_non_contiguous_parameter_is_rejected(self):
         params = {"w": np.zeros((3, 4)).T}
