@@ -307,23 +307,21 @@ def _check_pair_flags(args) -> None:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
 
 
-def _pairs_per_dataset(corpora, pairs, pairs_per_dataset) -> int:
+def _pairs_per_dataset(n_sets: int, pairs, pairs_per_dataset) -> int:
     if pairs_per_dataset is not None:
         return pairs_per_dataset
     if pairs is not None:
-        if len(corpora) > 1 and pairs % len(corpora) != 0:
-            raise ConfigError(
-                f"total pair count {pairs} does not split evenly over {len(corpora)} datasets"
-            )
-        return pairs // len(corpora)
-    return DEFAULT_SIAMESE_PAIRS if len(corpora) == 1 else DEFAULT_ALL_PAIRS_PER_DATASET
+        if pairs % n_sets != 0:
+            raise ConfigError(f"total pair count {pairs} does not split evenly over {n_sets} datasets")
+        return pairs // n_sets
+    return DEFAULT_SIAMESE_PAIRS if n_sets == 1 else DEFAULT_ALL_PAIRS_PER_DATASET
 
 
 def cmd_gen_pairs(args) -> None:
     _check_fraction(args.same_fraction, "--same-fraction")
     _check_pair_flags(args)
+    per = _pairs_per_dataset(len(args.train), args.pairs, args.pairs_per_dataset)
     corpora = _load_corpora(args.train, format=_corpus_format(args))
-    per = _pairs_per_dataset(corpora, args.pairs, args.pairs_per_dataset)
     quotas = {c.dataset_id: per for c in corpora}
     spec = EpisodeSpec(quotas=quotas, same_fraction=args.same_fraction, seed=args.seed)
     pairs = generate_episodes(corpora, spec)
@@ -331,21 +329,30 @@ def cmd_gen_pairs(args) -> None:
     _log(f"wrote {len(pairs)} pairs ({len(quotas)} dataset(s)) to {args.out}")
 
 
-def _load_vector_tables(paths) -> list[VectorTable]:
-    """Load vector files that must all share one dimension."""
-    tables = [load_vectors(p) for p in paths]
-    dims = {t.dim for t in tables}
+def _vector_tables(corpora, paths) -> list[VectorTable]:
+    """corpora[i]'s vector table, read from paths[i]. Each distinct file is
+    parsed once, all must share one width, and every example of corpora[i]
+    must have a vector in its table."""
+    loaded = {p: load_vectors(p) for p in dict.fromkeys(paths)}
+    dims = {t.dim for t in loaded.values()}
     if len(dims) > 1:
         raise CorpusError(f"vector files disagree on dimension: {sorted(dims)}")
-    return tables
-
-
-def _check_vectors(corpora, tables, paths) -> None:
-    """Every example of corpora[i] has a vector in tables[i], read from paths[i]."""
-    for corpus, table, path in zip(corpora, tables, paths):
+    for corpus, path in zip(corpora, paths):
         for ex in corpus.examples:
-            if ex.id not in table:
+            if ex.id not in loaded[path]:
                 raise CorpusError(f"{path}: no vector for example id '{ex.id}'")
+    return [loaded[p] for p in paths]
+
+
+def _encoder_and_vocab(enc: dict, tables, corpora, vocab_path=None):
+    """A run's (config, vocab) from its "encoder" section: frozen over the
+    tables' width when there are tables, else trainable over the vocabulary
+    at ``vocab_path`` or one built from ``corpora``."""
+    if tables:
+        return _encoder_config(**enc, d_in=tables[0].dim), None
+    if vocab_path:
+        return _encoder_config(**enc), load_vocab(vocab_path)
+    return _encoder_config(**enc), build_vocab(corpora, min_count=enc["min_count"])
 
 
 def _base_params(config: EncoderConfig, vocab, seed: int) -> EncoderParams:
@@ -416,31 +423,23 @@ def cmd_train(args) -> None:
     NaiveConfig(**cfg["naive"])
     SiameseConfig(**cfg["siamese"])
     _encoder_config(**enc, d_in=1)  # the vector files set d_in later
+    if args.vectors and len(args.vectors) != len(args.train):
+        raise ConfigError("need one --vectors file per train set")
+    if mode != "NAIVE" and not args.pairs_in:
+        per = _pairs_per_dataset(len(args.train), args.pairs, args.pairs_per_dataset)
+        cfg["episodes"].update(siamese_pairs=per, all_pairs_per_dataset=per)
     if mode == "ALL" and len(args.train) == 1:
         _log("note: ALL with a single train set is equivalent to SIAMESE")
 
     corpora = _load_corpora(args.train)
-    vocab = tables = None
-    if args.vectors:
-        if len(args.vectors) != len(corpora):
-            raise ConfigError("need one --vectors file per train set")
-        loaded = _load_vector_tables(args.vectors)
-        _check_vectors(corpora, loaded, args.vectors)
-        tables = {c.dataset_id: t for c, t in zip(corpora, loaded)}
-        config = _encoder_config(**enc, d_in=loaded[0].dim)
-    else:
-        config = _encoder_config(**enc)
-        vocab = load_vocab(args.vocab) if args.vocab else build_vocab(corpora, min_count=args.min_count)
-    input_fn = make_input_fn(config, vocab=vocab, vectors=tables)
+    tables = _vector_tables(corpora, args.vectors or [])
+    config, vocab = _encoder_and_vocab(enc, tables, corpora, args.vocab)
+    input_fn = make_input_fn(config, vocab, {c.dataset_id: t for c, t in zip(corpora, tables)})
     params = _base_params(config, vocab, args.seed)
 
     pairs = None
-    if mode != "NAIVE":
-        if args.pairs_in:
-            pairs = load_pairs(args.pairs_in, corpora)
-        else:
-            per = _pairs_per_dataset(corpora, args.pairs, args.pairs_per_dataset)
-            cfg["episodes"].update(siamese_pairs=per, all_pairs_per_dataset=per)
+    if mode != "NAIVE" and args.pairs_in:
+        pairs = load_pairs(args.pairs_in, corpora)
     params, report = train_variant(mode, params, config, corpora, input_fn, cfg, args.seed, pairs)
 
     save_model(args.out, config, params, vocab, storage=args.format)
@@ -456,25 +455,12 @@ def _write_loss_curve(path, report) -> None:
             f.write(f"{epoch}\t{loss:.9g}\n")
 
 
-def _eval_tables(args, tests) -> list:
-    """Each test set's vector table, or None for each without --vectors."""
-    if not args.vectors:
-        return [None] * len(tests)
-    if len(args.vectors) not in (1, len(tests)):
-        raise ConfigError("--vectors must appear once or once per test set")
-    # One file may serve every test set.
-    n = len(tests) if len(args.vectors) == 1 else 1
-    tables = _load_vector_tables(args.vectors) * n
-    _check_vectors(tests, tables, args.vectors * n)
-    return tables
-
-
-def _evaluate(models, tests, input_fns, spec: EvalSpec) -> list:
+def _evaluate(models, tests, input_fn, spec: EvalSpec) -> list:
     """One report row per (model, test set), model-major. ``models`` holds
-    (name, config, params) triples and ``input_fns[i]`` prepares tests[i]'s
+    (name, config, params) triples and ``input_fn`` prepares a test set's
     inputs, which are prepared once and shared by every model."""
     rows = [[] for _ in models]
-    for test, input_fn in zip(tests, input_fns):
+    for test in tests:
         inputs = input_fn(test.examples)
         for model_rows, (name, config, params) in zip(rows, models):
             result = delta_cosine_distance(make_embedder(config, params, inputs), test, spec)
@@ -507,8 +493,13 @@ def cmd_eval(args) -> None:
         raise ConfigError("--orig needs --vectors with the test-set embeddings")
     else:
         _orig_config(args, 1)  # the vector files set d_in later
+    paths = args.vectors or []
+    if len(paths) == 1:
+        paths = paths * len(args.test)  # one file may serve every test set
+    if paths and len(paths) != len(args.test):
+        raise ConfigError("--vectors must appear once or once per test set")
     tests = _load_corpora(args.test)
-    tables = _eval_tables(args, tests)
+    tables = _vector_tables(tests, paths)
 
     if args.model:
         name = args.model_name or Path(args.model).stem
@@ -521,8 +512,8 @@ def cmd_eval(args) -> None:
         vocab = None
         name = args.model_name or "ORIG"
 
-    input_fns = [make_input_fn(config, vocab, table) for table in tables]
-    emit_report(_evaluate([(name, config, params)], tests, input_fns, spec), args.out)
+    input_fn = make_input_fn(config, vocab, {t.dataset_id: table for t, table in zip(tests, tables)})
+    emit_report(_evaluate([(name, config, params)], tests, input_fn, spec), args.out)
     _log(f"report written to {args.out}")
 
 
@@ -562,22 +553,11 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
 
     train_corpora = _load_corpora(cfg["train_sets"])
     test_corpora = _load_corpora(cfg["test_sets"])
-
-    vocab = train_tables = None
-    test_tables = [None] * len(test_corpora)
-    if enc["mode"] == TRAINABLE:
-        config = _encoder_config(**enc)
-        vocab = build_vocab(train_corpora or test_corpora, min_count=enc["min_count"])
-    else:
-        paths = cfg["train_vectors"] + cfg["test_vectors"]
-        tables = _load_vector_tables(paths)
-        _check_vectors(train_corpora + test_corpora, tables, paths)
-        train_tables = {c.dataset_id: t for c, t in zip(train_corpora, tables)}
-        test_tables = tables[len(train_corpora):]
-        config = _encoder_config(**enc, d_in=tables[0].dim)
-
+    paths = cfg["train_vectors"] + cfg["test_vectors"] if enc["mode"] == FROZEN_PROJECTION else []
+    tables = _vector_tables(train_corpora + test_corpora, paths)
+    config, vocab = _encoder_and_vocab(enc, tables, train_corpora or test_corpora)
     base_params = _base_params(config, vocab, seed)
-    input_fn = make_input_fn(config, vocab=vocab, vectors=train_tables)
+    input_fn = make_input_fn(config, vocab, {c.dataset_id: t for c, t in zip(train_corpora, tables)})
 
     trained = []
     for model in cfg["models"]:
@@ -598,8 +578,9 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
             _write_loss_curve(out_dir / f"{model}.losses.tsv", report)
 
     eval_spec = EvalSpec(seed=seed + SEED_EVAL, **cfg["eval"])
-    input_fns = [make_input_fn(config, vocab, table) for table in test_tables]
-    rows = _evaluate(trained, test_corpora, input_fns, eval_spec)
+    test_tables = tables[len(train_corpora):]
+    test_fn = make_input_fn(config, vocab, {c.dataset_id: t for c, t in zip(test_corpora, test_tables)})
+    rows = _evaluate(trained, test_corpora, test_fn, eval_spec)
 
     emit_report(rows, out_dir / "consolidated.tsv")
     metadata = {

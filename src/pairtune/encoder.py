@@ -14,11 +14,10 @@ Forward pass for pooled input ``m``::
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -195,18 +194,17 @@ def _param_layout(config: EncoderConfig, vocab_size: int | None = None) -> list:
     ]
 
 
-@dataclass
 class EncoderParams:
     """All trainable parameters of one encoder: the single set shared by both
     Siamese branches, and also the naive trainer's classification head.
 
     ``E`` is the token embedding table (trainable mode only, None otherwise).
     The present arrays are C-contiguous views into one float64 vector,
-    ``flat``, laid out in field order, so an optimizer step, a gradient
-    reset or a finiteness check is one pass over one vector. ``zeros``
-    lays a set out by ``_param_layout``; construction copies the given
-    arrays into a new ``flat``. Assign into a field (``params.W1[...] = ...``),
-    never rebind it. A gradient accumulator is made by ``zeros_like``.
+    ``flat``, laid out by ``_param_layout``, so an optimizer step, a gradient
+    reset or a finiteness check is one pass over one vector. ``zeros`` builds
+    a set from its config; ``copy`` and ``zeros_like`` reuse a set's layout.
+    Assign into an array (``params.W1[...] = ...``), never rebind it. A
+    gradient accumulator is made by ``zeros_like``.
     """
 
     E: np.ndarray | None
@@ -215,44 +213,31 @@ class EncoderParams:
     W2: np.ndarray
     b2: np.ndarray
 
-    def __post_init__(self):
-        arrays = self.as_dict()
-        self._bind(np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64),
-                   [(name, np.shape(a)) for name, a in arrays.items()])
-
-    @classmethod
-    def zeros(cls, config: EncoderConfig, vocab_size: int | None = None) -> "EncoderParams":
-        """A zeroed set laid out by ``_param_layout(config, vocab_size)``."""
-        layout = _param_layout(config, vocab_size)
-        params = cls.__new__(cls)
-        params.E = None
-        params._bind(np.zeros(sum(math.prod(shape) for _, shape in layout)), layout)
-        return params
-
-    def _bind(self, flat: np.ndarray, layout) -> None:
+    def __init__(self, layout, flat: np.ndarray) -> None:
         """Make ``flat`` this set's vector and each (name, shape) of ``layout``
         a view into it, in order."""
-        self.flat = flat
+        self.layout, self.flat, self.E = layout, flat, None
         lo = 0
         for name, shape in layout:
             hi = lo + math.prod(shape)
             setattr(self, name, flat[lo:hi].reshape(shape))
             lo = hi
 
-    def _with_flat(self, flat: np.ndarray) -> "EncoderParams":
-        params = copy.copy(self)
-        params._bind(flat, [(name, a.shape) for name, a in self.as_dict().items()])
-        return params
+    @classmethod
+    def zeros(cls, config: EncoderConfig, vocab_size: int | None = None) -> "EncoderParams":
+        """A zeroed set laid out by ``_param_layout(config, vocab_size)``."""
+        layout = _param_layout(config, vocab_size)
+        return cls(layout, np.zeros(sum(math.prod(shape) for _, shape in layout)))
 
     def as_dict(self) -> dict[str, np.ndarray]:
-        """Live references to the present arrays, keyed by name."""
-        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
+        """Live references to the present arrays, keyed by name, in layout order."""
+        return {name: getattr(self, name) for name, _ in self.layout}
 
     def copy(self) -> "EncoderParams":
-        return self._with_flat(self.flat.copy())
+        return EncoderParams(self.layout, self.flat.copy())
 
     def zeros_like(self) -> "EncoderParams":
-        return self._with_flat(np.zeros_like(self.flat))
+        return EncoderParams(self.layout, np.zeros_like(self.flat))
 
 
 def init_encoder_params(

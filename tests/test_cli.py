@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pairtune
+import pairtune.cli
 import pairtune.corpus
 import pairtune.encoder
 from pairtune.cli import (
@@ -263,9 +264,15 @@ class TestTrainCommand:
         (("train", "--mode", "NAIVE", "--hidden-dim", 0), "invalid value: ", "hidden_dim"),
         (("train", "--mode", "SIAMESE", "--min-count", 0), "invalid value: ", "min_count"),
         (("build-vocab", "--min-count", 0), "invalid value: ", "min_count"),
+        (("gen-pairs", "--train", "missing2.jsonl", "--pairs", 101), "config error: ", "split"),
+        (("train", "--mode", "ALL", "--train", "missing2.jsonl", "--pairs", 101),
+         "config error: ", "split"),
+        (("train", "--mode", "SIAMESE", "--vectors", "a.vec", "--vectors", "b.vec"),
+         "config error: ", "--vectors"),
     ], ids=["gen-pairs-pairs", "gen-pairs-per-dataset", "train-pairs", "train-learning-rate",
             "train-d-out", "train-frozen-hidden-width", "train-hidden-dim", "train-min-count",
-            "build-vocab-min-count"])
+            "build-vocab-min-count", "gen-pairs-uneven-pairs", "train-uneven-pairs",
+            "train-vectors-count"])
     def test_bad_numeric_flag_is_usage_error(self, tmp_path, capsys, argv, prefix, word):
         # The train set does not exist: the flag must fail before any file is read.
         out = tmp_path / "out"
@@ -392,6 +399,35 @@ class TestEvalCommand:
         assert rows[0]["model"] == "ORIG"
         assert rows[0]["delta"] == 0.0
 
+    def test_one_vector_file_serves_every_test_set(self, tmp_path, monkeypatch):
+        tests = [gen_corpus(tmp_path / f"t{i}.jsonl", classes=3, per_class=8, seed=i) for i in (1, 2)]
+        ids = [[ex.id for ex in load_corpus(test).examples] for test in tests]
+        rng = np.random.default_rng(0)
+        entries = {i: rng.normal(size=4) for i in dict.fromkeys(ids[0] + ids[1])}
+        shared = tmp_path / "shared.vec"
+        write_vectors(VectorTable(dim=4, entries=entries), shared)
+        per_set = []
+        for test, test_ids in zip(tests, ids):
+            path = test.with_suffix(".vec")
+            write_vectors(VectorTable(dim=4, entries={i: entries[i] for i in test_ids}), path)
+            per_set += ["--test", test, "--vectors", path]
+        loads = []
+        load_vectors = pairtune.cli.load_vectors
+
+        def counting_load_vectors(path):
+            loads.append(path)
+            return load_vectors(path)
+
+        monkeypatch.setattr(pairtune.cli, "load_vectors", counting_load_vectors)
+        argv = ("eval", "--orig", "--n-pairs", 100, "--seed", 4)
+        one, many = tmp_path / "one.tsv", tmp_path / "many.tsv"
+        assert run(*argv, "--test", tests[0], "--test", tests[1], "--vectors", shared,
+                   "--out", one) == EXIT_OK
+        assert loads == [str(shared)]
+        assert run(*argv, *per_set, "--out", many) == EXIT_OK
+        assert len(parse_report(one)) == 2
+        assert one.read_bytes() == many.read_bytes()
+
     def test_orig_without_vectors_is_usage_error(self, tmp_path):
         test = gen_corpus(tmp_path / "t.jsonl")
         assert run("eval", "--orig", "--test", test,
@@ -405,8 +441,9 @@ class TestEvalCommand:
         (("--d-out", 0), "invalid value: ", "d_out"),
         (("--model-name", "a\tb"), "config error: ", "--model-name"),
         (("--model-name", "a\nb"), "config error: ", "--model-name"),
+        (("--vectors", "missing2.vec"), "config error: ", "--vectors"),
     ], ids=["same-fraction-0", "same-fraction-1.5", "n-pairs-1", "hidden-width-0", "d-out-0",
-            "model-name-tab", "model-name-newline"])
+            "model-name-tab", "model-name-newline", "vectors-count"])
     def test_bad_flag_fails_before_any_file_is_read(self, tmp_path, capsys, argv, prefix, word):
         out = tmp_path / "r.tsv"
         capsys.readouterr()
@@ -749,8 +786,17 @@ class TestExperimentCommand:
         assert "failed" in marker.read_text()
 
 
-def test_train_command_matches_experiment_variants(tmp_path):
+@pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+def test_train_command_matches_experiment_variants(tmp_path, frozen):
     config, cfg = experiment_config(tmp_path, seed=7, models=["NAIVE", "SIAMESE", "ALL"])
+    vectors = []
+    if frozen:
+        paths = cfg["train_sets"] + cfg["test_sets"]
+        vec = [str(vector_file(Path(p).with_suffix(".vec"), p)) for p in paths]
+        cfg.update(encoder={"mode": "frozen-projection", "h": 16, "d_out": 8},
+                   train_vectors=vec[:1], test_vectors=vec[1:])
+        config.write_text(json.dumps(cfg))
+        vectors = ["--vectors", vec[0]]
     assert run("experiment", "--config", config) == EXIT_OK
     run_dir = tmp_path / "run"
     quota_flags = {
@@ -760,7 +806,7 @@ def test_train_command_matches_experiment_variants(tmp_path):
     }
     for mode, extra in quota_flags.items():
         model, curve = tmp_path / f"{mode}.ptm", tmp_path / f"{mode}.losses.tsv"
-        assert run("train", "--mode", mode, "--train", cfg["train_sets"][0],
+        assert run("train", "--mode", mode, "--train", cfg["train_sets"][0], *vectors,
                    "--d-tok", 8, "--hidden-width", 16, "--d-out", 8, "--epochs", 2,
                    "--seed", 7, *extra, "--out", model, "--loss-curve", curve) == EXIT_OK
         assert model.read_bytes() == (run_dir / model.name).read_bytes(), mode
