@@ -365,6 +365,17 @@ def project_backward(
     return dA
 
 
+def _pool(params: EncoderParams, config: EncoderConfig, batch: InputTable):
+    """The batch's pooled inputs M and, in trainable mode, its tokens per
+    example (None in frozen mode)."""
+    if config.mode == TRAINABLE:
+        lengths = np.diff(batch.offsets)
+        M = np.add.reduceat(params.E[batch.tokens], batch.offsets[:-1], axis=0)
+        M /= lengths[:, None]
+        return M, lengths
+    return np.concatenate(batch.vectors, dtype=np.float64).reshape(len(batch), config.d_in), None
+
+
 def encode_batch(
     params: EncoderParams, config: EncoderConfig, batch: InputTable
 ) -> tuple[np.ndarray, BatchForward]:
@@ -374,13 +385,7 @@ def encode_batch(
     ``np.add.reduceat`` over the flat token indices; frozen mode stacks the
     rows' vectors. ``project`` then runs over the pooled batch.
     """
-    lengths = None
-    if config.mode == TRAINABLE:
-        lengths = np.diff(batch.offsets)
-        M = np.add.reduceat(params.E[batch.tokens], batch.offsets[:-1], axis=0)
-        M /= lengths[:, None]
-    else:
-        M = np.concatenate(batch.vectors, dtype=np.float64).reshape(len(batch), config.d_in)
+    M, lengths = _pool(params, config, batch)
     Z, fwd = project(params, M)
     fwd.tokens, fwd.lengths = batch.tokens, lengths
     return Z, fwd
@@ -488,22 +493,76 @@ def make_input_fn(
     return lambda examples: input_table(config, [vector_of(ex) for ex in examples])
 
 
-# Examples per encode_batch call. 128 raised frozen 512-d peak RSS by ~2 MiB.
+# Examples gathered, pooled and projected per step of make_embedder. With
+# d_out-wide rows, 128 raised frozen 512-d peak RSS by ~2 MiB.
 EMBED_CHUNK = 64
 
 
+def _gram_root(G: np.ndarray) -> np.ndarray:
+    """An R with R.T @ R == G to rounding, for a symmetric positive
+    semidefinite G: Cholesky with diagonal pivoting, one row of R per step.
+    It stops once no pivot left exceeds n * eps * max(diag(G)) and leaves the
+    remaining rows zero, so a rank-deficient G factors too. A non-finite G
+    gives a NaN R."""
+    n = len(G)
+    tol = n * np.finfo(np.float64).eps * G.diagonal().max()
+    if not math.isfinite(tol):
+        return np.full_like(G, np.nan)
+    S, R = G.copy(), np.zeros_like(G)
+    for k in range(n):
+        p = int(np.argmax(S.diagonal()))
+        if not S[p, p] > tol:
+            break
+        R[k] = S[p] / math.sqrt(S[p, p])
+        S -= np.outer(R[k], R[k])
+        # Zero in exact arithmetic; cleared so that rounding cannot pick p again.
+        S[p] = S[:, p] = 0.0
+    return R
+
+
+def _eval_head(config: EncoderConfig, params: EncoderParams) -> EncoderParams:
+    """``params`` when d_out <= h + 1. Otherwise a head of width h + 1: W1
+    and b1 copied, W2 = R[:, :h] and b2 = R[:, h], where R.T @ R is the Gram
+    matrix of [W2 | b2]."""
+    h = config.h
+    if config.d_out <= h + 1:
+        return params
+    G = np.empty((h + 1, h + 1))
+    G[:h, :h] = params.W2.T @ params.W2
+    G[h, :h] = G[:h, h] = params.b2 @ params.W2
+    G[h, h] = params.b2 @ params.b2
+    R = _gram_root(G)
+    head = EncoderParams.zeros(
+        EncoderConfig(mode=FROZEN_PROJECTION, d_in=config.d_in_eff, h=h, d_out=h + 1)
+    )
+    head.W1[...], head.b1[...] = params.W1, params.b1
+    head.W2[...], head.b2[...] = R[:, :h], R[:, h]
+    return head
+
+
 def make_embedder(config: EncoderConfig, params: EncoderParams, inputs: InputTable):
-    """Return ``embed(rows)``, the (len(rows), d_out) matrix whose row k
-    embeds row rows[k] of ``inputs``, as made by ``make_input_fn``. The
-    rows are gathered and embedded EMBED_CHUNK per ``encode_batch`` call."""
+    """Return ``embed(rows)``, the matrix whose row k embeds row rows[k] of
+    ``inputs``, as made by ``make_input_fn``, in an orthonormal basis of
+    the span of the last layer's [W2 | b2]. Rows are min(d_out, h + 1)
+    wide and keep every norm and inner product of the d_out-wide
+    embeddings.
+
+    Each embedding is z = [W2 | b2] @ [a; 1] for the hidden activations a.
+    Factor [W2 | b2] = Q @ R with Q's h + 1 columns orthonormal; then
+    z = Q @ y for y = R @ [a; 1], and z_i . z_j = y_i . y_j. R comes from
+    ``_gram_root`` of the (h + 1)-square Gram matrix, so Q is never formed.
+    When d_out <= h + 1 the rows are ``encode_batch``'s, bit for bit. The
+    rows are gathered, pooled and projected EMBED_CHUNK at a time.
+    """
+    head = _eval_head(config, params)
 
     def embed(rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
-        Z = np.empty((len(rows), config.d_out))
+        Y = np.empty((len(rows), head.W2.shape[0]))
         for lo in range(0, len(rows), EMBED_CHUNK):
             chunk = rows[lo : lo + EMBED_CHUNK]
-            Z[lo : lo + len(chunk)] = encode_batch(params, config, inputs.take(chunk))[0]
-        return Z
+            Y[lo : lo + len(chunk)] = project(head, _pool(params, config, inputs.take(chunk))[0])[0]
+        return Y
 
     return embed
 

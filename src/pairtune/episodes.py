@@ -134,7 +134,7 @@ def write_pairs(pairs: PairSet, path) -> None:
     """Dump pairs as "<dataset>\\t<id_a>\\t<id_b>\\t<target>" lines. The ids are
     checked by ``check_field`` before anything is written."""
     examples = pairs.examples
-    for k in np.unique(np.concatenate([pairs.a, pairs.b])):
+    for k in pairs.referenced():
         check_field(examples[k].dataset_id, "dataset id")
         check_field(examples[k].id)
     with atomic_write(path, encoding="utf-8") as f:

@@ -47,7 +47,8 @@ class DeltaReport:
 
 EPSILON_NORM = 1e-12
 
-# Pairs scored per step, so the two gathered (PAIR_CHUNK, d_out) blocks stay small.
+# Pairs scored per step, so the two gathered (PAIR_CHUNK, width) row blocks stay
+# small: 65 KiB each for make_embedder's h + 1 = 65-wide rows at h 64.
 PAIR_CHUNK = 128
 
 
@@ -67,7 +68,9 @@ def delta_cosine_distance(embed, test_corpus: Corpus, spec: EvalSpec) -> DeltaRe
 
     ``embed(rows)``, as made by ``make_embedder``, runs once over the
     indices into ``test_corpus.examples`` of the distinct examples the pairs
-    reference and returns one embedding per index. Pairs score by
+    reference and returns one embedding per index. The rows may be of any
+    width that keeps the embeddings' norms and inner products, as
+    ``make_embedder``'s narrowed rows do. Pairs score by
     ``cosine_distance``'s formula. Deterministic given the seed.
     """
     pairs = generate_episodes(

@@ -27,6 +27,7 @@ from pairtune.cli import (
 )
 from pairtune.corpus import Corpus, VectorTable, load_corpus, write_corpus, write_vectors
 from pairtune.encoder import (
+    FROZEN_PROJECTION,
     TRAINABLE,
     EncoderConfig,
     build_vocab,
@@ -597,20 +598,29 @@ def test_model_bytes_do_not_depend_on_blas_thread_count(tmp_path):
 
 
 def test_eval_report_does_not_depend_on_blas_thread_count(tmp_path):
-    # Eval embeds in 64-row chunks, so at 16/64/512 each chunk's projection
-    # (64 x 64 x 512) is large enough for OpenBLAS to split across threads.
+    # Eval embeds in 64-row chunks. With d_out above h + 1 its rows are h + 1
+    # wide, so at 16/64/512 the last layer's product is only 64 x 64 x 65;
+    # the frozen 512/64/512 model's first layer (64 x 512 x 64) is large
+    # enough for OpenBLAS to split across threads.
     corpus = gen_corpus(tmp_path / "c.jsonl", classes=4, per_class=100)
+    loaded = load_corpus(corpus)
     config = EncoderConfig(mode=TRAINABLE, d_tok=16, h=64, d_out=512)
-    vocab = build_vocab(load_corpus(corpus))
-    model = tmp_path / "m.ptm"
-    save_model(model, config, init_encoder_params(config, vocab_size=vocab.size, seed=2), vocab)
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"r{threads}.tsv"
-        run_with_blas_threads(threads, "eval", "--model", model, "--test", corpus,
-                              "--n-pairs", 3000, "--seed", 4, "--out", out)
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    vocab = build_vocab(loaded)
+    params = init_encoder_params(config, vocab_size=vocab.size, seed=2)
+    save_model(tmp_path / "m.ptm", config, params, vocab)
+    frozen = EncoderConfig(mode=FROZEN_PROJECTION, d_in=512, h=64, d_out=512)
+    save_model(tmp_path / "f.ptm", frozen, init_encoder_params(frozen, seed=2))
+    rng = np.random.default_rng(3)
+    entries = {ex.id: rng.normal(size=512) for ex in loaded.examples}
+    write_vectors(VectorTable(dim=512, entries=entries), tmp_path / "f.vec")
+    for name, extra in (("m", []), ("f", ["--vectors", tmp_path / "f.vec"])):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}{threads}.tsv"
+            run_with_blas_threads(threads, "eval", "--model", tmp_path / f"{name}.ptm", *extra,
+                                  "--test", corpus, "--n-pairs", 3000, "--seed", 4, "--out", out)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], name
 
 
 def experiment_config(tmp_path, **overrides):

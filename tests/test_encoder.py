@@ -527,13 +527,18 @@ class TestMakeInputFn:
 
 
 class TestEmbedder:
-    @pytest.mark.parametrize("kind", ["trainable", "frozen", "identity-orig"])
+    @pytest.mark.parametrize(
+        "kind", ["trainable", "frozen", "identity-orig", "trainable-narrow", "frozen-narrow"]
+    )
     def test_embed_rows_equals_packed_chunks_and_per_row_encode(self, kind):
         corpus = synthetic_corpus("emb", 3, 30, n_groups=3, seed=1)
         rng = np.random.default_rng(6)
-        if kind == "trainable":
+        # A narrow kind's d_out exceeds h + 1, so eval rows are h + 1 wide.
+        narrow = kind.endswith("-narrow")
+        if kind.startswith("trainable"):
             vocab = build_vocab(corpus)
-            config, params = tiny_trainable(vocab_size=vocab.size, d_tok=4, h=6, d_out=5)
+            h, d_out = (4, 12) if narrow else (6, 5)
+            config, params = tiny_trainable(vocab_size=vocab.size, d_tok=4, h=h, d_out=d_out)
             params.E[...] = rng.normal(size=params.E.shape)
             prepare = make_input_fn(config, vocab=vocab)
             xs = [vocab.lookup(tokenize(ex.text)) for ex in corpus.examples]
@@ -542,22 +547,51 @@ class TestEmbedder:
             if kind == "identity-orig":
                 config, params = identity_projection(5)
             else:
-                config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=5, h=6, d_out=4)
+                h, d_out = (4, 12) if narrow else (6, 4)
+                config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=5, h=h, d_out=d_out)
                 params = init_encoder_params(config, seed=2)
             prepare = make_input_fn(config, vectors=table)
             xs = [table[ex.id] for ex in corpus.examples]
         # Repeated and unsorted rows spanning more than two chunks.
         rows = rng.integers(0, len(corpus), size=2 * EMBED_CHUNK + 9)
-        Z = make_embedder(config, params, prepare(corpus.examples))(rows)
-        # Bitwise: the same EMBED_CHUNK-row batches packed from per-example inputs.
-        packed = np.concatenate([
-            encode_batch(params, config, input_table(config, [xs[i] for i in chunk]))[0]
-            for chunk in np.split(rows, range(EMBED_CHUNK, len(rows), EMBED_CHUNK))
-        ])
-        assert Z.shape == packed.shape and Z.tobytes() == packed.tobytes()
-        # A one-row product may round differently from a many-row one.
-        expected = np.array([encode(params, config, xs[i]) for i in rows])
-        np.testing.assert_allclose(Z, expected, rtol=0, atol=1e-12)
+        inputs = prepare(corpus.examples)
+
+        def packed():
+            # The same EMBED_CHUNK-row batches packed from per-example inputs.
+            return np.concatenate([
+                encode_batch(params, config, input_table(config, [xs[i] for i in chunk]))[0]
+                for chunk in np.split(rows, range(EMBED_CHUNK, len(rows), EMBED_CHUNK))
+            ])
+
+        if not narrow:
+            Z, direct = make_embedder(config, params, inputs)(rows), packed()
+            assert Z.shape == direct.shape and Z.tobytes() == direct.tobytes()
+            # A one-row product may round differently from a many-row one.
+            expected = np.array([encode(params, config, xs[i]) for i in rows])
+            np.testing.assert_allclose(Z, expected, rtol=0, atol=1e-12)
+            return
+
+        def cosine_distances(Z):
+            norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", Z, Z)), 1e-12)
+            return 1.0 - (Z @ Z.T) / np.outer(norms, norms)
+
+        # Each head below changes the one before it.
+        for head in ("random b2", "b2 = 0", "two equal W2 columns", "all-zero W2"):
+            if head == "random b2":
+                params.b2[...] = rng.normal(size=config.d_out)
+            elif head == "b2 = 0":
+                params.b2[...] = 0.0
+            elif head == "two equal W2 columns":
+                params.W2[:, 1] = params.W2[:, 2]
+            else:
+                params.W2[...] = 0.0
+            Z, direct = make_embedder(config, params, inputs)(rows), packed()
+            assert Z.shape == (len(rows), config.h + 1), head
+            np.testing.assert_allclose(Z @ Z.T, direct @ direct.T, rtol=0, atol=1e-12, err_msg=head)
+            np.testing.assert_allclose(
+                cosine_distances(Z), cosine_distances(direct), rtol=0, atol=1e-12, err_msg=head
+            )
+        assert not Z.any() and (cosine_distances(Z) == 1.0).all()
 
     def test_trainable_embedder_uses_tokens(self):
         corpus = make_corpus("d", [("t1", "a b", "x"), ("t2", "c", "y")])

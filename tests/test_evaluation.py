@@ -218,11 +218,14 @@ class TestBatchedEvalMatchesReference:
     def setup_case(self, kind):
         corpus = synthetic_corpus("ref", 5, 60, n_groups=5, seed=1)
         rng = np.random.default_rng(2)
-        if kind == "trainable":
+        # A narrow kind's d_out exceeds h + 1, so eval rows are h + 1 wide.
+        if kind.startswith("trainable"):
             vocab = build_vocab(corpus)
-            config = EncoderConfig(mode=TRAINABLE, d_tok=4, h=6, d_out=5)
+            h, d_out = (3, 9) if kind == "trainable-narrow" else (6, 5)
+            config = EncoderConfig(mode=TRAINABLE, d_tok=4, h=h, d_out=d_out)
             params = init_encoder_params(config, vocab_size=vocab.size, seed=3)
             params.E[...] = rng.normal(size=params.E.shape)
+            params.b2[...] = rng.normal(size=d_out)
 
             def embed_one(ex):
                 m = params.E[vocab.lookup(tokenize(ex.text))].mean(axis=0)
@@ -235,8 +238,10 @@ class TestBatchedEvalMatchesReference:
             config, params = identity_projection(6)
             inputs = make_input_fn(config, vectors=table)(corpus.examples)
             return corpus, lambda ex: table[ex.id], make_embedder(config, params, inputs)
-        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=6, h=7, d_out=5)
+        h, d_out = (4, 11) if kind == "frozen-narrow" else (7, 5)
+        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=6, h=h, d_out=d_out)
         params = init_encoder_params(config, seed=4)
+        params.b2[...] = rng.normal(size=d_out)
 
         def embed_one(ex):
             return params.W2 @ np.maximum(params.W1 @ table[ex.id] + params.b1, 0.0) + params.b2
@@ -244,7 +249,9 @@ class TestBatchedEvalMatchesReference:
         inputs = make_input_fn(config, vectors=table)(corpus.examples)
         return corpus, embed_one, make_embedder(config, params, inputs)
 
-    @pytest.mark.parametrize("kind", ["trainable", "frozen", "identity-orig"])
+    @pytest.mark.parametrize(
+        "kind", ["trainable", "frozen", "identity-orig", "trainable-narrow", "frozen-narrow"]
+    )
     def test_report_matches_per_pair_loop(self, kind):
         corpus, embed_one, embed = self.setup_case(kind)
         spec = EvalSpec(n_pairs=333, same_fraction=0.4, seed=5)
