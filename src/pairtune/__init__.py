@@ -45,7 +45,6 @@ from .training import (
     OptimizerState,
     SiameseConfig,
     TrainingReport,
-    cosine_similarity,
     optimizer_step,
     siamese_loss,
     train_naive,

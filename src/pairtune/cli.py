@@ -408,6 +408,10 @@ def cmd_train(args) -> None:
         raise ConfigError("--vocab does not apply with --vectors, which has no vocabulary")
     if mode == "NAIVE" and args.pairs_in:
         raise ConfigError("--pairs-in does not apply to NAIVE, which trains on examples")
+    for flag, value in (("--pairs", args.pairs), ("--pairs-per-dataset", args.pairs_per_dataset)):
+        if value is not None and (mode == "NAIVE" or args.pairs_in):
+            why = "to NAIVE, which trains on examples" if mode == "NAIVE" else "with --pairs-in"
+            raise ConfigError(f"{flag} does not apply {why}, which samples no pairs")
     _check_fraction(args.same_fraction, "--same-fraction")
     _check_pair_flags(args)
     # The flags fill the same config sections an experiment reads, and
@@ -470,9 +474,11 @@ def _evaluate(models, tests, input_fn, spec: EvalSpec) -> list:
 
 
 def _orig_config(args, dim: int) -> EncoderConfig:
-    """``eval --orig``'s encoder over dim-wide vectors; --d-out defaults to dim."""
+    """``eval --orig``'s encoder over dim-wide vectors; --d-out defaults to
+    dim and --hidden-width to 64."""
     d_out = dim if args.d_out is None else args.d_out
-    return EncoderConfig(mode=FROZEN_PROJECTION, d_in=dim, h=args.hidden_width, d_out=d_out)
+    h = 64 if args.hidden_width is None else args.hidden_width
+    return EncoderConfig(mode=FROZEN_PROJECTION, d_in=dim, h=h, d_out=d_out)
 
 
 def cmd_eval(args) -> None:
@@ -484,11 +490,9 @@ def cmd_eval(args) -> None:
         except CorpusError as err:
             raise ConfigError(str(err)) from None
     if args.model:
-        config, params, vocab = load_model(args.model)
-        if config.mode == FROZEN_PROJECTION and not args.vectors:
-            raise ConfigError("a frozen-projection model needs --vectors for the test sets")
-        if config.mode == TRAINABLE and args.vectors:
-            raise ConfigError("--vectors does not apply to a trainable model, which reads text")
+        for flag, value in (("--d-out", args.d_out), ("--hidden-width", args.hidden_width)):
+            if value is not None:
+                raise ConfigError(f"{flag} applies only to --orig; the model file sets its widths")
     elif not args.vectors:
         raise ConfigError("--orig needs --vectors with the test-set embeddings")
     else:
@@ -498,6 +502,12 @@ def cmd_eval(args) -> None:
         paths = paths * len(args.test)  # one file may serve every test set
     if paths and len(paths) != len(args.test):
         raise ConfigError("--vectors must appear once or once per test set")
+    if args.model:
+        config, params, vocab = load_model(args.model)
+        if config.mode == FROZEN_PROJECTION and not args.vectors:
+            raise ConfigError("a frozen-projection model needs --vectors for the test sets")
+        if config.mode == TRAINABLE and args.vectors:
+            raise ConfigError("--vectors does not apply to a trainable model, which reads text")
     tests = _load_corpora(args.test)
     tables = _vector_tables(tests, paths)
 
@@ -678,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--same-fraction", type=float, default=0.5)
     p.add_argument("--d-out", type=int, default=None,
                    help="with --orig: project to this width instead of identity")
-    p.add_argument("--hidden-width", type=int, default=64)
+    p.add_argument("--hidden-width", type=int, default=None,
+                   help="with --orig: hidden width of the projection (default 64)")
     p.add_argument("--model-name", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

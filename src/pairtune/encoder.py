@@ -332,22 +332,26 @@ class BatchForward:
     """
 
     M: np.ndarray
-    mask: np.ndarray
     H: np.ndarray
     tokens: np.ndarray | None = None
     lengths: np.ndarray | None = None
 
 
-def project(params: EncoderParams, M: np.ndarray) -> tuple[np.ndarray, BatchForward]:
-    """The two-layer ReLU projection of every row of M, as two matrix products:
-    ``Z = relu(M @ W1.T + b1) @ W2.T + b2``."""
+def _hidden(params: EncoderParams, M: np.ndarray) -> np.ndarray:
+    """The hidden layer of every row of M: ``relu(M @ W1.T + b1)``."""
     A = M @ params.W1.T
     A += params.b1
     # np.maximum, unlike np.where(A > 0, A, 0), lets a NaN reach the loss check.
-    H = np.maximum(A, 0.0)
+    return np.maximum(A, 0.0)
+
+
+def project(params: EncoderParams, M: np.ndarray) -> tuple[np.ndarray, BatchForward]:
+    """The two-layer ReLU projection of every row of M, as two matrix products:
+    ``Z = relu(M @ W1.T + b1) @ W2.T + b2``."""
+    H = _hidden(params, M)
     Z = H @ params.W2.T
     Z += params.b2
-    return Z, BatchForward(M=M, mask=A > 0.0, H=H)
+    return Z, BatchForward(M=M, H=H)
 
 
 def project_backward(
@@ -359,7 +363,8 @@ def project_backward(
     grad.W2 += dZ.T @ fwd.H
     grad.b2 += dZ.sum(axis=0)
     dA = dZ @ params.W2
-    dA *= fwd.mask
+    # H > 0 exactly where the pre-activation A > 0, NaN and -0.0 included.
+    dA *= fwd.H > 0.0
     grad.W1 += dA.T @ fwd.M
     grad.b1 += dA.sum(axis=0)
     return dA
@@ -391,12 +396,9 @@ def encode_batch(
     return Z, fwd
 
 
+# Kept because benchmarks/child.py's traced run wraps it by name.
 def encode(params: EncoderParams, config: EncoderConfig, x) -> np.ndarray:
-    """Embed one input (token indices or a fixed vector) into d_out dimensions.
-
-    The batch-of-one case of ``encode_batch``. Pure function of (params, x):
-    identical inputs give bit-identical output.
-    """
+    """Embed one input (token indices or a fixed vector): ``encode_batch`` on one row."""
     return encode_batch(params, config, input_table(config, [x]))[0][0]
 
 
@@ -428,6 +430,7 @@ def encode_batch_backward(
     return grad
 
 
+# Kept because benchmarks/child.py's traced run wraps it by name.
 def encode_backward(
     params: EncoderParams,
     config: EncoderConfig,
@@ -435,11 +438,8 @@ def encode_backward(
     upstream: np.ndarray,
     grad: EncoderParams,
 ) -> EncoderParams:
-    """Accumulate d(upstream . z)/d(theta) into ``grad`` for input ``x``.
-
-    The batch-of-one case of ``encode_batch_backward``, kept as its checked
-    reference.
-    """
+    """Accumulate d(upstream . z)/d(theta) into ``grad`` for input ``x``:
+    ``encode_batch_backward`` on one row."""
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (config.d_out,):
         raise ValueError(f"upstream gradient must have shape ({config.d_out},)")
@@ -520,24 +520,19 @@ def _gram_root(G: np.ndarray) -> np.ndarray:
     return R
 
 
-def _eval_head(config: EncoderConfig, params: EncoderParams) -> EncoderParams:
-    """``params`` when d_out <= h + 1. Otherwise a head of width h + 1: W1
-    and b1 copied, W2 = R[:, :h] and b2 = R[:, h], where R.T @ R is the Gram
-    matrix of [W2 | b2]."""
+def _eval_head(config: EncoderConfig, params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """The output layer that eval applies to the hidden activations:
+    ``(W2, b2)`` when d_out <= h + 1, else ``(R[:, :h], R[:, h])``, where
+    R.T @ R is the Gram matrix of [W2 | b2]."""
     h = config.h
     if config.d_out <= h + 1:
-        return params
+        return params.W2, params.b2
     G = np.empty((h + 1, h + 1))
     G[:h, :h] = params.W2.T @ params.W2
     G[h, :h] = G[:h, h] = params.b2 @ params.W2
     G[h, h] = params.b2 @ params.b2
     R = _gram_root(G)
-    head = EncoderParams.zeros(
-        EncoderConfig(mode=FROZEN_PROJECTION, d_in=config.d_in_eff, h=h, d_out=h + 1)
-    )
-    head.W1[...], head.b1[...] = params.W1, params.b1
-    head.W2[...], head.b2[...] = R[:, :h], R[:, h]
-    return head
+    return R[:, :h], R[:, h]
 
 
 def make_embedder(config: EncoderConfig, params: EncoderParams, inputs: InputTable):
@@ -552,16 +547,18 @@ def make_embedder(config: EncoderConfig, params: EncoderParams, inputs: InputTab
     z = Q @ y for y = R @ [a; 1], and z_i . z_j = y_i . y_j. R comes from
     ``_gram_root`` of the (h + 1)-square Gram matrix, so Q is never formed.
     When d_out <= h + 1 the rows are ``encode_batch``'s, bit for bit. The
-    rows are gathered, pooled and projected EMBED_CHUNK at a time.
+    rows are gathered, pooled and projected EMBED_CHUNK at a time, forward
+    only: ``_hidden`` and then the output layer of ``_eval_head``.
     """
-    head = _eval_head(config, params)
+    W2, b2 = _eval_head(config, params)
 
     def embed(rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
-        Y = np.empty((len(rows), head.W2.shape[0]))
+        Y = np.empty((len(rows), len(b2)))
         for lo in range(0, len(rows), EMBED_CHUNK):
             chunk = rows[lo : lo + EMBED_CHUNK]
-            Y[lo : lo + len(chunk)] = project(head, _pool(params, config, inputs.take(chunk))[0])[0]
+            H = _hidden(params, _pool(params, config, inputs.take(chunk))[0])
+            Y[lo : lo + len(chunk)] = H @ W2.T + b2
         return Y
 
     return embed

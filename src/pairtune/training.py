@@ -18,8 +18,8 @@ import numpy as np
 
 from .corpus import Corpus
 from .episodes import PairSet
-# encode_backward is no longer called here; it stays importable from this
-# module for code that looks it up as pairtune.training.encode_backward.
+# encode and encode_backward are not called here; benchmarks/child.py's traced
+# run wraps them by name in this module.
 from .encoder import (  # noqa: F401
     FROZEN_PROJECTION,
     EncoderConfig,
@@ -164,17 +164,6 @@ def optimizer_step(
     return params, state
 
 
-def cosine_similarity(u, v, epsilon_norm: float = 1e-12) -> float:
-    """u.v / (max(|u|, eps) * max(|v|, eps)); 0 whenever either vector is 0."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    gu = max(float(np.linalg.norm(u)), epsilon_norm)
-    gv = max(float(np.linalg.norm(v)), epsilon_norm)
-    return float(u @ v / (gu * gv))
-
-
 def siamese_loss(sim, target):
     """Squared error against the binary target: ((sim-t)^2, 2(sim-t)).
 
@@ -224,6 +213,7 @@ def siamese_batch_backward(
     return losses
 
 
+# Kept because benchmarks/child.py's traced run wraps it by name.
 def siamese_pair_backward(
     params: EncoderParams,
     config: EncoderConfig,
@@ -233,10 +223,7 @@ def siamese_pair_backward(
     epsilon_norm: float,
     grad: EncoderParams,
 ) -> float:
-    """Loss of one pair; its gradient (through both branches) joins ``grad``.
-
-    The batch-of-one case of ``siamese_batch_backward``.
-    """
+    """Loss of one pair, whose gradient joins ``grad``: ``siamese_batch_backward`` on one pair."""
     batch = input_table(config, [xa, xb])
     return float(siamese_batch_backward(params, config, batch, [target], epsilon_norm, grad)[0])
 
@@ -263,6 +250,7 @@ def naive_batch_backward(
     return losses
 
 
+# Kept because benchmarks/child.py's traced run wraps it by name.
 def naive_example_backward(
     params: EncoderParams,
     config: EncoderConfig,
@@ -272,10 +260,8 @@ def naive_example_backward(
     egrad: EncoderParams,
     hgrad: EncoderParams,
 ) -> float:
-    """Cross-entropy loss of one example; gradients join the accumulators.
-
-    The batch-of-one case of ``naive_batch_backward``.
-    """
+    """Loss of one example, whose gradients join ``egrad`` and ``hgrad``:
+    ``naive_batch_backward`` on one row."""
     batch = input_table(config, [x])
     return float(naive_batch_backward(params, config, head, batch, [target_index], egrad, hgrad)[0])
 
@@ -354,11 +340,6 @@ def train_siamese(
         len(pairs), scfg, {"encoder": params.flat}, {"encoder": grad.flat}, batch_losses, log
     )
     return params, report
-
-
-def head_logits(params: EncoderParams, config: EncoderConfig, head: EncoderParams, x) -> np.ndarray:
-    """Class logits for one input, through encoder and head."""
-    return project(head, encode(params, config, x)[None, :])[0][0]
 
 
 def softmax_cross_entropy(logits: np.ndarray, target_indices) -> tuple[np.ndarray, np.ndarray]:

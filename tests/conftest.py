@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from pairtune.corpus import Corpus, LabeledExample
+from pairtune.encoder import encode_batch
 
 
 def make_corpus(dataset_id, rows):
@@ -75,6 +76,48 @@ def finite_difference_gradients(loss_fn, arrays: dict[str, np.ndarray], step: fl
             gflat[i] = (loss_plus - loss_minus) / (2.0 * step)
         grads[name] = g
     return grads
+
+
+def fd_conditioned(params, config, batch, head=None) -> bool:
+    """Whether central differences at step 1e-4 can resolve the gradient of a
+    loss over ``batch``: every ReLU pre-activation lies at least 1e-2 from its
+    kink, so no step crosses one, and no part of the loss is flat except to
+    rounding. Without a head the batch is Siamese (pair i is rows i and
+    n/2 + i): no pair's embeddings are equal, where the cosine is 1 whatever
+    the parameters, and every embedding is at least 0.1 long, away from the
+    cosine's vanishing-norm region. With a head, its hidden layer is active
+    on some row, or the encoder gets no gradient to check.
+    """
+    Z, fwd = encode_batch(params, config, batch)
+    layers = [(fwd.M, params)] + ([(Z, head)] if head is not None else [])
+    pre = [X @ p.W1.T + p.b1 for X, p in layers]
+    if min(np.abs(A).min() for A in pre) < 1e-2:
+        return False
+    if head is not None:
+        return bool((pre[-1] > 0).any())
+    n = len(Z) // 2
+    return not (Z[:n] == Z[n:]).all(axis=1).any() and np.linalg.norm(Z, axis=1).min() >= 0.1
+
+
+def pair_cosine_loss(Z, targets, epsilon_norm):
+    """Summed squared error of each pair's cosine similarity against its
+    target, written out pair by pair: pair i is rows i and len(Z) // 2 + i."""
+    n = len(Z) // 2
+    total = 0.0
+    for u, v, target in zip(Z[:n], Z[n:], targets):
+        nu = max(math.sqrt(float(u @ u)), epsilon_norm)
+        nv = max(math.sqrt(float(v @ v)), epsilon_norm)
+        total += (float(u @ v) / (nu * nv) - target) ** 2
+    return total
+
+
+def cross_entropy_loss(logits, target_indices):
+    """Summed softmax cross-entropy of logit rows, written out row by row."""
+    total = 0.0
+    for row, y in zip(logits, target_indices):
+        shifted = row - row.max()
+        total += math.log(float(np.sum(np.exp(shifted)))) - float(shifted[y])
+    return total
 
 
 def encoder_and_head(encoder, head) -> dict[str, np.ndarray]:

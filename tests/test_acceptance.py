@@ -23,13 +23,16 @@ from pairtune.cli import (
 )
 from pairtune.corpus import RANDOM_BY_EXAMPLE, SplitSpec, split_corpus
 from pairtune.encoder import (
+    FROZEN_PROJECTION,
     TRAINABLE,
     EncoderConfig,
     build_vocab,
-    encode,
+    encode_batch,
     init_encoder_params,
+    input_table,
     make_embedder,
     make_input_fn,
+    project,
 )
 from pairtune.episodes import EpisodeSpec, generate_episodes
 from pairtune.evaluation import EvalSpec, cosine_distance, delta_cosine_distance
@@ -37,22 +40,22 @@ from pairtune.synthetic import synthetic_corpus
 from pairtune.training import (
     NaiveConfig,
     SiameseConfig,
-    cosine_similarity,
-    head_logits,
     init_head_params,
-    naive_example_backward,
-    siamese_loss,
-    siamese_pair_backward,
+    naive_batch_backward,
+    siamese_batch_backward,
     train_naive,
     train_siamese,
 )
 
 from conftest import (
     brute_force_delta,
+    cross_entropy_loss,
     encoder_and_head,
+    fd_conditioned,
     finite_difference_gradients,
     make_corpus,
     max_relative_error,
+    pair_cosine_loss,
     stack_rows,
     well_scaled_params,
 )
@@ -64,53 +67,68 @@ def test_criterion_1_gradient_correctness():
     worst_siamese = 0.0
     worst_naive = 0.0
     n_configs = 20
+    # A head whose hidden layer is dead on every row gives class c the bias
+    # gradient n_examples / n_classes - count(c). Over 2 to 4 classes, 5
+    # examples keep that from being exactly 0, where the finite difference
+    # would see only rounding.
+    n_pairs, n_examples = 3, 5
+    draws = 0
 
-    for trial in range(n_configs):
-        vocab_size = int(rng.integers(2, 11))
-        d_tok = int(rng.integers(1, 6))
-        h = int(rng.integers(1, 6))
-        d_out = int(rng.integers(2, 6))
-        config = EncoderConfig(mode=TRAINABLE, d_tok=d_tok, h=h, d_out=d_out)
-        params = init_encoder_params(config, vocab_size=vocab_size, seed=trial)
-        well_scaled_params(params, seed=1000 + trial)
+    for mode in (TRAINABLE, FROZEN_PROJECTION):
+        checked = 0
+        while checked < n_configs:
+            draws += 1
+            vocab_size = int(rng.integers(2, 11))
+            d_tok = int(rng.integers(1, 6))
+            h = int(rng.integers(1, 6))
+            d_out = int(rng.integers(2, 6))
+            n_classes = int(rng.integers(2, 5))
+            hidden = int(rng.integers(1, 6))
+            if mode == TRAINABLE:
+                config = EncoderConfig(mode=mode, d_tok=d_tok, h=h, d_out=d_out)
+                xs = [rng.integers(0, vocab_size, size=rng.integers(1, 5))
+                      for _ in range(2 * n_pairs + n_examples)]
+            else:
+                config = EncoderConfig(mode=mode, d_in=d_tok, h=h, d_out=d_out)
+                xs = list(rng.normal(size=(2 * n_pairs + n_examples, d_tok)))
+            params = init_encoder_params(config, vocab_size=vocab_size, seed=draws)
+            well_scaled_params(params, seed=1000 + draws)
+            head = init_head_params(d_out, hidden, n_classes, seed=2000 + draws)
+            pairs = input_table(config, xs[: 2 * n_pairs])
+            examples = input_table(config, xs[2 * n_pairs :])
+            targets = rng.integers(0, 2, size=n_pairs).astype(np.float64)
+            ys = rng.integers(0, n_classes, size=n_examples)
+            # A draw that finite differences cannot resolve checks nothing.
+            if not (fd_conditioned(params, config, pairs)
+                    and fd_conditioned(params, config, examples, head)):
+                continue
+            checked += 1
 
-        # (a) squared error over cosine similarity of a pair
-        xa = rng.integers(0, vocab_size, size=rng.integers(1, 5)).tolist()
-        xb = rng.integers(0, vocab_size, size=rng.integers(1, 5)).tolist()
-        target = float(rng.integers(0, 2))
-        grad = params.zeros_like()
-        siamese_pair_backward(params, config, xa, xb, target, 1e-12, grad)
+            # (a) squared error over cosine similarity of a batch of pairs
+            grad = params.zeros_like()
+            siamese_batch_backward(params, config, pairs, targets, 1e-12, grad)
 
-        def siamese_scalar_loss():
-            za = encode(params, config, xa)
-            zb = encode(params, config, xb)
-            loss, _ = siamese_loss(cosine_similarity(za, zb, 1e-12), target)
-            return loss
+            def siamese_scalar_loss():
+                return pair_cosine_loss(encode_batch(params, config, pairs)[0], targets, 1e-12)
 
-        numeric = finite_difference_gradients(siamese_scalar_loss, params.as_dict())
-        worst_siamese = max(worst_siamese, max_relative_error(grad.as_dict(), numeric))
+            numeric = finite_difference_gradients(siamese_scalar_loss, params.as_dict())
+            worst_siamese = max(worst_siamese, max_relative_error(grad.as_dict(), numeric))
 
-        # (b) softmax cross-entropy through the classification head
-        n_classes = int(rng.integers(2, 5))
-        hidden = int(rng.integers(1, 6))
-        head = init_head_params(d_out, hidden, n_classes, seed=2000 + trial)
-        x = rng.integers(0, vocab_size, size=rng.integers(1, 5)).tolist()
-        y = int(rng.integers(0, n_classes))
-        egrad = params.zeros_like()
-        hgrad = head.zeros_like()
-        naive_example_backward(params, config, head, x, y, egrad, hgrad)
-        analytic = encoder_and_head(egrad, hgrad)
+            # (b) softmax cross-entropy through the classification head
+            egrad = params.zeros_like()
+            hgrad = head.zeros_like()
+            naive_batch_backward(params, config, head, examples, ys, egrad, hgrad)
+            analytic = encoder_and_head(egrad, hgrad)
 
-        def naive_scalar_loss():
-            logits = head_logits(params, config, head, x)
-            shifted = logits - logits.max()
-            return math.log(float(np.sum(np.exp(shifted)))) - float(shifted[y])
+            def naive_scalar_loss():
+                logits = project(head, encode_batch(params, config, examples)[0])[0]
+                return cross_entropy_loss(logits, ys)
 
-        numeric = finite_difference_gradients(naive_scalar_loss, encoder_and_head(params, head))
-        assert list(numeric) == list(analytic) == [
-            "E", "W1", "b1", "W2", "b2", "head.W1", "head.b1", "head.W2", "head.b2"
-        ]
-        worst_naive = max(worst_naive, max_relative_error(analytic, numeric))
+            numeric = finite_difference_gradients(naive_scalar_loss, encoder_and_head(params, head))
+            assert list(numeric) == list(analytic) == ["E"] * (mode == TRAINABLE) + [
+                "W1", "b1", "W2", "b2", "head.W1", "head.b1", "head.W2", "head.b2"
+            ]
+            worst_naive = max(worst_naive, max_relative_error(analytic, numeric))
 
     elapsed = time.perf_counter() - started
     assert worst_siamese < 1e-4, f"siamese-loss gradient mismatch: {worst_siamese:.2e}"
@@ -118,7 +136,8 @@ def test_criterion_1_gradient_correctness():
     assert elapsed < 60.0
     print(
         f"\nACCEPTANCE 1 (gradient correctness): PASS "
-        f"[{n_configs} configs, max rel err siamese {worst_siamese:.2e}, "
+        f"[{n_configs} configs each trainable and frozen ({draws} drawn), batches of "
+        f"{n_pairs} pairs and {n_examples} examples, max rel err siamese {worst_siamese:.2e}, "
         f"naive {worst_naive:.2e}, {elapsed:.1f}s]"
     )
 
@@ -163,13 +182,13 @@ def test_criterion_3_distance_unit_identities():
         ([1.0, 0.0], [-1.0, 0.0]),
     ):
         u, v = np.array(u), np.array(v)
-        base = cosine_similarity(u, v)
-        assert cosine_similarity(scale * u, v) == base
-        assert cosine_similarity(u, scale * v) == base
-        assert cosine_similarity(scale * u, scale * v) == base
+        base = cosine_distance(u, v)
+        assert cosine_distance(scale * u, v) == base
+        assert cosine_distance(u, scale * v) == base
+        assert cosine_distance(scale * u, scale * v) == base
     print(
         "\nACCEPTANCE 3 (distance unit identities): PASS "
-        "[0/1/2 exact; similarity bit-identical under x7.3 scaling]"
+        "[0/1/2 exact; distance bit-identical under x7.3 scaling]"
     )
 
 

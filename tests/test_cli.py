@@ -144,10 +144,9 @@ class TestGenPairs:
         ) == EXIT_USAGE
 
 
-SMALL_TRAIN = (
-    "--d-tok", 8, "--hidden-width", 16, "--d-out", 8,
-    "--epochs", 2, "--pairs", 200, "--seed", 9,
-)
+# A run that replays a --pairs-in dump takes no pair count.
+SMALL_REPLAY = ("--d-tok", 8, "--hidden-width", 16, "--d-out", 8, "--epochs", 2, "--seed", 9)
+SMALL_TRAIN = SMALL_REPLAY + ("--pairs", 200)
 
 
 class TestTrainCommand:
@@ -358,6 +357,21 @@ class TestTrainCommand:
                    "--d-tok", 8, "--hidden-width", 16, "--d-out", 8, "--epochs", 1) == EXIT_USAGE
         assert_one_line_error(capsys, "--pairs-in", kind="config")
 
+    @pytest.mark.parametrize("argv,word", [
+        (("--mode", "NAIVE", "--pairs", 100), "NAIVE"),
+        (("--mode", "NAIVE", "--pairs-per-dataset", 100), "NAIVE"),
+        (("--mode", "SIAMESE", "--pairs-in", "missing.tsv", "--pairs", 100), "--pairs-in"),
+        (("--mode", "ALL", "--pairs-in", "missing.tsv", "--pairs-per-dataset", 50), "--pairs-in"),
+    ], ids=["naive-pairs", "naive-pairs-per-dataset", "replay-pairs", "replay-pairs-per-dataset"])
+    def test_pair_count_that_samples_nothing_is_usage_error(self, tmp_path, capsys, argv, word):
+        # The train set does not exist: the flag must fail before any file is read.
+        out = tmp_path / "m.ptm"
+        capsys.readouterr()
+        code = run("train", "--train", tmp_path / "missing.jsonl", *argv, "--out", out)
+        assert code == EXIT_USAGE
+        assert_one_line_error(capsys, f"{argv[-2]} does not apply", word, kind="config")
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_one_model_two_test_sets(self, tmp_path):
@@ -449,6 +463,26 @@ class TestEvalCommand:
         out = tmp_path / "r.tsv"
         capsys.readouterr()
         assert run("eval", "--orig", "--vectors", tmp_path / "missing.vec",
+                   "--test", tmp_path / "missing.jsonl", *argv, "--out", out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and len(err.splitlines()) == 1 and word in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,prefix,word", [
+        (("--same-fraction", 0), "config error: ", "--same-fraction"),
+        (("--n-pairs", 1), "invalid value: ", "n_pairs"),
+        (("--model-name", "a\tb"), "config error: ", "--model-name"),
+        (("--vectors", "a.vec", "--vectors", "b.vec"), "config error: ", "--vectors"),
+        (("--d-out", 7), "config error: ", "--d-out"),
+        (("--hidden-width", 3), "config error: ", "--hidden-width"),
+    ], ids=["same-fraction-0", "n-pairs-1", "model-name-tab", "vectors-count", "d-out",
+            "hidden-width"])
+    def test_bad_model_flag_fails_before_any_file_is_read(self, tmp_path, capsys, argv, prefix,
+                                                          word):
+        # --d-out and --hidden-width shape only --orig's surrogate; a model sets its own.
+        out = tmp_path / "r.tsv"
+        capsys.readouterr()
+        assert run("eval", "--model", tmp_path / "missing.ptm",
                    "--test", tmp_path / "missing.jsonl", *argv, "--out", out) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(prefix) and len(err.splitlines()) == 1 and word in err, err
@@ -567,9 +601,10 @@ class TestMalformedInputs:
         path, extra = flags[damaged]
         blob = path.read_bytes()
         path.write_bytes(b"" if damaged == "empty-pairs" else blob[:20] + b"\xff" + blob[20:])
+        small = SMALL_REPLAY if damaged.endswith("pairs") else SMALL_TRAIN
         capsys.readouterr()
         assert run("train", "--mode", "SIAMESE", "--train", corpus, *extra,
-                   "--out", tmp_path / "m.ptm", *SMALL_TRAIN) == EXIT_DATA
+                   "--out", tmp_path / "m.ptm", *small) == EXIT_DATA
         assert_one_line_error(capsys, path.name)
 
 

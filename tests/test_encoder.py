@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pairtune.encoder
+
 from pairtune.corpus import CorpusError, VectorTable
 from pairtune.encoder import (
     EMBED_CHUNK,
@@ -20,6 +22,7 @@ from pairtune.encoder import (
     encode,
     encode_backward,
     encode_batch,
+    encode_batch_backward,
     identity_projection,
     init_encoder_params,
     input_table,
@@ -122,19 +125,39 @@ def tiny_trainable(vocab_size=6, d_tok=3, h=4, d_out=3, seed=0):
     return config, params
 
 
+def encode_rows(params, config, xs):
+    """``encode_batch`` over the rows packed from per-example inputs ``xs``."""
+    return encode_batch(params, config, input_table(config, xs))[0]
+
+
+def probe_gradients(params, config, xs, probe):
+    """The gradient of sum(probe * Z) for the batch of ``xs``: its analytic
+    value from ``encode_batch_backward`` and its finite differences."""
+    batch = input_table(config, xs)
+    _, fwd = encode_batch(params, config, batch)
+    grad = encode_batch_backward(params, config, fwd, probe, params.zeros_like())
+
+    def loss():
+        return float(np.sum(probe * encode_batch(params, config, batch)[0]))
+
+    return grad.as_dict(), finite_difference_gradients(loss, params.as_dict())
+
+
 class TestEncodeForward:
     def test_zero_params_give_zero_output(self):
         config, params = tiny_trainable()
         for arr in params.as_dict().values():
             arr[...] = 0.0
-        np.testing.assert_array_equal(encode(params, config, [1, 2, 3]), np.zeros(3))
+        np.testing.assert_array_equal(encode_rows(params, config, [[1, 2, 3], [0], [4, 5]]),
+                                      np.zeros((3, 3)))
 
         fconfig = EncoderConfig(mode=FROZEN_PROJECTION, d_in=4, h=3, d_out=2)
         fparams = init_encoder_params(fconfig, seed=0)
         for arr in fparams.as_dict().values():
             arr[...] = 0.0
         np.testing.assert_array_equal(
-            encode(fparams, fconfig, [1.0, 2.0, 3.0, 4.0]), np.zeros(2)
+            encode_rows(fparams, fconfig, [[1.0, 2.0, 3.0, 4.0], -np.ones(4), np.arange(4.0)]),
+            np.zeros((3, 2)),
         )
 
     def test_single_token_pools_to_its_embedding_row(self):
@@ -148,7 +171,8 @@ class TestEncodeForward:
         params.E[...] = rng.normal(size=(7, d))
         params.W1[...] = np.vstack([eye, -eye])
         params.W2[...] = np.hstack([eye, -eye])
-        np.testing.assert_array_equal(encode(params, config, [4]), params.E[4])
+        Z = encode_rows(params, config, [[4], [1], [6]])
+        np.testing.assert_array_equal(Z, params.E[[4, 1, 6]])
 
     def test_two_token_forward_matches_straight_line_oracle(self):
         config = EncoderConfig(mode=TRAINABLE, d_tok=2, h=2, d_out=2)
@@ -176,12 +200,14 @@ class TestEncodeForward:
             params.W2[1][0] * hid[0] + params.W2[1][1] * hid[1] + params.b2[1],
         ]
 
-        np.testing.assert_allclose(encode(params, config, tokens), expected, rtol=1e-12)
+        Z = encode_rows(params, config, [tokens, [0], [2, 2, 1]])
+        np.testing.assert_allclose(Z[0], expected, rtol=1e-12)
 
     def test_encode_is_pure(self):
         config, params = tiny_trainable(seed=3)
-        first = encode(params, config, [0, 2, 5])
-        second = encode(params, config, [0, 2, 5])
+        xs = [[0, 2, 5], [1], [4, 4]]
+        first = encode_rows(params, config, xs)
+        second = encode_rows(params, config, xs)
         assert np.array_equal(first, second)
 
     def test_frozen_dimension_mismatch(self):
@@ -200,56 +226,47 @@ class TestEncodeForward:
 
     def test_identity_projection_is_exact(self):
         config, params = identity_projection(5)
-        vec = np.array([0.3, -1.2, 0.0, 7.5, -0.25])
-        np.testing.assert_array_equal(encode(params, config, vec), vec)
+        vecs = np.array([[0.3, -1.2, 0.0, 7.5, -0.25], [-2.0, 0.5, 1.5, -0.75, 3.0],
+                         [1.0, 1.0, -1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(encode_rows(params, config, list(vecs)), vecs)
 
 
 class TestEncodeBackward:
     def test_zero_upstream_leaves_accumulator_unchanged(self):
         config, params = tiny_trainable(seed=2)
-        grad = params.zeros_like()
-        encode_backward(params, config, [1, 4], np.zeros(3), grad)
+        batch = input_table(config, [[1, 4], [0], [2, 2, 5]])
+        _, fwd = encode_batch(params, config, batch)
+        grad = encode_batch_backward(params, config, fwd, np.zeros((3, 3)), params.zeros_like())
         for arr in grad.as_dict().values():
             assert not arr.any()
 
     def test_scalar_probe_matches_finite_differences_trainable(self):
         config, params = tiny_trainable(seed=7)
         rng = np.random.default_rng(11)
-        probe = rng.normal(size=config.d_out)
-        tokens = [0, 3, 3, 5]
-
-        def loss():
-            return float(probe @ encode(params, config, tokens))
-
-        numeric = finite_difference_gradients(loss, params.as_dict())
-        grad = params.zeros_like()
-        encode_backward(params, config, tokens, probe, grad)
-        assert max_relative_error(grad.as_dict(), numeric) < 1e-4
+        xs = [[0, 3, 3, 5], [1], [2, 4]]
+        probe = rng.normal(size=(len(xs), config.d_out))
+        analytic, numeric = probe_gradients(params, config, xs, probe)
+        assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_scalar_probe_matches_finite_differences_frozen(self):
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=4, h=5, d_out=3)
         params = init_encoder_params(config, seed=9)
         rng = np.random.default_rng(13)
-        probe = rng.normal(size=3)
-        vec = rng.normal(size=4)
-
-        def loss():
-            return float(probe @ encode(params, config, vec))
-
-        numeric = finite_difference_gradients(loss, params.as_dict())
-        grad = params.zeros_like()
-        encode_backward(params, config, vec, probe, grad)
-        assert max_relative_error(grad.as_dict(), numeric) < 1e-4
+        probe = rng.normal(size=(3, 3))
+        xs = list(rng.normal(size=(3, 4)))
+        analytic, numeric = probe_gradients(params, config, xs, probe)
+        assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_repeated_token_accumulates_full_pooled_gradient(self):
         # mean-pooling over [t, t] equals the single-token pool, so the
         # two half-contributions must sum to the single-token gradient
         config, params = tiny_trainable(seed=4)
-        upstream = np.random.default_rng(1).normal(size=3)
-        g_repeat = params.zeros_like()
-        encode_backward(params, config, [5, 5], upstream, g_repeat)
-        g_single = params.zeros_like()
-        encode_backward(params, config, [5], upstream, g_single)
+        upstream = np.random.default_rng(1).normal(size=(3, 3))
+        grads = []
+        for first in ([5, 5], [5]):
+            _, fwd = encode_batch(params, config, input_table(config, [first, [1, 2], [3]]))
+            grads.append(encode_batch_backward(params, config, fwd, upstream, params.zeros_like()))
+        g_repeat, g_single = grads
         np.testing.assert_allclose(g_repeat.E, g_single.E, rtol=0, atol=1e-15)
 
     def test_upstream_shape_checked(self):
@@ -269,16 +286,10 @@ class TestGradientCheckProperty:
             d_out = int(rng.integers(1, 6))
             config = EncoderConfig(mode=TRAINABLE, d_tok=d_tok, h=h, d_out=d_out)
             params = init_encoder_params(config, vocab_size=vocab_size, seed=trial)
-            tokens = rng.integers(0, vocab_size, size=rng.integers(1, 6)).tolist()
-            probe = rng.normal(size=d_out)
-
-            def loss():
-                return float(probe @ encode(params, config, tokens))
-
-            numeric = finite_difference_gradients(loss, params.as_dict())
-            grad = params.zeros_like()
-            encode_backward(params, config, tokens, probe, grad)
-            assert max_relative_error(grad.as_dict(), numeric) < 1e-4
+            xs = [rng.integers(0, vocab_size, size=rng.integers(1, 6)) for _ in range(3)]
+            probe = rng.normal(size=(len(xs), d_out))
+            analytic, numeric = probe_gradients(params, config, xs, probe)
+            assert max_relative_error(analytic, numeric) < 1e-4
 
 
 def param_groups():
@@ -593,13 +604,40 @@ class TestEmbedder:
             )
         assert not Z.any() and (cosine_distances(Z) == 1.0).all()
 
+    @pytest.mark.parametrize("mode", [TRAINABLE, FROZEN_PROJECTION])
+    @pytest.mark.parametrize("d_out", [5, 12], ids=["unnarrowed", "narrowed"])
+    def test_embedder_builds_no_backward_state(self, monkeypatch, mode, d_out):
+        # project returns the BatchForward a backward pass reads; eval must not call it.
+        corpus = synthetic_corpus("emb", 3, 10, n_groups=3, seed=1)
+        rng = np.random.default_rng(7)
+        if mode == TRAINABLE:
+            vocab = build_vocab(corpus)
+            config, params = tiny_trainable(vocab_size=vocab.size, d_tok=4, h=4, d_out=d_out)
+            inputs = make_input_fn(config, vocab=vocab)(corpus.examples)
+        else:
+            config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=5, h=4, d_out=d_out)
+            params = init_encoder_params(config, seed=2)
+            table = VectorTable(dim=5, entries={ex.id: rng.normal(size=5) for ex in corpus.examples})
+            inputs = make_input_fn(config, vectors=table)(corpus.examples)
+        rows = np.arange(len(corpus))
+        expected = make_embedder(config, params, inputs)(rows)
+
+        def no_project(*args):
+            raise AssertionError("eval called project")
+
+        monkeypatch.setattr(pairtune.encoder, "project", no_project)
+        Z = make_embedder(config, params, inputs)(rows)
+        assert Z.shape == (len(corpus), min(d_out, config.h + 1))
+        assert Z.tobytes() == expected.tobytes()
+
     def test_trainable_embedder_uses_tokens(self):
         corpus = make_corpus("d", [("t1", "a b", "x"), ("t2", "c", "y")])
         vocab = build_vocab(corpus)
         config, params = tiny_trainable(vocab_size=vocab.size)
         embed = make_embedder(config, params, make_input_fn(config, vocab=vocab)(corpus.examples))
-        expected = encode(params, config, vocab.lookup(["a", "b"]))
-        np.testing.assert_array_equal(embed([0])[0], expected)
+        # Three rows: a one-row chunk would round as a matrix-vector product.
+        xs = [vocab.lookup(tokens) for tokens in (["a", "b"], ["c"], ["a", "b"])]
+        np.testing.assert_array_equal(embed([0, 1, 0]), encode_rows(params, config, xs))
 
     def test_frozen_embedder_missing_id(self):
         corpus = make_corpus("d", [("t1", "a", "x"), ("t2", "b", "y")])

@@ -28,7 +28,7 @@ from pairtune.evaluation import (
     parse_report,
 )
 from pairtune.synthetic import synthetic_corpus
-from pairtune.training import NumericError, cosine_similarity
+from pairtune.training import NumericError
 
 from conftest import brute_force_delta, make_corpus, stack_rows
 
@@ -52,10 +52,10 @@ class TestCosineDistance:
         ]
         for u, v in pairs:
             u, v = np.array(u), np.array(v)
-            base = cosine_similarity(u, v)
-            assert cosine_similarity(7.3 * u, v) == base
-            assert cosine_similarity(u, 7.3 * v) == base
-            assert cosine_similarity(7.3 * u, 7.3 * v) == base
+            base = cosine_distance(u, v)
+            assert cosine_distance(7.3 * u, v) == base
+            assert cosine_distance(u, 7.3 * v) == base
+            assert cosine_distance(7.3 * u, 7.3 * v) == base
 
     def test_scaling_invariance_on_random_vectors(self):
         rng = np.random.default_rng(0)

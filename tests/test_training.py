@@ -4,21 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pairtune.corpus import SplitSpec, RANDOM_BY_EXAMPLE, split_corpus
+from pairtune.corpus import SplitSpec, RANDOM_BY_EXAMPLE, VectorTable, split_corpus
 from pairtune.encoder import (
     FROZEN_PROJECTION,
     TRAINABLE,
     EncoderConfig,
     build_vocab,
     encode,
+    encode_batch,
     init_encoder_params,
     input_table,
     make_embedder,
     make_input_fn,
-    tokenize,
+    project,
 )
 from pairtune.episodes import EpisodeSpec, PairSet, generate_episodes
-from pairtune.evaluation import EvalSpec, delta_cosine_distance
+from pairtune.evaluation import EvalSpec, cosine_distance, delta_cosine_distance
 from pairtune.synthetic import synthetic_corpus
 from pairtune.training import (
     ADAM_BLOCK,
@@ -26,8 +27,6 @@ from pairtune.training import (
     NumericError,
     OptimizerState,
     SiameseConfig,
-    cosine_similarity,
-    head_logits,
     init_head_params,
     naive_batch_backward,
     naive_example_backward,
@@ -40,31 +39,36 @@ from pairtune.training import (
 )
 
 from conftest import (
+    cross_entropy_loss,
     encoder_and_head,
     finite_difference_gradients,
     make_corpus,
     max_relative_error,
+    pair_cosine_loss,
     well_scaled_params,
 )
 
 
 class TestCosineSimilarity:
+    """The similarity that the Siamese loss regresses, read through
+    ``cosine_distance``, which is 1 minus it."""
+
     def test_identical_unit_vectors(self):
-        assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == 1.0
+        assert cosine_distance([1.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_orthogonal(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
 
     def test_opposite(self):
-        assert cosine_similarity([1.0, 0.0], [-1.0, 0.0]) == -1.0
+        assert cosine_distance([1.0, 0.0], [-1.0, 0.0]) == 2.0
 
     def test_zero_vector_gives_exactly_zero(self):
-        assert cosine_similarity([0.0, 0.0], [3.0, 4.0]) == 0.0
-        assert cosine_similarity([0.0, 0.0], [0.0, 0.0]) == 0.0
+        assert cosine_distance([0.0, 0.0], [3.0, 4.0]) == 1.0
+        assert cosine_distance([0.0, 0.0], [0.0, 0.0]) == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
+            cosine_distance([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 class TestSiameseLoss:
@@ -259,23 +263,35 @@ def one_pair(corpus, i, j, target):
     return PairSet(corpus.examples, np.array([i]), np.array([j]), np.array([target]))
 
 
-def token_indices(vocab, example):
-    """One example's encoder input, for the batch-of-one functions."""
-    return vocab.lookup(tokenize(example.text))
+def pair_batch(pairs, input_fn):
+    """The 2B-row table of B pairs that ``siamese_batch_backward`` takes:
+    pair i is rows i and B + i."""
+    return input_fn([pairs.examples[i] for i in np.concatenate((pairs.a, pairs.b)).tolist()])
 
 
-def toy_setup(seed=0, d_tok=3, h=4, d_out=3):
-    corpus = two_class_corpus()
-    vocab = build_vocab(corpus)
-    config = EncoderConfig(mode=TRAINABLE, d_tok=d_tok, h=h, d_out=d_out)
-    params = init_encoder_params(config, vocab_size=vocab.size, seed=seed)
-    input_fn = make_input_fn(config, vocab=vocab)
-    return corpus, vocab, config, params, input_fn
+def setup_for(corpus, mode, seed):
+    """(corpus, config, params, input_fn) of a seeded 3/4/3 encoder over
+    ``corpus``: over its vocabulary in trainable mode, over drawn 3-d
+    vectors in frozen mode."""
+    if mode == TRAINABLE:
+        vocab = build_vocab(corpus)
+        config = EncoderConfig(mode=TRAINABLE, d_tok=3, h=4, d_out=3)
+        params = init_encoder_params(config, vocab_size=vocab.size, seed=seed)
+        return corpus, config, params, make_input_fn(config, vocab=vocab)
+    rng = np.random.default_rng(seed)
+    table = VectorTable(dim=3, entries={ex.id: rng.normal(size=3) for ex in corpus.examples})
+    config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=4, d_out=3)
+    params = init_encoder_params(config, seed=seed)
+    return corpus, config, params, make_input_fn(config, vectors=table)
+
+
+def toy_setup(seed=0, mode=TRAINABLE):
+    return setup_for(two_class_corpus(), mode, seed)
 
 
 class TestTrainSiamese:
     def test_zero_epochs_is_a_no_op(self):
-        corpus, _, config, params, input_fn = toy_setup()
+        corpus, config, params, input_fn = toy_setup()
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 10}, seed=1))
         before = {k: v.copy() for k, v in params.as_dict().items()}
         out, report = train_siamese(params, config, pairs, input_fn,
@@ -285,62 +301,56 @@ class TestTrainSiamese:
             assert np.array_equal(v, before[k])
 
     def test_single_step_is_adam_transform_of_pair_gradient(self):
-        corpus, vocab, config, params, input_fn = toy_setup(seed=5)
+        corpus, config, params, input_fn = toy_setup(seed=5)
         well_scaled_params(params, seed=50)
-        pair = one_pair(corpus, 0, 2, 0)
-        xa, xb = token_indices(vocab, corpus.examples[0]), token_indices(vocab, corpus.examples[2])
-        scfg = SiameseConfig(epochs=1, batch_size=1, seed=9)
+        # One batch of three pairs (six rows): one different, two same.
+        pairs = PairSet(corpus.examples, np.array([0, 1, 3]), np.array([2, 0, 2]),
+                        np.array([0, 1, 1]))
+        scfg = SiameseConfig(epochs=1, batch_size=3, seed=9)
+        targets = np.where(pairs.target == 1, scfg.target_same, scfg.target_diff)
+        batch = pair_batch(pairs, input_fn)
 
-        # analytic pair gradient, verified against finite differences
+        # analytic batch gradient, verified against finite differences
         start = params.copy()
         grad = start.zeros_like()
-        siamese_pair_backward(start, config, xa, xb, 0.0, scfg.epsilon_norm, grad)
+        siamese_batch_backward(start, config, batch, targets, scfg.epsilon_norm, grad)
 
-        def pair_loss():
-            za = encode(start, config, xa)
-            zb = encode(start, config, xb)
-            loss, _ = siamese_loss(cosine_similarity(za, zb, scfg.epsilon_norm), 0.0)
-            return loss
+        def batch_loss():
+            return pair_cosine_loss(encode_batch(start, config, batch)[0], targets,
+                                    scfg.epsilon_norm)
 
-        numeric = finite_difference_gradients(pair_loss, start.as_dict())
+        numeric = finite_difference_gradients(batch_loss, start.as_dict())
         assert max_relative_error(grad.as_dict(), numeric) < 1e-4
 
         # the trainer's parameter delta equals the first-step Adam transform
-        trained, _ = train_siamese(params, config, pair, input_fn, scfg)
+        # of the batch-mean gradient
+        trained, _ = train_siamese(params, config, pairs, input_fn, scfg)
         for name, g in grad.as_dict().items():
+            g = g / len(pairs)
             expected = start.as_dict()[name] - scfg.learning_rate * g / (np.abs(g) + 1e-8)
             np.testing.assert_allclose(
                 trained.as_dict()[name], expected, rtol=0, atol=1e-12
             )
 
     def test_full_pair_loss_gradient_matches_finite_differences(self):
-        corpus, vocab, config, params, _ = toy_setup(seed=11)
-        well_scaled_params(params, seed=51)
-        pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 4}, seed=2))
-        eps = 1e-12
-        items = [
-            (token_indices(vocab, pairs.examples[i]), token_indices(vocab, pairs.examples[j]),
-             float(t))
-            for i, j, t in zip(pairs.a, pairs.b, pairs.target)
-        ]
-        grad = params.zeros_like()
-        for xa, xb, t in items:
-            siamese_pair_backward(params, config, xa, xb, t, eps, grad)
+        for mode in (TRAINABLE, FROZEN_PROJECTION):
+            corpus, config, params, input_fn = toy_setup(seed=11, mode=mode)
+            well_scaled_params(params, seed=51)
+            pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 4}, seed=2))
+            eps = 1e-12
+            batch = pair_batch(pairs, input_fn)
+            targets = pairs.target.astype(np.float64)
+            grad = params.zeros_like()
+            siamese_batch_backward(params, config, batch, targets, eps, grad)
 
-        def total_loss():
-            total = 0.0
-            for xa, xb, t in items:
-                za = encode(params, config, xa)
-                zb = encode(params, config, xb)
-                loss, _ = siamese_loss(cosine_similarity(za, zb, eps), t)
-                total += loss
-            return total
+            def total_loss():
+                return pair_cosine_loss(encode_batch(params, config, batch)[0], targets, eps)
 
-        numeric = finite_difference_gradients(total_loss, params.as_dict())
-        assert max_relative_error(grad.as_dict(), numeric) < 1e-4
+            numeric = finite_difference_gradients(total_loss, params.as_dict())
+            assert max_relative_error(grad.as_dict(), numeric) < 1e-4, mode
 
     def test_inputs_prepared_once_per_referenced_example(self):
-        corpus, _, config, params, input_fn = toy_setup()
+        corpus, config, params, input_fn = toy_setup()
         prepared = []
 
         def counting_input_fn(examples):
@@ -355,14 +365,14 @@ class TestTrainSiamese:
         assert sorted(prepared) == ["a1", "a2", "b1"]
 
     def test_weight_sharing_single_parameter_object(self):
-        corpus, _, config, params, input_fn = toy_setup()
+        corpus, config, params, input_fn = toy_setup()
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 8}, seed=3))
         out, _ = train_siamese(params, config, pairs, input_fn,
                                SiameseConfig(epochs=1, seed=3))
         assert out is params
 
     def test_pair_order_symmetry(self):
-        corpus, _, config, params, input_fn = toy_setup(seed=21)
+        corpus, config, params, input_fn = toy_setup(seed=21)
         scfg = SiameseConfig(epochs=1, batch_size=1, seed=4)
         p_ab, _ = train_siamese(params.copy(), config, one_pair(corpus, 1, 3, 0), input_fn, scfg)
         p_ba, _ = train_siamese(params.copy(), config, one_pair(corpus, 3, 1, 0), input_fn, scfg)
@@ -370,7 +380,7 @@ class TestTrainSiamese:
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
 
     def test_determinism_bitwise(self):
-        corpus, _, config, params, input_fn = toy_setup(seed=8)
+        corpus, config, params, input_fn = toy_setup(seed=8)
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 40}, seed=5))
         scfg = SiameseConfig(epochs=3, batch_size=8, seed=6)
         p1, r1 = train_siamese(params.copy(), config, pairs, input_fn, scfg)
@@ -380,7 +390,7 @@ class TestTrainSiamese:
         assert r1.epoch_losses == r2.epoch_losses
 
     def test_non_finite_loss_aborts_with_location(self):
-        corpus, _, config, params, input_fn = toy_setup()
+        corpus, config, params, input_fn = toy_setup()
         params.W1[0, 0] = np.nan
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 4}, seed=7))
         with np.errstate(invalid="ignore"):
@@ -410,7 +420,7 @@ class TestTrainSiamese:
         assert result.delta > 0.5
 
 
-def three_class_setup(seed=0):
+def three_class_setup(seed=0, mode=TRAINABLE):
     corpus = make_corpus("tri", [
         ("a1", "sun hot bright", "day"),
         ("a2", "sun warm light", "day"),
@@ -419,16 +429,12 @@ def three_class_setup(seed=0):
         ("c1", "rain wet grey", "storm"),
         ("c2", "rain wind grey", "storm"),
     ])
-    vocab = build_vocab(corpus)
-    config = EncoderConfig(mode=TRAINABLE, d_tok=3, h=4, d_out=3)
-    params = init_encoder_params(config, vocab_size=vocab.size, seed=seed)
-    input_fn = make_input_fn(config, vocab=vocab)
-    return corpus, vocab, config, params, input_fn
+    return setup_for(corpus, mode, seed)
 
 
 class TestTrainNaive:
     def test_zero_epochs_is_a_no_op(self):
-        corpus, _, config, params, input_fn = three_class_setup()
+        corpus, config, params, input_fn = three_class_setup()
         before = {k: v.copy() for k, v in params.as_dict().items()}
         out, head, report = train_naive(params, config, corpus, input_fn,
                                         NaiveConfig(epochs=0, seed=1))
@@ -438,33 +444,30 @@ class TestTrainNaive:
         assert head.W2.shape == (3, 128)
 
     def test_full_loss_gradient_matches_finite_differences(self):
-        corpus, vocab, config, params, _ = three_class_setup(seed=17)
-        well_scaled_params(params, seed=52)
-        head = init_head_params(config.d_out, hidden_dim=4, n_classes=3, seed=18)
-        labels = sorted(corpus.class_index)
-        items = [(token_indices(vocab, ex), labels.index(ex.class_label)) for ex in corpus.examples]
+        for mode in (TRAINABLE, FROZEN_PROJECTION):
+            corpus, config, params, input_fn = three_class_setup(seed=17, mode=mode)
+            well_scaled_params(params, seed=52)
+            head = init_head_params(config.d_out, hidden_dim=4, n_classes=3, seed=18)
+            labels = sorted(corpus.class_index)
+            batch = input_fn(corpus.examples)
+            ys = [labels.index(ex.class_label) for ex in corpus.examples]
 
-        egrad = params.zeros_like()
-        hgrad = head.zeros_like()
-        for x, y in items:
-            naive_example_backward(params, config, head, x, y, egrad, hgrad)
-        analytic = encoder_and_head(egrad, hgrad)
+            egrad = params.zeros_like()
+            hgrad = head.zeros_like()
+            naive_batch_backward(params, config, head, batch, ys, egrad, hgrad)
+            analytic = encoder_and_head(egrad, hgrad)
 
-        arrays = encoder_and_head(params, head)
-        assert list(arrays) == list(analytic) == [
-            "E", "W1", "b1", "W2", "b2", "head.W1", "head.b1", "head.W2", "head.b2"
-        ]
+            arrays = encoder_and_head(params, head)
+            assert list(arrays) == list(analytic) == ["E"] * (mode == TRAINABLE) + [
+                "W1", "b1", "W2", "b2", "head.W1", "head.b1", "head.W2", "head.b2"
+            ]
 
-        def total_loss():
-            total = 0.0
-            for x, y in items:
-                logits = head_logits(params, config, head, x)
-                shifted = logits - logits.max()
-                total += math.log(float(np.sum(np.exp(shifted)))) - float(shifted[y])
-            return total
+            def total_loss():
+                logits = project(head, encode_batch(params, config, batch)[0])[0]
+                return cross_entropy_loss(logits, ys)
 
-        numeric = finite_difference_gradients(total_loss, arrays)
-        assert max_relative_error(analytic, numeric) < 1e-4
+            numeric = finite_difference_gradients(total_loss, arrays)
+            assert max_relative_error(analytic, numeric) < 1e-4, mode
 
     def test_head_init_keeps_its_draws(self):
         # Seeded NAIVE outputs depend on this stream: the hidden layer, then
@@ -478,7 +481,7 @@ class TestTrainNaive:
         assert head.flat.tobytes() == expected.tobytes()
 
     def test_determinism_bitwise(self):
-        corpus, _, config, params, input_fn = three_class_setup(seed=2)
+        corpus, config, params, input_fn = three_class_setup(seed=2)
         ncfg = NaiveConfig(epochs=3, batch_size=2, hidden_dim=5, seed=3)
         p1, h1, _ = train_naive(params.copy(), config, corpus, input_fn, ncfg)
         p2, h2, _ = train_naive(params.copy(), config, corpus, input_fn, ncfg)
@@ -488,7 +491,7 @@ class TestTrainNaive:
             assert np.array_equal(x, y)
 
     def test_non_finite_loss_aborts(self):
-        corpus, _, config, params, input_fn = three_class_setup()
+        corpus, config, params, input_fn = three_class_setup()
         params.W2[0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="epoch 0 batch 0"):
@@ -498,7 +501,7 @@ class TestTrainNaive:
     def test_nan_pre_activation_aborts(self):
         # A NaN must survive both ReLUs to reach the loss check; a ReLU
         # written as where(a > 0, a, 0) would turn it into a finite 0.
-        corpus, _, config, params, input_fn = three_class_setup()
+        corpus, config, params, input_fn = three_class_setup()
         params.W1[0, 0] = np.nan
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="epoch 0 batch 0"):
@@ -515,10 +518,10 @@ class TestTrainNaive:
         params, head, report = train_naive(params, config, corpus, input_fn,
                                            NaiveConfig(epochs=30, hidden_dim=32, seed=43))
         labels = sorted(corpus.class_index)
-        correct = 0
-        for ex in corpus.examples:
-            logits = head_logits(params, config, head, token_indices(vocab, ex))
-            correct += labels[int(np.argmax(logits))] == ex.class_label
+        logits = project(head, encode_batch(params, config, input_fn(corpus.examples))[0])[0]
+        correct = sum(
+            labels[k] == ex.class_label for k, ex in zip(np.argmax(logits, axis=1), corpus.examples)
+        )
         assert correct / len(corpus) >= 0.95
         assert report.epoch_losses[-1] < report.epoch_losses[0]
 
