@@ -8,7 +8,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import fields
 from functools import partial
@@ -239,12 +241,6 @@ def _check_fraction(value: float, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _corpus_format(args) -> str | None:
-    if getattr(args, "format", None) is None:
-        return None
-    return _CORPUS_FORMATS[args.format]
-
-
 def _load_corpora(paths, format=None):
     corpora = [load_corpus(p, format=format) for p in paths]
     seen = set()
@@ -255,6 +251,15 @@ def _load_corpora(paths, format=None):
     return corpora
 
 
+def _check_out_dirs(args) -> None:
+    """Refuse an output file whose directory does not exist, with the error that
+    writing it would raise: after a command's flag checks, before any input."""
+    for flag in ("out", "test_out", "loss_curve"):
+        path = getattr(args, flag, None)
+        if path is not None and not Path(path).parent.is_dir():
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
 def cmd_gen_synthetic(args) -> None:
     if args.test_fraction is None:
         if args.test_out is not None:
@@ -263,6 +268,7 @@ def cmd_gen_synthetic(args) -> None:
         raise ConfigError("--test-fraction needs --test-out")
     else:
         _check_fraction(args.test_fraction, "--test-fraction")
+    _check_out_dirs(args)
     corpus = synthetic_corpus(
         args.dataset_id or Path(args.out).stem,
         args.classes,
@@ -276,7 +282,7 @@ def cmd_gen_synthetic(args) -> None:
         token_namespace=args.namespace,
         seed=args.seed,
     )
-    fmt = _corpus_format(args)
+    fmt = _CORPUS_FORMATS.get(args.format)
     if args.test_fraction is not None:
         train, test = split_corpus(
             corpus,
@@ -292,7 +298,8 @@ def cmd_gen_synthetic(args) -> None:
 
 def cmd_build_vocab(args) -> None:
     check_min_count(args.min_count)
-    corpora = _load_corpora(args.train, format=_corpus_format(args))
+    _check_out_dirs(args)
+    corpora = _load_corpora(args.train, format=_CORPUS_FORMATS.get(args.format))
     vocab = build_vocab(corpora, min_count=args.min_count)
     save_vocab(vocab, args.out)
     _log(f"vocabulary of {vocab.size} tokens written to {args.out}")
@@ -321,7 +328,8 @@ def cmd_gen_pairs(args) -> None:
     _check_fraction(args.same_fraction, "--same-fraction")
     _check_pair_flags(args)
     per = _pairs_per_dataset(len(args.train), args.pairs, args.pairs_per_dataset)
-    corpora = _load_corpora(args.train, format=_corpus_format(args))
+    _check_out_dirs(args)
+    corpora = _load_corpora(args.train, format=_CORPUS_FORMATS.get(args.format))
     quotas = {c.dataset_id: per for c in corpora}
     spec = EpisodeSpec(quotas=quotas, same_fraction=args.same_fraction, seed=args.seed)
     pairs = generate_episodes(corpora, spec)
@@ -361,15 +369,16 @@ def _base_params(config: EncoderConfig, vocab, seed: int) -> EncoderParams:
     return init_encoder_params(config, vocab_size=vocab_size, seed=seed + SEED_INIT)
 
 
-def orig_model(config: EncoderConfig, base_params: EncoderParams):
-    """The untrained ORIG surrogate as (config, params): an identity projection
-    when the input is frozen and d_out == d_in, else the base encoder."""
+def orig_model(base_params: EncoderParams) -> EncoderParams:
+    """The untrained ORIG surrogate: an identity projection when the input is
+    frozen and d_out == d_in, else the base encoder."""
+    config = base_params.config
     if config.mode == FROZEN_PROJECTION and config.d_out == config.d_in:
         return identity_projection(config.d_in)
-    return config, base_params
+    return base_params
 
 
-def train_variant(variant, params, config, corpora, input_fn, cfg: dict, seed: int, pairs=None):
+def train_variant(variant, params, corpora, input_fn, cfg: dict, seed: int, pairs=None):
     """Finetune ``params`` in place as the NAIVE, SIAMESE or ALL variant.
 
     ``cfg`` supplies the experiment config's "naive", "siamese" and
@@ -378,9 +387,12 @@ def train_variant(variant, params, config, corpora, input_fn, cfg: dict, seed: i
     each; ``pairs`` replays a PairSet instead. Each stage's seed is ``seed``
     plus its SEED_* offset. Returns (params, TrainingReport).
     """
+    # corpus/pairs and ncfg/scfg go by keyword: benchmarks/child.py reads args 2 and 4, else names.
     if variant == "NAIVE":
         ncfg = NaiveConfig(seed=seed + SEED_NAIVE, **cfg["naive"])
-        params, _head, report = train_naive(params, config, corpora[0], input_fn, ncfg, log=_log)
+        params, _head, report = train_naive(
+            params, corpus=corpora[0], input_fn=input_fn, ncfg=ncfg, log=_log
+        )
         _log("classification head discarded; keeping the finetuned encoder")
         return params, report
     ep = cfg["episodes"]
@@ -396,7 +408,7 @@ def train_variant(variant, params, config, corpora, input_fn, cfg: dict, seed: i
             EpisodeSpec(quotas=quotas, same_fraction=ep["same_fraction"], seed=seed + episode_seed),
         )
     scfg = SiameseConfig(seed=seed + train_seed, **cfg["siamese"])
-    return train_siamese(params, config, pairs, input_fn, scfg, log=_log)
+    return train_siamese(params, pairs=pairs, input_fn=input_fn, scfg=scfg, log=_log)
 
 
 def cmd_train(args) -> None:
@@ -434,6 +446,7 @@ def cmd_train(args) -> None:
         cfg["episodes"].update(siamese_pairs=per, all_pairs_per_dataset=per)
     if mode == "ALL" and len(args.train) == 1:
         _log("note: ALL with a single train set is equivalent to SIAMESE")
+    _check_out_dirs(args)
 
     corpora = _load_corpora(args.train)
     tables = _vector_tables(corpora, args.vectors or [])
@@ -444,9 +457,9 @@ def cmd_train(args) -> None:
     pairs = None
     if mode != "NAIVE" and args.pairs_in:
         pairs = load_pairs(args.pairs_in, corpora)
-    params, report = train_variant(mode, params, config, corpora, input_fn, cfg, args.seed, pairs)
+    params, report = train_variant(mode, params, corpora, input_fn, cfg, args.seed, pairs)
 
-    save_model(args.out, config, params, vocab, storage=args.format)
+    save_model(args.out, params, vocab, storage=args.format)
     _log(f"model written to {args.out}")
     if args.loss_curve:
         _write_loss_curve(args.loss_curve, report)
@@ -461,13 +474,13 @@ def _write_loss_curve(path, report) -> None:
 
 def _evaluate(models, tests, input_fn, spec: EvalSpec) -> list:
     """One report row per (model, test set), model-major. ``models`` holds
-    (name, config, params) triples and ``input_fn`` prepares a test set's
-    inputs, which are prepared once and shared by every model."""
+    (name, params) pairs and ``input_fn`` prepares a test set's inputs,
+    which are prepared once and shared by every model."""
     rows = [[] for _ in models]
     for test in tests:
         inputs = input_fn(test.examples)
-        for model_rows, (name, config, params) in zip(rows, models):
-            result = delta_cosine_distance(make_embedder(config, params, inputs), test, spec)
+        for model_rows, (name, params) in zip(rows, models):
+            result = delta_cosine_distance(make_embedder(params, inputs), test, spec)
             model_rows.append((name, test.dataset_id, result))
             _log(f"{name} on {test.dataset_id}: delta={result.delta:.6f}")
     return [row for model_rows in rows for row in model_rows]
@@ -502,28 +515,28 @@ def cmd_eval(args) -> None:
         paths = paths * len(args.test)  # one file may serve every test set
     if paths and len(paths) != len(args.test):
         raise ConfigError("--vectors must appear once or once per test set")
+    _check_out_dirs(args)
     if args.model:
-        config, params, vocab = load_model(args.model)
-        if config.mode == FROZEN_PROJECTION and not args.vectors:
+        params, vocab = load_model(args.model)
+        if params.config.mode == FROZEN_PROJECTION and not args.vectors:
             raise ConfigError("a frozen-projection model needs --vectors for the test sets")
-        if config.mode == TRAINABLE and args.vectors:
+        if params.config.mode == TRAINABLE and args.vectors:
             raise ConfigError("--vectors does not apply to a trainable model, which reads text")
     tests = _load_corpora(args.test)
     tables = _vector_tables(tests, paths)
 
     if args.model:
         name = args.model_name or Path(args.model).stem
-        if args.vectors and tables[0].dim != config.d_in:
+        if args.vectors and tables[0].dim != params.config.d_in:
             raise CorpusError(f"{args.vectors[0]}: vectors of width {tables[0].dim} do not fit "
-                              f"the model's input width d_in={config.d_in}")
+                              f"the model's input width d_in={params.config.d_in}")
     else:
-        config = _orig_config(args, tables[0].dim)
-        config, params = orig_model(config, _base_params(config, None, args.seed))
+        params = orig_model(_base_params(_orig_config(args, tables[0].dim), None, args.seed))
         vocab = None
         name = args.model_name or "ORIG"
 
-    input_fn = make_input_fn(config, vocab, {t.dataset_id: table for t, table in zip(tests, tables)})
-    emit_report(_evaluate([(name, config, params)], tests, input_fn, spec), args.out)
+    input_fn = make_input_fn(params.config, vocab, {t.dataset_id: v for t, v in zip(tests, tables)})
+    emit_report(_evaluate([(name, params)], tests, input_fn, spec), args.out)
     _log(f"report written to {args.out}")
 
 
@@ -574,16 +587,14 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
         _log(f"--- {model} ---")
         report = None
         if model == "ORIG":
-            model_config, model_params = orig_model(config, base_params)
+            model_params = orig_model(base_params)
             _log("untrained surrogate; no finetuning")
         else:
-            model_config = config
             model_params, report = train_variant(
-                model, base_params.copy(), config, train_corpora, input_fn, cfg, seed
+                model, base_params.copy(), train_corpora, input_fn, cfg, seed
             )
-        trained.append((model, model_config, model_params))
-        save_model(out_dir / f"{model}.ptm", model_config, model_params, vocab,
-                   storage=cfg["model_format"])
+        trained.append((model, model_params))
+        save_model(out_dir / f"{model}.ptm", model_params, vocab, storage=cfg["model_format"])
         if report is not None:
             _write_loss_curve(out_dir / f"{model}.losses.tsv", report)
 

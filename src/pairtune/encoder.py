@@ -154,7 +154,7 @@ def load_vocab(path) -> Vocabulary:
         raise CorpusError(f"{p}: {err}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     """Mode and layer dimensions of the encoder."""
 
@@ -198,13 +198,15 @@ class EncoderParams:
     """All trainable parameters of one encoder: the single set shared by both
     Siamese branches, and also the naive trainer's classification head.
 
-    ``E`` is the token embedding table (trainable mode only, None otherwise).
-    The present arrays are C-contiguous views into one float64 vector,
-    ``flat``, laid out by ``_param_layout``, so an optimizer step, a gradient
-    reset or a finiteness check is one pass over one vector. ``zeros`` builds
-    a set from its config; ``copy`` and ``zeros_like`` reuse a set's layout.
-    Assign into an array (``params.W1[...] = ...``), never rebind it. A
-    gradient accumulator is made by ``zeros_like``.
+    ``config`` is the EncoderConfig the set was built from, so a set alone
+    says its mode and widths. ``E`` is the token embedding table (trainable
+    mode only, None otherwise). The present arrays are C-contiguous views
+    into one float64 vector, ``flat``, laid out by ``layout``, which is
+    derived from ``config`` and ``vocab_size`` (E's rows), so an optimizer
+    step, a gradient reset or a finiteness check is one pass over one vector.
+    ``zeros`` builds a set from its config; ``copy`` and ``zeros_like`` reuse
+    a set's config. Assign into an array (``params.W1[...] = ...``), never
+    rebind it. A gradient accumulator is made by ``zeros_like``.
     """
 
     E: np.ndarray | None
@@ -213,12 +215,13 @@ class EncoderParams:
     W2: np.ndarray
     b2: np.ndarray
 
-    def __init__(self, layout, flat: np.ndarray) -> None:
-        """Make ``flat`` this set's vector and each (name, shape) of ``layout``
-        a view into it, in order."""
-        self.layout, self.flat, self.E = layout, flat, None
+    def __init__(self, config: EncoderConfig, vocab_size: int | None, flat: np.ndarray) -> None:
+        """Make ``flat`` this set's vector and each (name, shape) of
+        ``_param_layout(config, vocab_size)`` a view into it, in order."""
+        self.config, self.vocab_size, self.flat, self.E = config, vocab_size, flat, None
+        self.layout = _param_layout(config, vocab_size)
         lo = 0
-        for name, shape in layout:
+        for name, shape in self.layout:
             hi = lo + math.prod(shape)
             setattr(self, name, flat[lo:hi].reshape(shape))
             lo = hi
@@ -226,18 +229,18 @@ class EncoderParams:
     @classmethod
     def zeros(cls, config: EncoderConfig, vocab_size: int | None = None) -> "EncoderParams":
         """A zeroed set laid out by ``_param_layout(config, vocab_size)``."""
-        layout = _param_layout(config, vocab_size)
-        return cls(layout, np.zeros(sum(math.prod(shape) for _, shape in layout)))
+        size = sum(math.prod(shape) for _, shape in _param_layout(config, vocab_size))
+        return cls(config, vocab_size, np.zeros(size))
 
     def as_dict(self) -> dict[str, np.ndarray]:
         """Live references to the present arrays, keyed by name, in layout order."""
         return {name: getattr(self, name) for name, _ in self.layout}
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.layout, self.flat.copy())
+        return EncoderParams(self.config, self.vocab_size, self.flat.copy())
 
     def zeros_like(self) -> "EncoderParams":
-        return EncoderParams(self.layout, np.zeros_like(self.flat))
+        return EncoderParams(self.config, self.vocab_size, np.zeros_like(self.flat))
 
 
 def init_encoder_params(
@@ -254,7 +257,7 @@ def init_encoder_params(
     return params
 
 
-def identity_projection(dim: int) -> tuple[EncoderConfig, EncoderParams]:
+def identity_projection(dim: int) -> EncoderParams:
     """Frozen-projection encoder that reproduces its input vector exactly.
 
     Stacking [I; -I] before the ReLU and [I, -I] after it gives
@@ -267,7 +270,7 @@ def identity_projection(dim: int) -> tuple[EncoderConfig, EncoderParams]:
     np.negative(eye, out=params.W1[dim:])
     params.W2[:, :dim] = eye
     np.negative(eye, out=params.W2[:, dim:])
-    return config, params
+    return params
 
 
 @dataclass
@@ -370,44 +373,38 @@ def project_backward(
     return dA
 
 
-def _pool(params: EncoderParams, config: EncoderConfig, batch: InputTable):
+def _pool(params: EncoderParams, batch: InputTable):
     """The batch's pooled inputs M and, in trainable mode, its tokens per
     example (None in frozen mode)."""
-    if config.mode == TRAINABLE:
+    if params.E is not None:
         lengths = np.diff(batch.offsets)
         M = np.add.reduceat(params.E[batch.tokens], batch.offsets[:-1], axis=0)
         M /= lengths[:, None]
         return M, lengths
-    return np.concatenate(batch.vectors, dtype=np.float64).reshape(len(batch), config.d_in), None
+    return np.concatenate(batch.vectors, dtype=np.float64).reshape(len(batch), -1), None
 
 
-def encode_batch(
-    params: EncoderParams, config: EncoderConfig, batch: InputTable
-) -> tuple[np.ndarray, BatchForward]:
+def encode_batch(params: EncoderParams, batch: InputTable) -> tuple[np.ndarray, BatchForward]:
     """Embed a gathered batch at once; row i of Z is the embedding of row i.
 
     Trainable mode pools every row's token embeddings with one
     ``np.add.reduceat`` over the flat token indices; frozen mode stacks the
     rows' vectors. ``project`` then runs over the pooled batch.
     """
-    M, lengths = _pool(params, config, batch)
+    M, lengths = _pool(params, batch)
     Z, fwd = project(params, M)
     fwd.tokens, fwd.lengths = batch.tokens, lengths
     return Z, fwd
 
 
 # Kept because benchmarks/child.py's traced run wraps it by name.
-def encode(params: EncoderParams, config: EncoderConfig, x) -> np.ndarray:
+def encode(params: EncoderParams, x) -> np.ndarray:
     """Embed one input (token indices or a fixed vector): ``encode_batch`` on one row."""
-    return encode_batch(params, config, input_table(config, [x]))[0][0]
+    return encode_batch(params, input_table(params.config, [x]))[0][0]
 
 
 def encode_batch_backward(
-    params: EncoderParams,
-    config: EncoderConfig,
-    fwd: BatchForward,
-    dZ: np.ndarray,
-    grad: EncoderParams,
+    params: EncoderParams, fwd: BatchForward, dZ: np.ndarray, grad: EncoderParams
 ) -> EncoderParams:
     """Accumulate d(sum_i dZ[i] . Z[i])/d(theta) into ``grad`` for one batch.
 
@@ -417,14 +414,14 @@ def encode_batch_backward(
     once per batch, so repeated indices accumulate.
     """
     dA = project_backward(params, fwd, dZ, grad)
-    if config.mode == TRAINABLE:
+    if params.E is not None:
         dM = dA @ params.W1
         dM /= fwd.lengths[:, None]
         # One 1-D add.at over flat element indices is several times faster
         # than a row-wise add.at; it needs a contiguous accumulator to view.
         if not grad.E.flags.c_contiguous:
             raise ValueError("the embedding gradient must be C-contiguous")
-        d = config.d_tok
+        d = params.config.d_tok
         flat = (fwd.tokens[:, None] * d + np.arange(d)).ravel()
         np.add.at(grad.E.reshape(-1), flat, np.repeat(dM, fwd.lengths, axis=0).ravel())
     return grad
@@ -432,19 +429,15 @@ def encode_batch_backward(
 
 # Kept because benchmarks/child.py's traced run wraps it by name.
 def encode_backward(
-    params: EncoderParams,
-    config: EncoderConfig,
-    x,
-    upstream: np.ndarray,
-    grad: EncoderParams,
+    params: EncoderParams, x, upstream: np.ndarray, grad: EncoderParams
 ) -> EncoderParams:
     """Accumulate d(upstream . z)/d(theta) into ``grad`` for input ``x``:
     ``encode_batch_backward`` on one row."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (config.d_out,):
-        raise ValueError(f"upstream gradient must have shape ({config.d_out},)")
-    _, fwd = encode_batch(params, config, input_table(config, [x]))
-    return encode_batch_backward(params, config, fwd, upstream[None, :], grad)
+    if upstream.shape != (params.config.d_out,):
+        raise ValueError(f"upstream gradient must have shape ({params.config.d_out},)")
+    _, fwd = encode_batch(params, input_table(params.config, [x]))
+    return encode_batch_backward(params, fwd, upstream[None, :], grad)
 
 
 def make_input_fn(
@@ -520,12 +513,12 @@ def _gram_root(G: np.ndarray) -> np.ndarray:
     return R
 
 
-def _eval_head(config: EncoderConfig, params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+def _eval_head(params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
     """The output layer that eval applies to the hidden activations:
     ``(W2, b2)`` when d_out <= h + 1, else ``(R[:, :h], R[:, h])``, where
     R.T @ R is the Gram matrix of [W2 | b2]."""
-    h = config.h
-    if config.d_out <= h + 1:
+    h = params.config.h
+    if params.config.d_out <= h + 1:
         return params.W2, params.b2
     G = np.empty((h + 1, h + 1))
     G[:h, :h] = params.W2.T @ params.W2
@@ -535,7 +528,7 @@ def _eval_head(config: EncoderConfig, params: EncoderParams) -> tuple[np.ndarray
     return R[:, :h], R[:, h]
 
 
-def make_embedder(config: EncoderConfig, params: EncoderParams, inputs: InputTable):
+def make_embedder(params: EncoderParams, inputs: InputTable):
     """Return ``embed(rows)``, the matrix whose row k embeds row rows[k] of
     ``inputs``, as made by ``make_input_fn``, in an orthonormal basis of
     the span of the last layer's [W2 | b2]. Rows are min(d_out, h + 1)
@@ -550,14 +543,14 @@ def make_embedder(config: EncoderConfig, params: EncoderParams, inputs: InputTab
     rows are gathered, pooled and projected EMBED_CHUNK at a time, forward
     only: ``_hidden`` and then the output layer of ``_eval_head``.
     """
-    W2, b2 = _eval_head(config, params)
+    W2, b2 = _eval_head(params)
 
     def embed(rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
         Y = np.empty((len(rows), len(b2)))
         for lo in range(0, len(rows), EMBED_CHUNK):
             chunk = rows[lo : lo + EMBED_CHUNK]
-            H = _hidden(params, _pool(params, config, inputs.take(chunk))[0])
+            H = _hidden(params, _pool(params, inputs.take(chunk))[0])
             Y[lo : lo + len(chunk)] = H @ W2.T + b2
         return Y
 
@@ -565,22 +558,23 @@ def make_embedder(config: EncoderConfig, params: EncoderParams, inputs: InputTab
 
 
 def save_model(
-    path,
-    config: EncoderConfig,
-    params: EncoderParams,
-    vocab: Vocabulary | None = None,
-    storage: str = STORAGE_BINARY,
+    path, params: EncoderParams, vocab: Vocabulary | None = None, storage: str = STORAGE_BINARY
 ) -> None:
-    """Write the model file: magic line, JSON header, then parameter payload.
+    """Write the model file: magic line, JSON header from ``params.config``,
+    then parameter payload.
 
     Binary payload is row-major little-endian float64 and round-trips
     bit-exactly; text payload stores one row per line using shortest
-    round-trip decimal representations.
+    round-trip decimal representations. A trainable set needs the
+    vocabulary that indexes the rows of its ``E``.
     """
     if storage not in (STORAGE_BINARY, STORAGE_TEXT):
         raise ValueError(f"unknown storage '{storage}'")
-    if config.mode == TRAINABLE and vocab is None:
+    config = params.config
+    if params.E is not None and vocab is None:
         raise ValueError("trainable models must be saved with their vocabulary")
+    if params.E is not None and vocab.size != len(params.E):
+        raise ValueError(f"vocabulary of {vocab.size} tokens does not fit E's {len(params.E)} rows")
     header = {
         "storage": storage,
         "mode": config.mode,
@@ -592,11 +586,10 @@ def save_model(
         "min_count": vocab.min_count if vocab is not None else None,
     }
     arrays = params.as_dict()
-    layout = _param_layout(config, vocab.size if vocab is not None else None)
     with atomic_write(path) as f:
         f.write((_MODEL_MAGIC + "\n").encode("utf-8"))
         f.write((json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8"))
-        for name, shape in layout:
+        for name, shape in params.layout:
             arr = arrays[name]
             if arr.shape != shape:
                 raise ValueError(f"parameter '{name}' has shape {arr.shape}, expected {shape}")
@@ -607,8 +600,9 @@ def save_model(
                     f.write((" ".join(repr(float(v)) for v in row) + "\n").encode("utf-8"))
 
 
-def load_model(path) -> tuple[EncoderConfig, EncoderParams, Vocabulary | None]:
-    """Read a model file back; inverse of save_model."""
+def load_model(path) -> tuple[EncoderParams, Vocabulary | None]:
+    """Read a model file back as (params, vocab), with the header's config
+    as ``params.config``; inverse of save_model."""
     p = Path(path)
     blob = p.read_bytes()
     first_nl = blob.find(b"\n")
@@ -686,4 +680,4 @@ def load_model(path) -> tuple[EncoderConfig, EncoderParams, Vocabulary | None]:
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise CorpusError(f"{p}: non-finite values in parameter '{name}'")
-    return config, params, vocab
+    return params, vocab

@@ -85,6 +85,10 @@ def init_head_params(d_out: int, hidden_dim: int, n_classes: int, seed: int = 0)
 # Elements per block of the Adam step: one 256 KiB block of each of p, g, m,
 # v and the scratch array (5 x 256 KiB) stays in a 2 MiB L2 cache.
 ADAM_BLOCK = 32768
+# Adam's moment decay rates and epsilon: Kingma & Ba's defaults (arXiv:1412.6980).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -95,9 +99,6 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: np.ndarray = field(init=False, repr=False, default_factory=lambda: np.empty(ADAM_BLOCK))
 
     @classmethod
@@ -128,11 +129,11 @@ def optimizer_step(
     element sees the same operations in the same order whatever the block size.
     """
     state.t += 1
-    r2 = math.sqrt(1.0 - state.beta2**state.t)
-    step_size = learning_rate * r2 / (1.0 - state.beta1**state.t)
-    eps_hat = state.eps * r2
-    a1 = (1.0 - state.beta1) / batch_size
-    a2 = (1.0 - state.beta2) / (batch_size * batch_size)
+    r2 = math.sqrt(1.0 - ADAM_BETA2**state.t)
+    step_size = learning_rate * r2 / (1.0 - ADAM_BETA1**state.t)
+    eps_hat = ADAM_EPS * r2
+    a1 = (1.0 - ADAM_BETA1) / batch_size
+    a2 = (1.0 - ADAM_BETA2) / (batch_size * batch_size)
     for name, g in grads.items():
         if name not in params:
             raise ValueError(f"gradient for unknown parameter '{name}'")
@@ -147,10 +148,10 @@ def optimizer_step(
             hi = lo + ADAM_BLOCK
             gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
             tmp = state.scratch[: len(gb)]
-            mb *= state.beta1
+            mb *= ADAM_BETA1
             np.multiply(a1, gb, out=tmp)
             mb += tmp
-            vb *= state.beta2
+            vb *= ADAM_BETA2
             np.multiply(gb, gb, out=tmp)
             tmp *= a2
             vb += tmp
@@ -184,7 +185,6 @@ class TrainingReport:
 
 def siamese_batch_backward(
     params: EncoderParams,
-    config: EncoderConfig,
     batch: InputTable,
     targets,
     epsilon_norm: float,
@@ -197,7 +197,7 @@ def siamese_batch_backward(
     it is constant, so its branch of the cosine's quotient rule drops out.
     """
     n = len(batch) // 2
-    Z, fwd = encode_batch(params, config, batch)
+    Z, fwd = encode_batch(params, batch)
     za, zb = Z[:n], Z[n:]
     nu = np.linalg.norm(za, axis=1)
     nv = np.linalg.norm(zb, axis=1)
@@ -209,14 +209,13 @@ def siamese_batch_backward(
     self_u = np.where(nu > epsilon_norm, dsim * sim / (gu * gu), 0.0)[:, None]
     self_v = np.where(nv > epsilon_norm, dsim * sim / (gv * gv), 0.0)[:, None]
     dZ = np.concatenate([cross * zb - self_u * za, cross * za - self_v * zb])
-    encode_batch_backward(params, config, fwd, dZ, grad)
+    encode_batch_backward(params, fwd, dZ, grad)
     return losses
 
 
 # Kept because benchmarks/child.py's traced run wraps it by name.
 def siamese_pair_backward(
     params: EncoderParams,
-    config: EncoderConfig,
     xa,
     xb,
     target: float,
@@ -224,13 +223,12 @@ def siamese_pair_backward(
     grad: EncoderParams,
 ) -> float:
     """Loss of one pair, whose gradient joins ``grad``: ``siamese_batch_backward`` on one pair."""
-    batch = input_table(config, [xa, xb])
-    return float(siamese_batch_backward(params, config, batch, [target], epsilon_norm, grad)[0])
+    batch = input_table(params.config, [xa, xb])
+    return float(siamese_batch_backward(params, batch, [target], epsilon_norm, grad)[0])
 
 
 def naive_batch_backward(
     params: EncoderParams,
-    config: EncoderConfig,
     head: EncoderParams,
     batch: InputTable,
     target_indices,
@@ -242,18 +240,17 @@ def naive_batch_backward(
     The head projects the batch's embeddings to logits; the embeddings'
     gradient is the head's pre-activation gradient times ``head.W1``.
     """
-    Z, fwd = encode_batch(params, config, batch)
+    Z, fwd = encode_batch(params, batch)
     logits, head_fwd = project(head, Z)
     losses, dlogits = softmax_cross_entropy(logits, target_indices)
     dA = project_backward(head, head_fwd, dlogits, hgrad)
-    encode_batch_backward(params, config, fwd, dA @ head.W1, egrad)
+    encode_batch_backward(params, fwd, dA @ head.W1, egrad)
     return losses
 
 
 # Kept because benchmarks/child.py's traced run wraps it by name.
 def naive_example_backward(
     params: EncoderParams,
-    config: EncoderConfig,
     head: EncoderParams,
     x,
     target_index: int,
@@ -262,8 +259,8 @@ def naive_example_backward(
 ) -> float:
     """Loss of one example, whose gradients join ``egrad`` and ``hgrad``:
     ``naive_batch_backward`` on one row."""
-    batch = input_table(config, [x])
-    return float(naive_batch_backward(params, config, head, batch, [target_index], egrad, hgrad)[0])
+    batch = input_table(params.config, [x])
+    return float(naive_batch_backward(params, head, batch, [target_index], egrad, hgrad)[0])
 
 
 def _run_epochs(n_items: int, cfg, params: dict, grads: dict, batch_losses, log) -> TrainingReport:
@@ -306,7 +303,6 @@ def _run_epochs(n_items: int, cfg, params: dict, grads: dict, batch_losses, log)
 
 def train_siamese(
     params: EncoderParams,
-    config: EncoderConfig,
     pairs: PairSet,
     input_fn,
     scfg: SiameseConfig,
@@ -332,9 +328,7 @@ def train_siamese(
 
     def batch_losses(batch):
         members = table.take(np.concatenate((a[batch], b[batch])))
-        return siamese_batch_backward(
-            params, config, members, targets[batch], scfg.epsilon_norm, grad
-        )
+        return siamese_batch_backward(params, members, targets[batch], scfg.epsilon_norm, grad)
 
     report = _run_epochs(
         len(pairs), scfg, {"encoder": params.flat}, {"encoder": grad.flat}, batch_losses, log
@@ -355,7 +349,6 @@ def softmax_cross_entropy(logits: np.ndarray, target_indices) -> tuple[np.ndarra
 
 def train_naive(
     params: EncoderParams,
-    config: EncoderConfig,
     corpus: Corpus,
     input_fn,
     ncfg: NaiveConfig,
@@ -368,16 +361,14 @@ def train_naive(
     """
     # stable class -> output index assignment: sorted labels
     label_index = {label: i for i, label in enumerate(sorted(corpus.class_index))}
-    head = init_head_params(config.d_out, ncfg.hidden_dim, len(label_index), seed=ncfg.seed)
+    head = init_head_params(params.config.d_out, ncfg.hidden_dim, len(label_index), seed=ncfg.seed)
     table = input_fn(corpus.examples)
     targets = np.array([label_index[ex.class_label] for ex in corpus.examples], dtype=np.intp)
     egrad = params.zeros_like()
     hgrad = head.zeros_like()
 
     def batch_losses(batch):
-        return naive_batch_backward(
-            params, config, head, table.take(batch), targets[batch], egrad, hgrad
-        )
+        return naive_batch_backward(params, head, table.take(batch), targets[batch], egrad, hgrad)
 
     report = _run_epochs(
         len(corpus), ncfg,

@@ -78,7 +78,7 @@ def finite_difference_gradients(loss_fn, arrays: dict[str, np.ndarray], step: fl
     return grads
 
 
-def fd_conditioned(params, config, batch, head=None) -> bool:
+def fd_conditioned(params, batch, head=None) -> bool:
     """Whether central differences at step 1e-4 can resolve the gradient of a
     loss over ``batch``: every ReLU pre-activation lies at least 1e-2 from its
     kink, so no step crosses one, and no part of the loss is flat except to
@@ -88,7 +88,7 @@ def fd_conditioned(params, config, batch, head=None) -> bool:
     cosine's vanishing-norm region. With a head, its hidden layer is active
     on some row, or the encoder gets no gradient to check.
     """
-    Z, fwd = encode_batch(params, config, batch)
+    Z, fwd = encode_batch(params, batch)
     layers = [(fwd.M, params)] + ([(Z, head)] if head is not None else [])
     pre = [X @ p.W1.T + p.b1 for X, p in layers]
     if min(np.abs(A).min() for A in pre) < 1e-2:

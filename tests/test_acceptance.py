@@ -99,17 +99,17 @@ def test_criterion_1_gradient_correctness():
             targets = rng.integers(0, 2, size=n_pairs).astype(np.float64)
             ys = rng.integers(0, n_classes, size=n_examples)
             # A draw that finite differences cannot resolve checks nothing.
-            if not (fd_conditioned(params, config, pairs)
-                    and fd_conditioned(params, config, examples, head)):
+            if not (fd_conditioned(params, pairs)
+                    and fd_conditioned(params, examples, head)):
                 continue
             checked += 1
 
             # (a) squared error over cosine similarity of a batch of pairs
             grad = params.zeros_like()
-            siamese_batch_backward(params, config, pairs, targets, 1e-12, grad)
+            siamese_batch_backward(params, pairs, targets, 1e-12, grad)
 
             def siamese_scalar_loss():
-                return pair_cosine_loss(encode_batch(params, config, pairs)[0], targets, 1e-12)
+                return pair_cosine_loss(encode_batch(params, pairs)[0], targets, 1e-12)
 
             numeric = finite_difference_gradients(siamese_scalar_loss, params.as_dict())
             worst_siamese = max(worst_siamese, max_relative_error(grad.as_dict(), numeric))
@@ -117,11 +117,11 @@ def test_criterion_1_gradient_correctness():
             # (b) softmax cross-entropy through the classification head
             egrad = params.zeros_like()
             hgrad = head.zeros_like()
-            naive_batch_backward(params, config, head, examples, ys, egrad, hgrad)
+            naive_batch_backward(params, head, examples, ys, egrad, hgrad)
             analytic = encoder_and_head(egrad, hgrad)
 
             def naive_scalar_loss():
-                logits = project(head, encode_batch(params, config, examples)[0])[0]
+                logits = project(head, encode_batch(params, examples)[0])[0]
                 return cross_entropy_loss(logits, ys)
 
             numeric = finite_difference_gradients(naive_scalar_loss, encoder_and_head(params, head))
@@ -208,15 +208,15 @@ def test_criterion_4_siamese_separability_end_to_end():
     espec = EvalSpec(seed=99)
     held_inputs = input_fn(held.examples)
 
-    untrained = delta_cosine_distance(make_embedder(config, params, held_inputs), held, espec)
+    untrained = delta_cosine_distance(make_embedder(params, held_inputs), held, espec)
     assert abs(untrained.delta) < 0.1, f"untrained delta {untrained.delta:.4f}"
 
     pairs = generate_episodes(train, EpisodeSpec(quotas={"sep4": 2000}, seed=5))
     assert len(pairs) == 2000
     params, report = train_siamese(
-        params, config, pairs, input_fn, SiameseConfig(epochs=30, seed=13)
+        params, pairs, input_fn, SiameseConfig(epochs=30, seed=13)
     )
-    trained = delta_cosine_distance(make_embedder(config, params, held_inputs), held, espec)
+    trained = delta_cosine_distance(make_embedder(params, held_inputs), held, espec)
     elapsed = time.perf_counter() - started
     assert trained.delta > 0.5, f"trained delta {trained.delta:.4f}"
     assert elapsed < 300.0
@@ -247,21 +247,21 @@ def test_criterion_5_generalization_to_unseen_classes():
     espec = EvalSpec(n_pairs=3000, seed=77)
     unseen_inputs = input_fn(unseen.examples)
 
-    orig = delta_cosine_distance(make_embedder(config, base, unseen_inputs), unseen, espec)
+    orig = delta_cosine_distance(make_embedder(base, unseen_inputs), unseen, espec)
 
     pairs = generate_episodes(train, EpisodeSpec(quotas={"gen-train": 3000}, seed=31))
     siam_params, _ = train_siamese(
-        base.copy(), config, pairs, input_fn, SiameseConfig(epochs=30, seed=32)
+        base.copy(), pairs, input_fn, SiameseConfig(epochs=30, seed=32)
     )
     siam = delta_cosine_distance(
-        make_embedder(config, siam_params, unseen_inputs), unseen, espec
+        make_embedder(siam_params, unseen_inputs), unseen, espec
     )
 
     naive_params, _head, _ = train_naive(
-        base.copy(), config, train, input_fn, NaiveConfig(epochs=30, seed=33)
+        base.copy(), train, input_fn, NaiveConfig(epochs=30, seed=33)
     )
     naive = delta_cosine_distance(
-        make_embedder(config, naive_params, unseen_inputs), unseen, espec
+        make_embedder(naive_params, unseen_inputs), unseen, espec
     )
 
     elapsed = time.perf_counter() - started
@@ -317,15 +317,15 @@ def test_criterion_6_all_model_balance():
     assert counts == {ds: DEFAULT_ALL_PAIRS_PER_DATASET for ds in splits}, counts
 
     all_params, _ = train_siamese(
-        base.copy(), config, pairs, input_fn, SiameseConfig(seed=52)
+        base.copy(), pairs, input_fn, SiameseConfig(seed=52)
     )
 
     espec = EvalSpec(n_pairs=3000, seed=53)
     margins = {}
     for ds, (_, test) in splits.items():
         inputs = input_fn(test.examples)
-        orig = delta_cosine_distance(make_embedder(config, base, inputs), test, espec)
-        allm = delta_cosine_distance(make_embedder(config, all_params, inputs), test, espec)
+        orig = delta_cosine_distance(make_embedder(base, inputs), test, espec)
+        allm = delta_cosine_distance(make_embedder(all_params, inputs), test, espec)
         margins[ds] = (orig.delta, allm.delta)
         assert allm.delta > orig.delta, (
             f"{ds}: ALL {allm.delta:.4f} does not beat ORIG {orig.delta:.4f}"

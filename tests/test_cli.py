@@ -160,8 +160,8 @@ class TestTrainCommand:
         assert run("train", "--mode", "SIAMESE", "--train", corpus,
                    "--out", m2, *SMALL_TRAIN) == EXIT_OK
         assert m1.read_bytes() == m2.read_bytes()
-        config, params, vocab = load_model(m1)
-        assert config.d_out == 8
+        params, vocab = load_model(m1)
+        assert params.config.d_out == 8
         assert curve.read_text().startswith("epoch\tmean_loss\n")
         assert len(curve.read_text().splitlines()) == 3
 
@@ -203,7 +203,10 @@ class TestTrainCommand:
         assert run("train", "--mode", "SIAMESE", "--train", tmp_path / "nope.jsonl",
                    "--out", tmp_path / "m.ptm") == EXIT_DATA
 
-    def test_unwritable_out_names_the_target(self, tmp_path, capsys):
+    def test_unwritable_out_names_the_target(self, tmp_path, capsys, monkeypatch):
+        # Without the up-front directory check the run trains and then fails
+        # inside the model's atomic write, which must name the target.
+        monkeypatch.setattr(pairtune.cli, "_check_out_dirs", lambda args: None)
         corpus = gen_corpus(tmp_path / "c.jsonl", per_class=20)
         model = tmp_path / "missing" / "m.ptm"
         capsys.readouterr()
@@ -318,8 +321,8 @@ class TestTrainCommand:
         import pairtune.training as training
         backward = training.encode_batch_backward
 
-        def inf_gradient(params, config, fwd, dZ, grad):
-            backward(params, config, fwd, dZ, grad)
+        def inf_gradient(params, fwd, dZ, grad):
+            backward(params, fwd, dZ, grad)
             grad.b2[0] = np.inf
             return grad
 
@@ -642,9 +645,9 @@ def test_eval_report_does_not_depend_on_blas_thread_count(tmp_path):
     config = EncoderConfig(mode=TRAINABLE, d_tok=16, h=64, d_out=512)
     vocab = build_vocab(loaded)
     params = init_encoder_params(config, vocab_size=vocab.size, seed=2)
-    save_model(tmp_path / "m.ptm", config, params, vocab)
+    save_model(tmp_path / "m.ptm", params, vocab)
     frozen = EncoderConfig(mode=FROZEN_PROJECTION, d_in=512, h=64, d_out=512)
-    save_model(tmp_path / "f.ptm", frozen, init_encoder_params(frozen, seed=2))
+    save_model(tmp_path / "f.ptm", init_encoder_params(frozen, seed=2))
     rng = np.random.default_rng(3)
     entries = {ex.id: rng.normal(size=512) for ex in loaded.examples}
     write_vectors(VectorTable(dim=512, entries=entries), tmp_path / "f.vec")
@@ -929,6 +932,47 @@ def test_missing_vector_fails_before_any_output(tmp_path, capsys, command):
     assert not list(out.glob("*.ptm")) and not list(out.glob("*.tsv"))
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("gen-synthetic", "--out"), ("gen-synthetic", "--test-out"), ("build-vocab", "--out"),
+    ("gen-pairs", "--out"), ("train", "--out"), ("train", "--loss-curve"), ("eval", "--out"),
+])
+def test_missing_output_directory_fails_before_any_input_is_read(tmp_path, capsys, command, flag):
+    # The inputs do not exist either: a command that read them first would
+    # fail on them, and one that wrote an earlier output would leave it.
+    nope, out = tmp_path / "nope.jsonl", tmp_path / "out.tsv"
+    synthetic = ("--classes", 3, "--examples-per-class", 5, "--groups", 3)
+    argv = {
+        ("gen-synthetic", "--out"): synthetic,
+        ("gen-synthetic", "--test-out"): ("--out", out, "--test-fraction", 0.2, *synthetic),
+        ("build-vocab", "--out"): ("--train", nope),
+        ("gen-pairs", "--out"): ("--train", nope),
+        ("train", "--out"): ("--mode", "SIAMESE", "--train", nope),
+        ("train", "--loss-curve"): ("--mode", "SIAMESE", "--train", nope, "--out", out),
+        ("eval", "--out"): ("--orig", "--test", nope, "--vectors", tmp_path / "nope.vec"),
+    }[command, flag]
+    missing = tmp_path / "missing" / "x.tsv"
+    capsys.readouterr()
+    assert run(command, *argv, flag, missing) == EXIT_DATA
+    assert_one_line_error(capsys, f"'{missing}'", kind="i/o")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["eval", "gen-synthetic"])
+def test_config_error_comes_before_missing_output_directory(tmp_path, capsys, command):
+    # The flags are checked first (exit 1); only then the output directories.
+    missing = tmp_path / "missing" / "x.tsv"
+    argv = {
+        "eval": ("--model", tmp_path / "m.ptm", "--test", tmp_path / "t.jsonl", "--d-out", 7,
+                 "--out", missing),
+        "gen-synthetic": ("--out", tmp_path / "c.jsonl", "--test-out", missing,
+                          "--classes", 3, "--examples-per-class", 5, "--groups", 3),
+    }[command]
+    capsys.readouterr()
+    assert run(command, *argv) == EXIT_USAGE
+    assert_one_line_error(capsys, kind="config")
+    assert list(tmp_path.iterdir()) == []
+
+
 class _InterruptedFile:
     """A file whose first write lands on disk and then raises."""
 
@@ -980,7 +1024,7 @@ def _writers(tmp_path):
         "report": ("r.tsv", lambda d: emit_report([("M", "c", report)], d / "r.tsv")),
         "loss-curve": ("l.tsv", lambda d: _write_loss_curve(
             d / "l.tsv", TrainingReport(epoch_losses=[0.5, 0.25]))),
-        "model": ("m.ptm", lambda d: save_model(d / "m.ptm", config, params, vocab)),
+        "model": ("m.ptm", lambda d: save_model(d / "m.ptm", params, vocab)),
         "metadata": ("metadata.json", orig_experiment),
     }
 
@@ -1012,6 +1056,18 @@ def test_interrupted_writer_leaves_no_partial_file(tmp_path, monkeypatch, writer
     else:
         assert not target.exists()
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("writer", [w for w in WRITERS if w != "metadata"])
+def test_writer_into_missing_directory_names_the_target(tmp_path, writer):
+    # An experiment makes its own output directory; every other writer
+    # fails to open its temporary file, and the error names the target.
+    name, write = _writers(tmp_path)[writer]
+    missing = tmp_path / "missing"
+    with pytest.raises(OSError) as err:
+        write(missing)
+    assert err.value.filename == str(missing / name) and ".tmp" not in str(err.value)
+    assert not missing.exists()
 
 
 class TestDefaults:

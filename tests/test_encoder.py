@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -121,34 +122,33 @@ class TestVocabulary:
 
 def tiny_trainable(vocab_size=6, d_tok=3, h=4, d_out=3, seed=0):
     config = EncoderConfig(mode=TRAINABLE, d_tok=d_tok, h=h, d_out=d_out)
-    params = init_encoder_params(config, vocab_size=vocab_size, seed=seed)
-    return config, params
+    return init_encoder_params(config, vocab_size=vocab_size, seed=seed)
 
 
-def encode_rows(params, config, xs):
+def encode_rows(params, xs):
     """``encode_batch`` over the rows packed from per-example inputs ``xs``."""
-    return encode_batch(params, config, input_table(config, xs))[0]
+    return encode_batch(params, input_table(params.config, xs))[0]
 
 
-def probe_gradients(params, config, xs, probe):
+def probe_gradients(params, xs, probe):
     """The gradient of sum(probe * Z) for the batch of ``xs``: its analytic
     value from ``encode_batch_backward`` and its finite differences."""
-    batch = input_table(config, xs)
-    _, fwd = encode_batch(params, config, batch)
-    grad = encode_batch_backward(params, config, fwd, probe, params.zeros_like())
+    batch = input_table(params.config, xs)
+    _, fwd = encode_batch(params, batch)
+    grad = encode_batch_backward(params, fwd, probe, params.zeros_like())
 
     def loss():
-        return float(np.sum(probe * encode_batch(params, config, batch)[0]))
+        return float(np.sum(probe * encode_batch(params, batch)[0]))
 
     return grad.as_dict(), finite_difference_gradients(loss, params.as_dict())
 
 
 class TestEncodeForward:
     def test_zero_params_give_zero_output(self):
-        config, params = tiny_trainable()
+        params = tiny_trainable()
         for arr in params.as_dict().values():
             arr[...] = 0.0
-        np.testing.assert_array_equal(encode_rows(params, config, [[1, 2, 3], [0], [4, 5]]),
+        np.testing.assert_array_equal(encode_rows(params, [[1, 2, 3], [0], [4, 5]]),
                                       np.zeros((3, 3)))
 
         fconfig = EncoderConfig(mode=FROZEN_PROJECTION, d_in=4, h=3, d_out=2)
@@ -156,7 +156,7 @@ class TestEncodeForward:
         for arr in fparams.as_dict().values():
             arr[...] = 0.0
         np.testing.assert_array_equal(
-            encode_rows(fparams, fconfig, [[1.0, 2.0, 3.0, 4.0], -np.ones(4), np.arange(4.0)]),
+            encode_rows(fparams, [[1.0, 2.0, 3.0, 4.0], -np.ones(4), np.arange(4.0)]),
             np.zeros((3, 2)),
         )
 
@@ -171,7 +171,7 @@ class TestEncodeForward:
         params.E[...] = rng.normal(size=(7, d))
         params.W1[...] = np.vstack([eye, -eye])
         params.W2[...] = np.hstack([eye, -eye])
-        Z = encode_rows(params, config, [[4], [1], [6]])
+        Z = encode_rows(params, [[4], [1], [6]])
         np.testing.assert_array_equal(Z, params.E[[4, 1, 6]])
 
     def test_two_token_forward_matches_straight_line_oracle(self):
@@ -200,21 +200,21 @@ class TestEncodeForward:
             params.W2[1][0] * hid[0] + params.W2[1][1] * hid[1] + params.b2[1],
         ]
 
-        Z = encode_rows(params, config, [tokens, [0], [2, 2, 1]])
+        Z = encode_rows(params, [tokens, [0], [2, 2, 1]])
         np.testing.assert_allclose(Z[0], expected, rtol=1e-12)
 
     def test_encode_is_pure(self):
-        config, params = tiny_trainable(seed=3)
+        params = tiny_trainable(seed=3)
         xs = [[0, 2, 5], [1], [4, 4]]
-        first = encode_rows(params, config, xs)
-        second = encode_rows(params, config, xs)
+        first = encode_rows(params, xs)
+        second = encode_rows(params, xs)
         assert np.array_equal(first, second)
 
     def test_frozen_dimension_mismatch(self):
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=4, h=3, d_out=2)
         params = init_encoder_params(config, seed=1)
         with pytest.raises(ValueError, match="length 4"):
-            encode(params, config, [1.0, 2.0, 3.0])
+            encode(params, [1.0, 2.0, 3.0])
 
     def test_frozen_mode_has_no_embedding_table(self):
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=2, h=3, d_out=2)
@@ -225,27 +225,27 @@ class TestEncodeForward:
         assert type(grad) is EncoderParams and grad.E is None
 
     def test_identity_projection_is_exact(self):
-        config, params = identity_projection(5)
+        params = identity_projection(5)
         vecs = np.array([[0.3, -1.2, 0.0, 7.5, -0.25], [-2.0, 0.5, 1.5, -0.75, 3.0],
                          [1.0, 1.0, -1.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(encode_rows(params, config, list(vecs)), vecs)
+        np.testing.assert_array_equal(encode_rows(params, list(vecs)), vecs)
 
 
 class TestEncodeBackward:
     def test_zero_upstream_leaves_accumulator_unchanged(self):
-        config, params = tiny_trainable(seed=2)
-        batch = input_table(config, [[1, 4], [0], [2, 2, 5]])
-        _, fwd = encode_batch(params, config, batch)
-        grad = encode_batch_backward(params, config, fwd, np.zeros((3, 3)), params.zeros_like())
+        params = tiny_trainable(seed=2)
+        batch = input_table(params.config, [[1, 4], [0], [2, 2, 5]])
+        _, fwd = encode_batch(params, batch)
+        grad = encode_batch_backward(params, fwd, np.zeros((3, 3)), params.zeros_like())
         for arr in grad.as_dict().values():
             assert not arr.any()
 
     def test_scalar_probe_matches_finite_differences_trainable(self):
-        config, params = tiny_trainable(seed=7)
+        params = tiny_trainable(seed=7)
         rng = np.random.default_rng(11)
         xs = [[0, 3, 3, 5], [1], [2, 4]]
-        probe = rng.normal(size=(len(xs), config.d_out))
-        analytic, numeric = probe_gradients(params, config, xs, probe)
+        probe = rng.normal(size=(len(xs), params.config.d_out))
+        analytic, numeric = probe_gradients(params, xs, probe)
         assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_scalar_probe_matches_finite_differences_frozen(self):
@@ -254,26 +254,26 @@ class TestEncodeBackward:
         rng = np.random.default_rng(13)
         probe = rng.normal(size=(3, 3))
         xs = list(rng.normal(size=(3, 4)))
-        analytic, numeric = probe_gradients(params, config, xs, probe)
+        analytic, numeric = probe_gradients(params, xs, probe)
         assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_repeated_token_accumulates_full_pooled_gradient(self):
         # mean-pooling over [t, t] equals the single-token pool, so the
         # two half-contributions must sum to the single-token gradient
-        config, params = tiny_trainable(seed=4)
+        params = tiny_trainable(seed=4)
         upstream = np.random.default_rng(1).normal(size=(3, 3))
         grads = []
         for first in ([5, 5], [5]):
-            _, fwd = encode_batch(params, config, input_table(config, [first, [1, 2], [3]]))
-            grads.append(encode_batch_backward(params, config, fwd, upstream, params.zeros_like()))
+            _, fwd = encode_batch(params, input_table(params.config, [first, [1, 2], [3]]))
+            grads.append(encode_batch_backward(params, fwd, upstream, params.zeros_like()))
         g_repeat, g_single = grads
         np.testing.assert_allclose(g_repeat.E, g_single.E, rtol=0, atol=1e-15)
 
     def test_upstream_shape_checked(self):
-        config, params = tiny_trainable()
+        params = tiny_trainable()
         grad = params.zeros_like()
         with pytest.raises(ValueError, match="shape"):
-            encode_backward(params, config, [1], np.zeros(5), grad)
+            encode_backward(params, [1], np.zeros(5), grad)
 
 
 class TestGradientCheckProperty:
@@ -288,12 +288,12 @@ class TestGradientCheckProperty:
             params = init_encoder_params(config, vocab_size=vocab_size, seed=trial)
             xs = [rng.integers(0, vocab_size, size=rng.integers(1, 6)) for _ in range(3)]
             probe = rng.normal(size=(len(xs), d_out))
-            analytic, numeric = probe_gradients(params, config, xs, probe)
+            analytic, numeric = probe_gradients(params, xs, probe)
             assert max_relative_error(analytic, numeric) < 1e-4
 
 
 def param_groups():
-    config, params = tiny_trainable()
+    params = tiny_trainable()
     frozen = init_encoder_params(EncoderConfig(mode=FROZEN_PROJECTION, d_in=5, h=4, d_out=3), seed=1)
     head = init_head_params(d_out=3, hidden_dim=4, n_classes=2, seed=2)
     return {"trainable": params, "frozen": frozen, "head": head}
@@ -329,6 +329,15 @@ class TestParamGroupLayout:
             assert np.array_equal(made.flat, group.flat)
         else:
             assert not made.flat.any()
+
+    @pytest.mark.parametrize("kind", ["trainable", "frozen", "head"])
+    def test_copy_and_zeros_like_keep_the_config(self, kind):
+        group = param_groups()[kind]
+        for made in (group.copy(), group.zeros_like()):
+            assert made.config is group.config and made.layout == group.layout
+        # Sets made from one another share their config, so none may change it.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            group.config.h = 1
 
     def test_as_dict_keeps_field_order(self):
         groups = param_groups()
@@ -366,42 +375,71 @@ class TestModelFile:
         config = EncoderConfig(mode=TRAINABLE, d_tok=5, h=7, d_out=6)
         params = init_encoder_params(config, vocab_size=vocab.size, seed=3)
         path = tmp_path / "m.ptm"
-        save_model(path, config, params, vocab)
-        config2, params2, vocab2 = load_model(path)
-        assert config2 == config
+        save_model(path, params, vocab)
+        params2, vocab2 = load_model(path)
+        assert params2.config == config
         assert vocab2.token_to_index == vocab.token_to_index
         for a, b in zip(params.as_dict().values(), params2.as_dict().values()):
             assert np.array_equal(a, b)
         # re-saving the loaded model reproduces the file byte for byte
         path2 = tmp_path / "m2.ptm"
-        save_model(path2, config2, params2, vocab2)
+        save_model(path2, params2, vocab2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_text_round_trip_exact_values(self, tmp_path):
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=4, d_out=2)
         params = init_encoder_params(config, seed=8)
         path = tmp_path / "m.ptm"
-        save_model(path, config, params, storage=STORAGE_TEXT)
-        _, params2, _ = load_model(path)
+        save_model(path, params, storage=STORAGE_TEXT)
+        params2, _ = load_model(path)
         for a, b in zip(params.as_dict().values(), params2.as_dict().values()):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("existing", [True, False], ids=["over-a-model", "new-path"])
     def test_failed_write_leaves_no_partial_file(self, tmp_path, existing):
-        config, params = tiny_trainable()
+        params = tiny_trainable()
         vocab = Vocabulary.from_tokens([UNK_TOKEN, "a", "b", "c", "d", "e"], 1)
         path = tmp_path / "m.ptm"
         if existing:
-            save_model(path, config, params, vocab)
+            save_model(path, params, vocab)
         before = path.read_bytes() if existing else None
         # b2 comes last in the payload, so the write fails after E, W1, b1 and W2.
         bad = params.copy()
-        bad.b2 = np.zeros(config.d_out + 1)
+        bad.b2 = np.zeros(params.config.d_out + 1)
         with pytest.raises(ValueError, match="'b2'"):
-            save_model(path, config, bad, vocab)
+            save_model(path, bad, vocab)
         assert sorted(tmp_path.iterdir()) == ([path] if existing else [])
         if existing:
             assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("storage", [STORAGE_BINARY, STORAGE_TEXT])
+    @pytest.mark.parametrize("mode", [TRAINABLE, FROZEN_PROJECTION])
+    def test_config_survives_round_trip(self, tmp_path, mode, storage):
+        if mode == TRAINABLE:
+            vocab = Vocabulary.from_tokens([UNK_TOKEN, "a", "b", "c"], 2)
+            params = tiny_trainable(vocab_size=vocab.size, d_tok=2, h=5, d_out=3, seed=1)
+        else:
+            vocab = None
+            params = init_encoder_params(
+                EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=5, d_out=2), seed=1
+            )
+        path = tmp_path / "m.ptm"
+        save_model(path, params, vocab, storage=storage)
+        loaded, _ = load_model(path)
+        assert loaded.config == params.config and loaded.layout == params.layout
+
+    @pytest.mark.parametrize("n_tokens", [None, 5, 7], ids=["none", "fewer", "more"])
+    def test_vocabulary_must_index_every_embedding_row(self, tmp_path, n_tokens):
+        params = tiny_trainable()  # six rows of E
+        vocab = None
+        message = "saved with their vocabulary"
+        if n_tokens is not None:
+            vocab = Vocabulary.from_tokens([UNK_TOKEN] + [f"t{i}" for i in range(1, n_tokens)], 1)
+            message = f"vocabulary of {n_tokens} tokens does not fit E's 6 rows"
+        path = tmp_path / "m.ptm"
+        with pytest.raises(ValueError, match=message):
+            save_model(path, params, vocab)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ptm"
@@ -413,7 +451,7 @@ class TestModelFile:
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=4, d_out=2)
         params = init_encoder_params(config, seed=8)
         path = tmp_path / "m.ptm"
-        save_model(path, config, params)
+        save_model(path, params)
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(CorpusError, match="payload too short"):
@@ -430,7 +468,7 @@ class TestModelFile:
     def test_malformed_text_model_is_corpus_error(self, tmp_path, edit, message):
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=4, d_out=2)
         path = tmp_path / "m.ptm"
-        save_model(path, config, init_encoder_params(config, seed=8), storage=STORAGE_TEXT)
+        save_model(path, init_encoder_params(config, seed=8), storage=STORAGE_TEXT)
         magic, header, payload = path.read_bytes().split(b"\n", 2)
         header, rows = edit(json.loads(header), payload.split(b"\n"))
         path.write_bytes(b"\n".join([magic, json.dumps(header).encode(), *rows]))
@@ -465,7 +503,7 @@ class TestParamLayout:
         # made before allocation turns this into a data error.
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=4, d_out=2)
         path = tmp_path / "m.ptm"
-        save_model(path, config, init_encoder_params(config, seed=8), storage=storage)
+        save_model(path, init_encoder_params(config, seed=8), storage=storage)
         magic, header, payload = path.read_bytes().split(b"\n", 2)
         wide = dict(json.loads(header), d_out=10**15)
         path.write_bytes(b"\n".join([magic, json.dumps(wide).encode(), payload]))
@@ -479,14 +517,14 @@ class TestInputTable:
     def test_trainable_gather_equals_per_example_concatenate(self):
         rng = np.random.default_rng(3)
         xs = [rng.integers(0, 50, size=n) for n in (3, 1, 7, 2, 5)]
-        config, params = tiny_trainable(vocab_size=50, d_tok=4, h=5, d_out=3, seed=3)
-        batch = input_table(config, xs).take(self.ROWS)
+        params = tiny_trainable(vocab_size=50, d_tok=4, h=5, d_out=3, seed=3)
+        batch = input_table(params.config, xs).take(self.ROWS)
         picked = [xs[i] for i in self.ROWS]
         tokens = np.concatenate(picked, dtype=np.intp)
         lengths = np.array([x.size for x in picked])
         assert batch.tokens.tobytes() == tokens.tobytes()
         np.testing.assert_array_equal(np.diff(batch.offsets), lengths)
-        _, fwd = encode_batch(params, config, batch)
+        _, fwd = encode_batch(params, batch)
         M = np.add.reduceat(params.E[tokens], np.cumsum(lengths) - lengths, axis=0)
         M /= lengths[:, None]
         assert fwd.M.tobytes() == M.tobytes()
@@ -497,12 +535,12 @@ class TestInputTable:
         xs = list(np.random.default_rng(4).normal(size=(5, 4)))
         table = input_table(config, xs)
         assert all(v is x for v, x in zip(table.vectors, xs))
-        _, fwd = encode_batch(params, config, table.take(self.ROWS))
+        _, fwd = encode_batch(params, table.take(self.ROWS))
         stacked = np.array([xs[i] for i in self.ROWS], dtype=np.float64)
         assert fwd.M.tobytes() == stacked.tobytes()
 
     def test_inputs_are_checked_when_packed(self):
-        config, _ = tiny_trainable()
+        config = tiny_trainable().config
         with pytest.raises(ValueError, match="non-empty"):
             input_table(config, [[1, 2], []])
         fconfig = EncoderConfig(mode=FROZEN_PROJECTION, d_in=4, h=3, d_out=2)
@@ -519,7 +557,7 @@ class TestMakeInputFn:
             ("t3", "unseen words, flu", "x"),
             ("t4", "season", "y"),
         ])
-        config, _ = tiny_trainable(vocab_size=vocab.size)
+        config = tiny_trainable(vocab_size=vocab.size).config
         table = make_input_fn(config, vocab=vocab)(corpus.examples)
         packed = input_table(config, [vocab.lookup(tokenize(ex.text)) for ex in corpus.examples])
         assert table.tokens.dtype == packed.tokens.dtype == np.intp
@@ -532,7 +570,7 @@ class TestMakeInputFn:
         corpus = make_corpus("d", [("t1", "a", "x"), ("t2", "b", "y"), ("t3", "c", "x")])
         table = VectorTable(dim=2, entries={ex.id: np.full(2, float(i)) for i, ex in
                                             enumerate(corpus.examples)})
-        config, _ = identity_projection(2)
+        config = identity_projection(2).config
         inputs = make_input_fn(config, vectors=table)(corpus.examples[::-1])
         assert all(v is table[ex.id] for v, ex in zip(inputs.vectors, corpus.examples[::-1]))
 
@@ -549,19 +587,19 @@ class TestEmbedder:
         if kind.startswith("trainable"):
             vocab = build_vocab(corpus)
             h, d_out = (4, 12) if narrow else (6, 5)
-            config, params = tiny_trainable(vocab_size=vocab.size, d_tok=4, h=h, d_out=d_out)
+            params = tiny_trainable(vocab_size=vocab.size, d_tok=4, h=h, d_out=d_out)
             params.E[...] = rng.normal(size=params.E.shape)
-            prepare = make_input_fn(config, vocab=vocab)
+            prepare = make_input_fn(params.config, vocab=vocab)
             xs = [vocab.lookup(tokenize(ex.text)) for ex in corpus.examples]
         else:
             table = VectorTable(dim=5, entries={ex.id: rng.normal(size=5) for ex in corpus.examples})
             if kind == "identity-orig":
-                config, params = identity_projection(5)
+                params = identity_projection(5)
             else:
                 h, d_out = (4, 12) if narrow else (6, 4)
                 config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=5, h=h, d_out=d_out)
                 params = init_encoder_params(config, seed=2)
-            prepare = make_input_fn(config, vectors=table)
+            prepare = make_input_fn(params.config, vectors=table)
             xs = [table[ex.id] for ex in corpus.examples]
         # Repeated and unsorted rows spanning more than two chunks.
         rows = rng.integers(0, len(corpus), size=2 * EMBED_CHUNK + 9)
@@ -570,15 +608,15 @@ class TestEmbedder:
         def packed():
             # The same EMBED_CHUNK-row batches packed from per-example inputs.
             return np.concatenate([
-                encode_batch(params, config, input_table(config, [xs[i] for i in chunk]))[0]
+                encode_batch(params, input_table(params.config, [xs[i] for i in chunk]))[0]
                 for chunk in np.split(rows, range(EMBED_CHUNK, len(rows), EMBED_CHUNK))
             ])
 
         if not narrow:
-            Z, direct = make_embedder(config, params, inputs)(rows), packed()
+            Z, direct = make_embedder(params, inputs)(rows), packed()
             assert Z.shape == direct.shape and Z.tobytes() == direct.tobytes()
             # A one-row product may round differently from a many-row one.
-            expected = np.array([encode(params, config, xs[i]) for i in rows])
+            expected = np.array([encode(params, xs[i]) for i in rows])
             np.testing.assert_allclose(Z, expected, rtol=0, atol=1e-12)
             return
 
@@ -589,15 +627,15 @@ class TestEmbedder:
         # Each head below changes the one before it.
         for head in ("random b2", "b2 = 0", "two equal W2 columns", "all-zero W2"):
             if head == "random b2":
-                params.b2[...] = rng.normal(size=config.d_out)
+                params.b2[...] = rng.normal(size=params.config.d_out)
             elif head == "b2 = 0":
                 params.b2[...] = 0.0
             elif head == "two equal W2 columns":
                 params.W2[:, 1] = params.W2[:, 2]
             else:
                 params.W2[...] = 0.0
-            Z, direct = make_embedder(config, params, inputs)(rows), packed()
-            assert Z.shape == (len(rows), config.h + 1), head
+            Z, direct = make_embedder(params, inputs)(rows), packed()
+            assert Z.shape == (len(rows), params.config.h + 1), head
             np.testing.assert_allclose(Z @ Z.T, direct @ direct.T, rtol=0, atol=1e-12, err_msg=head)
             np.testing.assert_allclose(
                 cosine_distances(Z), cosine_distances(direct), rtol=0, atol=1e-12, err_msg=head
@@ -612,39 +650,39 @@ class TestEmbedder:
         rng = np.random.default_rng(7)
         if mode == TRAINABLE:
             vocab = build_vocab(corpus)
-            config, params = tiny_trainable(vocab_size=vocab.size, d_tok=4, h=4, d_out=d_out)
-            inputs = make_input_fn(config, vocab=vocab)(corpus.examples)
+            params = tiny_trainable(vocab_size=vocab.size, d_tok=4, h=4, d_out=d_out)
+            inputs = make_input_fn(params.config, vocab=vocab)(corpus.examples)
         else:
             config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=5, h=4, d_out=d_out)
             params = init_encoder_params(config, seed=2)
             table = VectorTable(dim=5, entries={ex.id: rng.normal(size=5) for ex in corpus.examples})
-            inputs = make_input_fn(config, vectors=table)(corpus.examples)
+            inputs = make_input_fn(params.config, vectors=table)(corpus.examples)
         rows = np.arange(len(corpus))
-        expected = make_embedder(config, params, inputs)(rows)
+        expected = make_embedder(params, inputs)(rows)
 
         def no_project(*args):
             raise AssertionError("eval called project")
 
         monkeypatch.setattr(pairtune.encoder, "project", no_project)
-        Z = make_embedder(config, params, inputs)(rows)
-        assert Z.shape == (len(corpus), min(d_out, config.h + 1))
+        Z = make_embedder(params, inputs)(rows)
+        assert Z.shape == (len(corpus), min(d_out, params.config.h + 1))
         assert Z.tobytes() == expected.tobytes()
 
     def test_trainable_embedder_uses_tokens(self):
         corpus = make_corpus("d", [("t1", "a b", "x"), ("t2", "c", "y")])
         vocab = build_vocab(corpus)
-        config, params = tiny_trainable(vocab_size=vocab.size)
-        embed = make_embedder(config, params, make_input_fn(config, vocab=vocab)(corpus.examples))
+        params = tiny_trainable(vocab_size=vocab.size)
+        embed = make_embedder(params, make_input_fn(params.config, vocab=vocab)(corpus.examples))
         # Three rows: a one-row chunk would round as a matrix-vector product.
         xs = [vocab.lookup(tokens) for tokens in (["a", "b"], ["c"], ["a", "b"])]
-        np.testing.assert_array_equal(embed([0, 1, 0]), encode_rows(params, config, xs))
+        np.testing.assert_array_equal(embed([0, 1, 0]), encode_rows(params, xs))
 
     def test_frozen_embedder_missing_id(self):
         corpus = make_corpus("d", [("t1", "a", "x"), ("t2", "b", "y")])
-        config, params = identity_projection(2)
+        params = identity_projection(2)
         table = VectorTable(dim=2, entries={"t1": np.array([1.0, 0.0])})
-        prepare = make_input_fn(config, vectors=table)
-        embed = make_embedder(config, params, prepare(corpus.examples[:1]))
+        prepare = make_input_fn(params.config, vectors=table)
+        embed = make_embedder(params, prepare(corpus.examples[:1]))
         np.testing.assert_array_equal(embed([0])[0], [1.0, 0.0])
         with pytest.raises(CorpusError, match="no vector for example id 't2'"):
             prepare(corpus.examples[1:])

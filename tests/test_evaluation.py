@@ -232,12 +232,12 @@ class TestBatchedEvalMatchesReference:
                 return params.W2 @ np.maximum(params.W1 @ m + params.b1, 0.0) + params.b2
 
             inputs = make_input_fn(config, vocab=vocab)(corpus.examples)
-            return corpus, embed_one, make_embedder(config, params, inputs)
+            return corpus, embed_one, make_embedder(params, inputs)
         table = VectorTable(dim=6, entries={ex.id: rng.normal(size=6) for ex in corpus.examples})
         if kind == "identity-orig":
-            config, params = identity_projection(6)
-            inputs = make_input_fn(config, vectors=table)(corpus.examples)
-            return corpus, lambda ex: table[ex.id], make_embedder(config, params, inputs)
+            params = identity_projection(6)
+            inputs = make_input_fn(params.config, vectors=table)(corpus.examples)
+            return corpus, lambda ex: table[ex.id], make_embedder(params, inputs)
         h, d_out = (4, 11) if kind == "frozen-narrow" else (7, 5)
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=6, h=h, d_out=d_out)
         params = init_encoder_params(config, seed=4)
@@ -247,7 +247,7 @@ class TestBatchedEvalMatchesReference:
             return params.W2 @ np.maximum(params.W1 @ table[ex.id] + params.b1, 0.0) + params.b2
 
         inputs = make_input_fn(config, vectors=table)(corpus.examples)
-        return corpus, embed_one, make_embedder(config, params, inputs)
+        return corpus, embed_one, make_embedder(params, inputs)
 
     @pytest.mark.parametrize(
         "kind", ["trainable", "frozen", "identity-orig", "trainable-narrow", "frozen-narrow"]

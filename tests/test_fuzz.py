@@ -151,11 +151,11 @@ def test_model_round_trip_is_bitwise(tmp_path, mode, storage, data):
     n = params.flat.size
     params.flat[...] = data.draw(st.lists(FLOATS, min_size=n, max_size=n))
     path, again = tmp_path / "m.ptm", tmp_path / "again.ptm"
-    save_model(path, config, params, vocab, storage=storage)
-    config2, params2, vocab2 = load_model(path)
-    assert config2 == config and vocab2 == vocab
+    save_model(path, params, vocab, storage=storage)
+    params2, vocab2 = load_model(path)
+    assert params2.config == config and vocab2 == vocab
     assert params2.flat.tobytes() == params.flat.tobytes()
-    save_model(again, config2, params2, vocab2, storage=storage)
+    save_model(again, params2, vocab2, storage=storage)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -295,7 +295,7 @@ def test_fuzzed_model_loads_or_raises_data_error(tmp_path, mode, storage, data):
         vocab = None
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=2, h=2, d_out=2)
         params = init_encoder_params(config, seed=0)
-    save_model(path, config, params, vocab, storage=storage)
+    save_model(path, params, vocab, storage=storage)
     fuzz_loader(tmp_path, data, path.read_bytes(), load_model, CorpusError)
 
 

@@ -270,19 +270,19 @@ def pair_batch(pairs, input_fn):
 
 
 def setup_for(corpus, mode, seed):
-    """(corpus, config, params, input_fn) of a seeded 3/4/3 encoder over
+    """(corpus, params, input_fn) of a seeded 3/4/3 encoder over
     ``corpus``: over its vocabulary in trainable mode, over drawn 3-d
     vectors in frozen mode."""
     if mode == TRAINABLE:
         vocab = build_vocab(corpus)
         config = EncoderConfig(mode=TRAINABLE, d_tok=3, h=4, d_out=3)
         params = init_encoder_params(config, vocab_size=vocab.size, seed=seed)
-        return corpus, config, params, make_input_fn(config, vocab=vocab)
+        return corpus, params, make_input_fn(config, vocab=vocab)
     rng = np.random.default_rng(seed)
     table = VectorTable(dim=3, entries={ex.id: rng.normal(size=3) for ex in corpus.examples})
     config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=4, d_out=3)
     params = init_encoder_params(config, seed=seed)
-    return corpus, config, params, make_input_fn(config, vectors=table)
+    return corpus, params, make_input_fn(config, vectors=table)
 
 
 def toy_setup(seed=0, mode=TRAINABLE):
@@ -291,17 +291,17 @@ def toy_setup(seed=0, mode=TRAINABLE):
 
 class TestTrainSiamese:
     def test_zero_epochs_is_a_no_op(self):
-        corpus, config, params, input_fn = toy_setup()
+        corpus, params, input_fn = toy_setup()
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 10}, seed=1))
         before = {k: v.copy() for k, v in params.as_dict().items()}
-        out, report = train_siamese(params, config, pairs, input_fn,
+        out, report = train_siamese(params, pairs, input_fn,
                                     SiameseConfig(epochs=0, seed=1))
         assert report.epoch_losses == []
         for k, v in out.as_dict().items():
             assert np.array_equal(v, before[k])
 
     def test_single_step_is_adam_transform_of_pair_gradient(self):
-        corpus, config, params, input_fn = toy_setup(seed=5)
+        corpus, params, input_fn = toy_setup(seed=5)
         well_scaled_params(params, seed=50)
         # One batch of three pairs (six rows): one different, two same.
         pairs = PairSet(corpus.examples, np.array([0, 1, 3]), np.array([2, 0, 2]),
@@ -313,10 +313,10 @@ class TestTrainSiamese:
         # analytic batch gradient, verified against finite differences
         start = params.copy()
         grad = start.zeros_like()
-        siamese_batch_backward(start, config, batch, targets, scfg.epsilon_norm, grad)
+        siamese_batch_backward(start, batch, targets, scfg.epsilon_norm, grad)
 
         def batch_loss():
-            return pair_cosine_loss(encode_batch(start, config, batch)[0], targets,
+            return pair_cosine_loss(encode_batch(start, batch)[0], targets,
                                     scfg.epsilon_norm)
 
         numeric = finite_difference_gradients(batch_loss, start.as_dict())
@@ -324,7 +324,7 @@ class TestTrainSiamese:
 
         # the trainer's parameter delta equals the first-step Adam transform
         # of the batch-mean gradient
-        trained, _ = train_siamese(params, config, pairs, input_fn, scfg)
+        trained, _ = train_siamese(params, pairs, input_fn, scfg)
         for name, g in grad.as_dict().items():
             g = g / len(pairs)
             expected = start.as_dict()[name] - scfg.learning_rate * g / (np.abs(g) + 1e-8)
@@ -334,23 +334,23 @@ class TestTrainSiamese:
 
     def test_full_pair_loss_gradient_matches_finite_differences(self):
         for mode in (TRAINABLE, FROZEN_PROJECTION):
-            corpus, config, params, input_fn = toy_setup(seed=11, mode=mode)
+            corpus, params, input_fn = toy_setup(seed=11, mode=mode)
             well_scaled_params(params, seed=51)
             pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 4}, seed=2))
             eps = 1e-12
             batch = pair_batch(pairs, input_fn)
             targets = pairs.target.astype(np.float64)
             grad = params.zeros_like()
-            siamese_batch_backward(params, config, batch, targets, eps, grad)
+            siamese_batch_backward(params, batch, targets, eps, grad)
 
             def total_loss():
-                return pair_cosine_loss(encode_batch(params, config, batch)[0], targets, eps)
+                return pair_cosine_loss(encode_batch(params, batch)[0], targets, eps)
 
             numeric = finite_difference_gradients(total_loss, params.as_dict())
             assert max_relative_error(grad.as_dict(), numeric) < 1e-4, mode
 
     def test_inputs_prepared_once_per_referenced_example(self):
-        corpus, config, params, input_fn = toy_setup()
+        corpus, params, input_fn = toy_setup()
         prepared = []
 
         def counting_input_fn(examples):
@@ -360,42 +360,42 @@ class TestTrainSiamese:
         # examples 0, 1 and 2 appear in several pairs; example 3 in none
         pairs = PairSet(corpus.examples, np.array([0, 2, 0]), np.array([2, 0, 1]),
                         np.array([0, 0, 1]))
-        train_siamese(params, config, pairs, counting_input_fn,
+        train_siamese(params, pairs, counting_input_fn,
                       SiameseConfig(epochs=2, batch_size=2, seed=1))
         assert sorted(prepared) == ["a1", "a2", "b1"]
 
     def test_weight_sharing_single_parameter_object(self):
-        corpus, config, params, input_fn = toy_setup()
+        corpus, params, input_fn = toy_setup()
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 8}, seed=3))
-        out, _ = train_siamese(params, config, pairs, input_fn,
+        out, _ = train_siamese(params, pairs, input_fn,
                                SiameseConfig(epochs=1, seed=3))
         assert out is params
 
     def test_pair_order_symmetry(self):
-        corpus, config, params, input_fn = toy_setup(seed=21)
+        corpus, params, input_fn = toy_setup(seed=21)
         scfg = SiameseConfig(epochs=1, batch_size=1, seed=4)
-        p_ab, _ = train_siamese(params.copy(), config, one_pair(corpus, 1, 3, 0), input_fn, scfg)
-        p_ba, _ = train_siamese(params.copy(), config, one_pair(corpus, 3, 1, 0), input_fn, scfg)
+        p_ab, _ = train_siamese(params.copy(), one_pair(corpus, 1, 3, 0), input_fn, scfg)
+        p_ba, _ = train_siamese(params.copy(), one_pair(corpus, 3, 1, 0), input_fn, scfg)
         for x, y in zip(p_ab.as_dict().values(), p_ba.as_dict().values()):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
 
     def test_determinism_bitwise(self):
-        corpus, config, params, input_fn = toy_setup(seed=8)
+        corpus, params, input_fn = toy_setup(seed=8)
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 40}, seed=5))
         scfg = SiameseConfig(epochs=3, batch_size=8, seed=6)
-        p1, r1 = train_siamese(params.copy(), config, pairs, input_fn, scfg)
-        p2, r2 = train_siamese(params.copy(), config, pairs, input_fn, scfg)
+        p1, r1 = train_siamese(params.copy(), pairs, input_fn, scfg)
+        p2, r2 = train_siamese(params.copy(), pairs, input_fn, scfg)
         for x, y in zip(p1.as_dict().values(), p2.as_dict().values()):
             assert np.array_equal(x, y)
         assert r1.epoch_losses == r2.epoch_losses
 
     def test_non_finite_loss_aborts_with_location(self):
-        corpus, config, params, input_fn = toy_setup()
+        corpus, params, input_fn = toy_setup()
         params.W1[0, 0] = np.nan
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 4}, seed=7))
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="epoch 0 batch 0"):
-                train_siamese(params, config, pairs, input_fn,
+                train_siamese(params, pairs, input_fn,
                               SiameseConfig(epochs=1, seed=7))
 
     def test_separable_two_class_end_to_end(self):
@@ -409,12 +409,12 @@ class TestTrainSiamese:
         params = init_encoder_params(config, vocab_size=vocab.size, seed=32)
         input_fn = make_input_fn(config, vocab=vocab)
         pairs = generate_episodes(train, EpisodeSpec(quotas={"sep2": 2_000}, seed=33))
-        params, report = train_siamese(params, config, pairs, input_fn,
+        params, report = train_siamese(params, pairs, input_fn,
                                        SiameseConfig(epochs=30, seed=34))
         assert report.epoch_losses[-1] < 0.05
         assert report.epoch_losses[-1] < report.epoch_losses[0]
         result = delta_cosine_distance(
-            make_embedder(config, params, input_fn(held.examples)), held,
+            make_embedder(params, input_fn(held.examples)), held,
             EvalSpec(n_pairs=2_000, seed=35),
         )
         assert result.delta > 0.5
@@ -434,9 +434,9 @@ def three_class_setup(seed=0, mode=TRAINABLE):
 
 class TestTrainNaive:
     def test_zero_epochs_is_a_no_op(self):
-        corpus, config, params, input_fn = three_class_setup()
+        corpus, params, input_fn = three_class_setup()
         before = {k: v.copy() for k, v in params.as_dict().items()}
-        out, head, report = train_naive(params, config, corpus, input_fn,
+        out, head, report = train_naive(params, corpus, input_fn,
                                         NaiveConfig(epochs=0, seed=1))
         assert report.epoch_losses == []
         for k, v in out.as_dict().items():
@@ -445,16 +445,16 @@ class TestTrainNaive:
 
     def test_full_loss_gradient_matches_finite_differences(self):
         for mode in (TRAINABLE, FROZEN_PROJECTION):
-            corpus, config, params, input_fn = three_class_setup(seed=17, mode=mode)
+            corpus, params, input_fn = three_class_setup(seed=17, mode=mode)
             well_scaled_params(params, seed=52)
-            head = init_head_params(config.d_out, hidden_dim=4, n_classes=3, seed=18)
+            head = init_head_params(params.config.d_out, hidden_dim=4, n_classes=3, seed=18)
             labels = sorted(corpus.class_index)
             batch = input_fn(corpus.examples)
             ys = [labels.index(ex.class_label) for ex in corpus.examples]
 
             egrad = params.zeros_like()
             hgrad = head.zeros_like()
-            naive_batch_backward(params, config, head, batch, ys, egrad, hgrad)
+            naive_batch_backward(params, head, batch, ys, egrad, hgrad)
             analytic = encoder_and_head(egrad, hgrad)
 
             arrays = encoder_and_head(params, head)
@@ -463,7 +463,7 @@ class TestTrainNaive:
             ]
 
             def total_loss():
-                logits = project(head, encode_batch(params, config, batch)[0])[0]
+                logits = project(head, encode_batch(params, batch)[0])[0]
                 return cross_entropy_loss(logits, ys)
 
             numeric = finite_difference_gradients(total_loss, arrays)
@@ -481,31 +481,31 @@ class TestTrainNaive:
         assert head.flat.tobytes() == expected.tobytes()
 
     def test_determinism_bitwise(self):
-        corpus, config, params, input_fn = three_class_setup(seed=2)
+        corpus, params, input_fn = three_class_setup(seed=2)
         ncfg = NaiveConfig(epochs=3, batch_size=2, hidden_dim=5, seed=3)
-        p1, h1, _ = train_naive(params.copy(), config, corpus, input_fn, ncfg)
-        p2, h2, _ = train_naive(params.copy(), config, corpus, input_fn, ncfg)
+        p1, h1, _ = train_naive(params.copy(), corpus, input_fn, ncfg)
+        p2, h2, _ = train_naive(params.copy(), corpus, input_fn, ncfg)
         for x, y in zip(p1.as_dict().values(), p2.as_dict().values()):
             assert np.array_equal(x, y)
         for x, y in zip(h1.as_dict().values(), h2.as_dict().values()):
             assert np.array_equal(x, y)
 
     def test_non_finite_loss_aborts(self):
-        corpus, config, params, input_fn = three_class_setup()
+        corpus, params, input_fn = three_class_setup()
         params.W2[0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="epoch 0 batch 0"):
-                train_naive(params, config, corpus, input_fn,
+                train_naive(params, corpus, input_fn,
                             NaiveConfig(epochs=1, seed=4))
 
     def test_nan_pre_activation_aborts(self):
         # A NaN must survive both ReLUs to reach the loss check; a ReLU
         # written as where(a > 0, a, 0) would turn it into a finite 0.
-        corpus, config, params, input_fn = three_class_setup()
+        corpus, params, input_fn = three_class_setup()
         params.W1[0, 0] = np.nan
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="epoch 0 batch 0"):
-                train_naive(params, config, corpus, input_fn,
+                train_naive(params, corpus, input_fn,
                             NaiveConfig(epochs=1, seed=4))
 
     def test_separable_corpus_reaches_high_accuracy(self):
@@ -515,10 +515,10 @@ class TestTrainNaive:
         config = EncoderConfig(mode=TRAINABLE, d_tok=8, h=16, d_out=16)
         params = init_encoder_params(config, vocab_size=vocab.size, seed=42)
         input_fn = make_input_fn(config, vocab=vocab)
-        params, head, report = train_naive(params, config, corpus, input_fn,
+        params, head, report = train_naive(params, corpus, input_fn,
                                            NaiveConfig(epochs=30, hidden_dim=32, seed=43))
         labels = sorted(corpus.class_index)
-        logits = project(head, encode_batch(params, config, input_fn(corpus.examples))[0])[0]
+        logits = project(head, encode_batch(params, input_fn(corpus.examples))[0])[0]
         correct = sum(
             labels[k] == ex.class_label for k, ex in zip(np.argmax(logits, axis=1), corpus.examples)
         )
@@ -542,7 +542,7 @@ def batch_setup(mode, seed):
     # zero biases make the zero input's output exactly zero
     params.b1[...] = 0.0
     params.b2[...] = 0.0
-    return config, params, xs
+    return params, xs
 
 
 def relative_error(batched: dict, summed: dict) -> float:
@@ -556,33 +556,33 @@ def relative_error(batched: dict, summed: dict) -> float:
 @pytest.mark.parametrize("mode", [TRAINABLE, FROZEN_PROJECTION])
 class TestBatchKernel:
     def test_siamese_batch_equals_sum_of_pairs(self, mode):
-        config, params, xs = batch_setup(mode, seed=61)
+        params, xs = batch_setup(mode, seed=61)
         xa, xb = xs, xs[3:] + xs[:3]
         targets = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
         eps = 1e-12
-        assert np.linalg.norm(encode(params, config, xs[2])) < eps
+        assert np.linalg.norm(encode(params, xs[2])) < eps
 
         batched = params.zeros_like()
-        batch = input_table(config, xa + xb)
-        losses = siamese_batch_backward(params, config, batch, targets, eps, batched)
+        batch = input_table(params.config, xa + xb)
+        losses = siamese_batch_backward(params, batch, targets, eps, batched)
         summed = params.zeros_like()
         single = [
-            siamese_pair_backward(params, config, a, b, t, eps, summed)
+            siamese_pair_backward(params, a, b, t, eps, summed)
             for a, b, t in zip(xa, xb, targets)
         ]
         np.testing.assert_allclose(losses, single, rtol=1e-12, atol=0)
         assert relative_error(batched.as_dict(), summed.as_dict()) <= 1e-12
 
     def test_naive_batch_equals_sum_of_examples(self, mode):
-        config, params, xs = batch_setup(mode, seed=62)
-        head = init_head_params(config.d_out, hidden_dim=7, n_classes=3, seed=63)
+        params, xs = batch_setup(mode, seed=62)
+        head = init_head_params(params.config.d_out, hidden_dim=7, n_classes=3, seed=63)
         ys = [0, 2, 1, 1, 0, 2, 2, 1]
 
         eb, hb = params.zeros_like(), head.zeros_like()
-        losses = naive_batch_backward(params, config, head, input_table(config, xs), ys, eb, hb)
+        losses = naive_batch_backward(params, head, input_table(params.config, xs), ys, eb, hb)
         es, hs = params.zeros_like(), head.zeros_like()
         single = [
-            naive_example_backward(params, config, head, x, y, es, hs)
+            naive_example_backward(params, head, x, y, es, hs)
             for x, y in zip(xs, ys)
         ]
         np.testing.assert_allclose(losses, single, rtol=1e-12, atol=0)
