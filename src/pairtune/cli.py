@@ -475,12 +475,14 @@ def _write_loss_curve(path, report) -> None:
 def _evaluate(models, tests, input_fn, spec: EvalSpec) -> list:
     """One report row per (model, test set), model-major. ``models`` holds
     (name, params) pairs and ``input_fn`` prepares a test set's inputs,
-    which are prepared once and shared by every model."""
+    which are prepared once and shared by every model. Each model's
+    embedder, and so its eval head, is built once and serves every test set."""
     rows = [[] for _ in models]
+    embedders = [make_embedder(params) for _, params in models]
     for test in tests:
         inputs = input_fn(test.examples)
-        for model_rows, (name, params) in zip(rows, models):
-            result = delta_cosine_distance(make_embedder(params, inputs), test, spec)
+        for model_rows, (name, _), embedder in zip(rows, models, embedders):
+            result = delta_cosine_distance(embedder(inputs), test, spec)
             model_rows.append((name, test.dataset_id, result))
             _log(f"{name} on {test.dataset_id}: delta={result.delta:.6f}")
     return [row for model_rows in rows for row in model_rows]

@@ -528,12 +528,34 @@ def _eval_head(params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
     return R[:, :h], R[:, h]
 
 
-def make_embedder(params: EncoderParams, inputs: InputTable):
-    """Return ``embed(rows)``, the matrix whose row k embeds row rows[k] of
-    ``inputs``, as made by ``make_input_fn``, in an orthonormal basis of
-    the span of the last layer's [W2 | b2]. Rows are min(d_out, h + 1)
-    wide and keep every norm and inner product of the d_out-wide
-    embeddings.
+def _is_identity(params: EncoderParams) -> bool:
+    """Whether ``params`` is exactly ``identity_projection(d_in)``, checked
+    entry by entry: frozen mode, h == 2 * d_in, d_out == d_in, all-zero b1
+    and b2, W1 == [I; -I] and W2 == [I, -I]. The mode and widths are
+    compared first, so a model of any other shape is rejected before any
+    array is read."""
+    c = params.config
+    d = c.d_in
+    if c.mode != FROZEN_PROJECTION or c.h != 2 * d or c.d_out != d:
+        return False
+    if params.b1.any() or params.b2.any():
+        return False
+    W1, W2, i = params.W1, params.W2, np.arange(d)
+    # With 2d nonzeros each, the 4d signed unit entries below are all of them.
+    return bool(
+        np.count_nonzero(W1) == np.count_nonzero(W2) == 2 * d
+        and (W1[i, i] == 1.0).all() and (W1[d + i, i] == -1.0).all()
+        and (W2[i, i] == 1.0).all() and (W2[i, d + i] == -1.0).all()
+    )
+
+
+def make_embedder(params: EncoderParams):
+    """Return ``embedder(inputs)``, which returns ``embed(rows)``: the matrix
+    whose row k embeds row rows[k] of ``inputs``, as made by
+    ``make_input_fn``, in an orthonormal basis of the span of the last
+    layer's [W2 | b2]. Rows are min(d_out, h + 1) wide and keep every norm
+    and inner product of the d_out-wide embeddings. The output layer is
+    built once here, so one ``make_embedder`` serves every test set.
 
     Each embedding is z = [W2 | b2] @ [a; 1] for the hidden activations a.
     Factor [W2 | b2] = Q @ R with Q's h + 1 columns orthonormal; then
@@ -542,19 +564,34 @@ def make_embedder(params: EncoderParams, inputs: InputTable):
     When d_out <= h + 1 the rows are ``encode_batch``'s, bit for bit. The
     rows are gathered, pooled and projected EMBED_CHUNK at a time, forward
     only: ``_hidden`` and then the output layer of ``_eval_head``.
+
+    An exact ``identity_projection`` (``_is_identity``) skips the network:
+    its rows are the pooled inputs themselves. In that network every
+    product with a zero weight is +-0 and at most one of relu(m) and
+    relu(-m) is nonzero, so its outputs equal its inputs except for the
+    sign of zero entries, which no norm or inner product sees.
     """
+    if _is_identity(params):
+
+        def embedder(inputs: InputTable):
+            return lambda rows: _pool(params, inputs.take(np.asarray(rows, dtype=np.intp)))[0]
+
+        return embedder
     W2, b2 = _eval_head(params)
 
-    def embed(rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        Y = np.empty((len(rows), len(b2)))
-        for lo in range(0, len(rows), EMBED_CHUNK):
-            chunk = rows[lo : lo + EMBED_CHUNK]
-            H = _hidden(params, _pool(params, inputs.take(chunk))[0])
-            Y[lo : lo + len(chunk)] = H @ W2.T + b2
-        return Y
+    def embedder(inputs: InputTable):
+        def embed(rows) -> np.ndarray:
+            rows = np.asarray(rows, dtype=np.intp)
+            Y = np.empty((len(rows), len(b2)))
+            for lo in range(0, len(rows), EMBED_CHUNK):
+                chunk = rows[lo : lo + EMBED_CHUNK]
+                H = _hidden(params, _pool(params, inputs.take(chunk))[0])
+                Y[lo : lo + len(chunk)] = H @ W2.T + b2
+            return Y
 
-    return embed
+        return embed
+
+    return embedder
 
 
 def save_model(
@@ -594,7 +631,8 @@ def save_model(
             if arr.shape != shape:
                 raise ValueError(f"parameter '{name}' has shape {arr.shape}, expected {shape}")
             if storage == STORAGE_BINARY:
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                # On a little-endian host this is arr itself, so its buffer is written uncopied.
+                f.write(np.ascontiguousarray(arr, dtype="<f8"))
             else:
                 for row in np.atleast_2d(arr):
                     f.write((" ".join(repr(float(v)) for v in row) + "\n").encode("utf-8"))

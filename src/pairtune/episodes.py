@@ -48,6 +48,15 @@ class PairSet:
         used[self.b] = True
         return np.flatnonzero(used)
 
+    def member_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``ref = referenced()`` and each pair's members as positions in it:
+        pair i is (examples[ref[a[i]]], examples[ref[b[i]]]). The positions
+        come from one inverse-index array over the example table."""
+        ref = self.referenced()
+        row = np.empty(len(self.examples), dtype=np.intp)
+        row[ref] = np.arange(len(ref))
+        return ref, row[self.a], row[self.b]
+
 
 @dataclass
 class EpisodeSpec:

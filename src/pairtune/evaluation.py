@@ -74,10 +74,10 @@ def _stderr(values: np.ndarray) -> float:
 def delta_cosine_distance(embed, test_corpus: Corpus, spec: EvalSpec) -> DeltaReport:
     """Estimate the distance gap on spec.n_pairs sampled pairs.
 
-    ``embed(rows)``, as made by ``make_embedder``, runs once over the
-    indices into ``test_corpus.examples`` of the distinct examples the pairs
-    reference and returns one embedding per index. The rows may be of any
-    width that keeps the embeddings' norms and inner products, as
+    ``embed(rows)``, as made by ``make_embedder(params)(inputs)``, runs once
+    over the indices into ``test_corpus.examples`` of the distinct examples
+    the pairs reference and returns one embedding per index. The rows may
+    be of any width that keeps the embeddings' norms and inner products, as
     ``make_embedder``'s narrowed rows do. Pairs score by
     ``cosine_distance``'s formula. Deterministic given the seed.
     """
@@ -89,7 +89,7 @@ def delta_cosine_distance(embed, test_corpus: Corpus, spec: EvalSpec) -> DeltaRe
             seed=spec.seed,
         ),
     )
-    ref = pairs.referenced()
+    ref, a, b = pairs.member_rows()  # a and b are rows of Z
     Z = np.asarray(embed(ref), dtype=np.float64)
     squares = np.einsum("ij,ij->i", Z, Z)
     # Only a row whose sum of squares is non-finite can hold a non-finite entry.
@@ -99,7 +99,6 @@ def delta_cosine_distance(embed, test_corpus: Corpus, spec: EvalSpec) -> DeltaRe
         raise NumericError(f"non-finite embedding for example id '{pairs.examples[ref[bad[0]]].id}'")
     norms = np.maximum(np.sqrt(squares), EPSILON_NORM)
 
-    a, b = np.searchsorted(ref, pairs.a), np.searchsorted(ref, pairs.b)  # rows of Z
     dist = np.empty(len(pairs))
     for lo in range(0, len(pairs), PAIR_CHUNK):
         ia, ib = a[lo : lo + PAIR_CHUNK], b[lo : lo + PAIR_CHUNK]

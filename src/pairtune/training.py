@@ -320,9 +320,8 @@ def train_siamese(
     """
     if len(pairs) == 0 and scfg.epochs > 0:
         raise ValueError("no training pairs")
-    ref = pairs.referenced()
+    ref, a, b = pairs.member_rows()  # a and b are rows of the table
     table = input_fn([pairs.examples[i] for i in ref.tolist()])
-    a, b = np.searchsorted(ref, pairs.a), np.searchsorted(ref, pairs.b)  # rows of the table
     targets = np.where(pairs.target == 1, scfg.target_same, scfg.target_diff)
     grad = params.zeros_like()
 

@@ -208,7 +208,7 @@ def test_criterion_4_siamese_separability_end_to_end():
     espec = EvalSpec(seed=99)
     held_inputs = input_fn(held.examples)
 
-    untrained = delta_cosine_distance(make_embedder(params, held_inputs), held, espec)
+    untrained = delta_cosine_distance(make_embedder(params)(held_inputs), held, espec)
     assert abs(untrained.delta) < 0.1, f"untrained delta {untrained.delta:.4f}"
 
     pairs = generate_episodes(train, EpisodeSpec(quotas={"sep4": 2000}, seed=5))
@@ -216,7 +216,7 @@ def test_criterion_4_siamese_separability_end_to_end():
     params, report = train_siamese(
         params, pairs, input_fn, SiameseConfig(epochs=30, seed=13)
     )
-    trained = delta_cosine_distance(make_embedder(params, held_inputs), held, espec)
+    trained = delta_cosine_distance(make_embedder(params)(held_inputs), held, espec)
     elapsed = time.perf_counter() - started
     assert trained.delta > 0.5, f"trained delta {trained.delta:.4f}"
     assert elapsed < 300.0
@@ -247,21 +247,21 @@ def test_criterion_5_generalization_to_unseen_classes():
     espec = EvalSpec(n_pairs=3000, seed=77)
     unseen_inputs = input_fn(unseen.examples)
 
-    orig = delta_cosine_distance(make_embedder(base, unseen_inputs), unseen, espec)
+    orig = delta_cosine_distance(make_embedder(base)(unseen_inputs), unseen, espec)
 
     pairs = generate_episodes(train, EpisodeSpec(quotas={"gen-train": 3000}, seed=31))
     siam_params, _ = train_siamese(
         base.copy(), pairs, input_fn, SiameseConfig(epochs=30, seed=32)
     )
     siam = delta_cosine_distance(
-        make_embedder(siam_params, unseen_inputs), unseen, espec
+        make_embedder(siam_params)(unseen_inputs), unseen, espec
     )
 
     naive_params, _head, _ = train_naive(
         base.copy(), train, input_fn, NaiveConfig(epochs=30, seed=33)
     )
     naive = delta_cosine_distance(
-        make_embedder(naive_params, unseen_inputs), unseen, espec
+        make_embedder(naive_params)(unseen_inputs), unseen, espec
     )
 
     elapsed = time.perf_counter() - started
@@ -324,8 +324,8 @@ def test_criterion_6_all_model_balance():
     margins = {}
     for ds, (_, test) in splits.items():
         inputs = input_fn(test.examples)
-        orig = delta_cosine_distance(make_embedder(base, inputs), test, espec)
-        allm = delta_cosine_distance(make_embedder(all_params, inputs), test, espec)
+        orig = delta_cosine_distance(make_embedder(base)(inputs), test, espec)
+        allm = delta_cosine_distance(make_embedder(all_params)(inputs), test, espec)
         margins[ds] = (orig.delta, allm.delta)
         assert allm.delta > orig.delta, (
             f"{ds}: ALL {allm.delta:.4f} does not beat ORIG {orig.delta:.4f}"

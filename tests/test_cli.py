@@ -889,6 +889,37 @@ def test_eval_orig_matches_experiment_orig_rows(tmp_path):
     assert report.read_bytes() == (tmp_path / "run" / "consolidated.tsv").read_bytes()
 
 
+
+def test_frozen_experiment_rows_match_standalone_eval_of_each_model(tmp_path):
+    # d_out equals the vectors' width, so ORIG is the identity projection,
+    # scored on its input vectors; planted zeros of both signs test that.
+    config, cfg = experiment_config(tmp_path, seed=2)
+    rng = np.random.default_rng(1)
+    vectors = []
+    for path in cfg["train_sets"] + cfg["test_sets"]:
+        ids = [ex.id for ex in load_corpus(path).examples]
+        X = rng.normal(size=(len(ids), 6))
+        X[rng.random(X.shape) < 0.2] = 0.0
+        X[rng.random(X.shape) < 0.2] = -0.0
+        vectors.append(str(Path(path).with_suffix(".vec")))
+        write_vectors(VectorTable(dim=6, entries=dict(zip(ids, X))), vectors[-1])
+    cfg.update(encoder={"mode": "frozen-projection", "h": 16, "d_out": 6},
+               train_vectors=vectors[:1], test_vectors=vectors[1:])
+    config.write_text(json.dumps(cfg))
+    assert run("experiment", "--config", config) == EXIT_OK
+    run_dir = tmp_path / "run"
+    consolidated = (run_dir / "consolidated.tsv").read_text().splitlines(keepends=True)
+    standalone = consolidated[:1]
+    for model in cfg["models"]:
+        report = tmp_path / f"eval-{model}.tsv"
+        argv = ["eval", "--model", run_dir / f"{model}.ptm", "--model-name", model,
+                "--n-pairs", 100, "--seed", cfg["seed"] + SEED_EVAL, "--out", report]
+        for test, vec in zip(cfg["test_sets"], vectors[1:]):
+            argv += ["--test", test, "--vectors", vec]
+        assert run(*argv) == EXIT_OK
+        standalone += report.read_text().splitlines(keepends=True)[1:]
+    assert standalone == consolidated
+
 def vector_file(path, corpus_path, drop=None):
     """Write 3-d vectors for every example of a corpus file except ``drop``."""
     ids = [ex.id for ex in load_corpus(corpus_path).examples if ex.id != drop]

@@ -385,6 +385,12 @@ class TestModelFile:
         path2 = tmp_path / "m2.ptm"
         save_model(path2, params2, vocab2)
         assert path.read_bytes() == path2.read_bytes()
+        # The payload is flat's values as little-endian float64, in layout order,
+        # also from an array that is big-endian or not C-ordered.
+        assert path.read_bytes().endswith(params.flat.astype("<f8").tobytes())
+        params2.W1 = np.asfortranarray(params.W1.astype(">f8"))
+        save_model(path2, params2, vocab2)
+        assert path.read_bytes() == path2.read_bytes()
 
     def test_text_round_trip_exact_values(self, tmp_path):
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=4, d_out=2)
@@ -613,7 +619,7 @@ class TestEmbedder:
             ])
 
         if not narrow:
-            Z, direct = make_embedder(params, inputs)(rows), packed()
+            Z, direct = make_embedder(params)(inputs)(rows), packed()
             assert Z.shape == direct.shape and Z.tobytes() == direct.tobytes()
             # A one-row product may round differently from a many-row one.
             expected = np.array([encode(params, xs[i]) for i in rows])
@@ -634,7 +640,7 @@ class TestEmbedder:
                 params.W2[:, 1] = params.W2[:, 2]
             else:
                 params.W2[...] = 0.0
-            Z, direct = make_embedder(params, inputs)(rows), packed()
+            Z, direct = make_embedder(params)(inputs)(rows), packed()
             assert Z.shape == (len(rows), params.config.h + 1), head
             np.testing.assert_allclose(Z @ Z.T, direct @ direct.T, rtol=0, atol=1e-12, err_msg=head)
             np.testing.assert_allclose(
@@ -658,21 +664,61 @@ class TestEmbedder:
             table = VectorTable(dim=5, entries={ex.id: rng.normal(size=5) for ex in corpus.examples})
             inputs = make_input_fn(params.config, vectors=table)(corpus.examples)
         rows = np.arange(len(corpus))
-        expected = make_embedder(params, inputs)(rows)
+        expected = make_embedder(params)(inputs)(rows)
 
         def no_project(*args):
             raise AssertionError("eval called project")
 
         monkeypatch.setattr(pairtune.encoder, "project", no_project)
-        Z = make_embedder(params, inputs)(rows)
+        Z = make_embedder(params)(inputs)(rows)
         assert Z.shape == (len(corpus), min(d_out, params.config.h + 1))
         assert Z.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("change", [
+        None, "W1 entry at 1 + ulp", "nonzero b1", "nonzero b2", "stray W2 entry",
+        "h != 2 d_in", "d_out != d_in", "trainable",
+    ])
+    def test_only_an_exact_identity_skips_the_network(self, monkeypatch, change):
+        d, rng = 4, np.random.default_rng(3)
+        h = 2 * d + (change == "h != 2 d_in")
+        d_out = d + (change == "d_out != d_in")
+        if change == "trainable":
+            config = EncoderConfig(mode=TRAINABLE, d_tok=d, h=h, d_out=d_out)
+            params = EncoderParams.zeros(config, vocab_size=6)
+            params.E[...] = rng.normal(size=params.E.shape)
+            inputs = input_table(config, [[1, 4], [0], [2, 2, 5]])
+        else:
+            config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=d, h=h, d_out=d_out)
+            params = EncoderParams.zeros(config)
+            inputs = input_table(config, list(rng.normal(size=(3, d))))
+        # identity_projection's entries, at whatever h and d_out the config has.
+        i = np.arange(d)
+        params.W1[i, i], params.W1[d + i, i] = 1.0, -1.0
+        params.W2[i, i], params.W2[i, d + i] = 1.0, -1.0
+        if change == "W1 entry at 1 + ulp":
+            params.W1[2, 2] = np.nextafter(1.0, 2.0)
+        elif change == "nonzero b1":
+            params.b1[5] = 1e-300
+        elif change == "nonzero b2":
+            params.b2[0] = -1e-300
+        elif change == "stray W2 entry":
+            params.W2[1, 0] = 1e-300
+        hidden, hidden_calls = pairtune.encoder._hidden, []
+
+        def counting_hidden(params, M):
+            hidden_calls.append(len(M))
+            return hidden(params, M)
+
+        monkeypatch.setattr(pairtune.encoder, "_hidden", counting_hidden)
+        Z = make_embedder(params)(inputs)([0, 1, 2])
+        assert hidden_calls == ([] if change is None else [3])
+        np.testing.assert_allclose(Z, encode_batch(params, inputs)[0], rtol=0, atol=1e-12)
 
     def test_trainable_embedder_uses_tokens(self):
         corpus = make_corpus("d", [("t1", "a b", "x"), ("t2", "c", "y")])
         vocab = build_vocab(corpus)
         params = tiny_trainable(vocab_size=vocab.size)
-        embed = make_embedder(params, make_input_fn(params.config, vocab=vocab)(corpus.examples))
+        embed = make_embedder(params)(make_input_fn(params.config, vocab=vocab)(corpus.examples))
         # Three rows: a one-row chunk would round as a matrix-vector product.
         xs = [vocab.lookup(tokens) for tokens in (["a", "b"], ["c"], ["a", "b"])]
         np.testing.assert_array_equal(embed([0, 1, 0]), encode_rows(params, xs))
@@ -682,7 +728,7 @@ class TestEmbedder:
         params = identity_projection(2)
         table = VectorTable(dim=2, entries={"t1": np.array([1.0, 0.0])})
         prepare = make_input_fn(params.config, vectors=table)
-        embed = make_embedder(params, prepare(corpus.examples[:1]))
+        embed = make_embedder(params)(prepare(corpus.examples[:1]))
         np.testing.assert_array_equal(embed([0])[0], [1.0, 0.0])
         with pytest.raises(CorpusError, match="no vector for example id 't2'"):
             prepare(corpus.examples[1:])

@@ -230,3 +230,39 @@ class TestPairDump:
         with pytest.raises(CorpusError, match="tab or line break"):
             write_pairs(pairs, path)
         assert path.read_text() == "previous\n" if existing else not path.exists()
+
+
+class TestMemberRows:
+    """member_rows against a binary search of the sorted referenced() indices."""
+
+    @staticmethod
+    def assert_matches_searchsorted(pairs):
+        ref, a, b = pairs.member_rows()
+        assert ref.tobytes() == pairs.referenced().tobytes()
+        assert a.tobytes() == np.searchsorted(ref, pairs.a).tobytes()
+        assert b.tobytes() == np.searchsorted(ref, pairs.b).tobytes()
+        assert (ref[a] == pairs.a).all() and (ref[b] == pairs.b).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_pair_sets_with_repeated_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        corpus = synthetic_corpus("syn", 4, int(rng.integers(2, 12)), n_groups=4, seed=seed)
+        k = int(rng.integers(1, 40))
+        a, b = rng.integers(len(corpus), size=(2, k))
+        repeat = rng.integers(k, size=k)  # every pair drawn again, in a shuffled order
+        a, b = np.concatenate([a, a[repeat]]), np.concatenate([b, b[repeat]])
+        self.assert_matches_searchsorted(PairSet(corpus.examples, a, b, np.zeros(2 * k, dtype=np.intp)))
+
+    def test_sampled_pairs(self):
+        corpus = synthetic_corpus("syn", 5, 8, n_groups=5, seed=1)
+        self.assert_matches_searchsorted(
+            generate_episodes(corpus, EpisodeSpec(quotas={"syn": 300}, seed=2))
+        )
+
+    def test_one_class_pair_table(self):
+        # One same-class pair whose members skip the table's middle example.
+        corpus = make_corpus("d", [("x", "t", "p"), ("y", "t", "q"), ("z", "t", "p")])
+        pairs = PairSet(corpus.examples, np.array([2]), np.array([0]), np.array([1]))
+        self.assert_matches_searchsorted(pairs)
+        ref, a, b = pairs.member_rows()
+        assert ref.tolist() == [0, 2] and a.tolist() == [1] and b.tolist() == [0]

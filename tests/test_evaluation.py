@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 
@@ -11,6 +12,7 @@ from pairtune.encoder import (
     TRAINABLE,
     EncoderConfig,
     build_vocab,
+    encode_batch,
     identity_projection,
     init_encoder_params,
     make_embedder,
@@ -232,12 +234,12 @@ class TestBatchedEvalMatchesReference:
                 return params.W2 @ np.maximum(params.W1 @ m + params.b1, 0.0) + params.b2
 
             inputs = make_input_fn(config, vocab=vocab)(corpus.examples)
-            return corpus, embed_one, make_embedder(params, inputs)
+            return corpus, embed_one, make_embedder(params)(inputs)
         table = VectorTable(dim=6, entries={ex.id: rng.normal(size=6) for ex in corpus.examples})
         if kind == "identity-orig":
             params = identity_projection(6)
             inputs = make_input_fn(params.config, vectors=table)(corpus.examples)
-            return corpus, lambda ex: table[ex.id], make_embedder(params, inputs)
+            return corpus, lambda ex: table[ex.id], make_embedder(params)(inputs)
         h, d_out = (4, 11) if kind == "frozen-narrow" else (7, 5)
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=6, h=h, d_out=d_out)
         params = init_encoder_params(config, seed=4)
@@ -247,7 +249,7 @@ class TestBatchedEvalMatchesReference:
             return params.W2 @ np.maximum(params.W1 @ table[ex.id] + params.b1, 0.0) + params.b2
 
         inputs = make_input_fn(config, vectors=table)(corpus.examples)
-        return corpus, embed_one, make_embedder(params, inputs)
+        return corpus, embed_one, make_embedder(params)(inputs)
 
     @pytest.mark.parametrize(
         "kind", ["trainable", "frozen", "identity-orig", "trainable-narrow", "frozen-narrow"]
@@ -272,6 +274,40 @@ class TestBatchedEvalMatchesReference:
         for name, value in expected.items():
             assert abs(getattr(report, name) - value) <= 1e-12, name
 
+
+
+@pytest.mark.parametrize("d", [5, 64, 512])
+def test_identity_orig_scored_on_its_inputs_matches_the_network(d):
+    """make_embedder scores an exact identity_projection on its input
+    vectors; encode_batch runs its 2d-wide ReLU network. Only the signs of
+    zero entries may differ, so magnitudes, Gram matrices and every report
+    field are equal."""
+    corpus = synthetic_corpus("idn", 4, 15, n_groups=4, seed=1)
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(len(corpus), d))
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[rng.random(X.shape) < 0.2] = -0.0
+    X[0], X[1] = 0.0, -0.0  # all-zero rows score at distance 1 from everything
+    assert np.signbit(X[X == 0.0]).any() and not np.signbit(X[X == 0.0]).all()
+    table = VectorTable(dim=d, entries={ex.id: x for ex, x in zip(corpus.examples, X)})
+    params = identity_projection(d)
+    inputs = make_input_fn(params.config, vectors=table)(corpus.examples)
+
+    def network(rows):
+        return encode_batch(params, inputs.take(np.asarray(rows, dtype=np.intp)))[0]
+
+    embed = make_embedder(params)(inputs)
+    rows = np.arange(len(corpus))
+    Z, N = embed(rows), network(rows)
+    assert Z.tobytes() == X.tobytes()
+    assert np.abs(Z).tobytes() == np.abs(N).tobytes()
+    assert (Z @ Z.T).tobytes() == (N @ N.T).tobytes()
+    spec = EvalSpec(n_pairs=400, same_fraction=0.5, seed=3)
+    shortcut, reference = delta_cosine_distance(embed, corpus, spec), delta_cosine_distance(
+        network, corpus, spec
+    )
+    for field in dataclasses.fields(DeltaReport):
+        assert getattr(shortcut, field.name) == getattr(reference, field.name), field.name
 
 def report_fixture(seed=0):
     rng = np.random.default_rng(seed)

@@ -414,7 +414,7 @@ class TestTrainSiamese:
         assert report.epoch_losses[-1] < 0.05
         assert report.epoch_losses[-1] < report.epoch_losses[0]
         result = delta_cosine_distance(
-            make_embedder(params, input_fn(held.examples)), held,
+            make_embedder(params)(input_fn(held.examples)), held,
             EvalSpec(n_pairs=2_000, seed=35),
         )
         assert result.delta > 0.5
