@@ -512,6 +512,8 @@ def cmd_eval(args) -> None:
         raise ConfigError("--orig needs --vectors with the test-set embeddings")
     else:
         _orig_config(args, 1)  # the vector files set d_in later
+        if args.hidden_width is not None and args.d_out is None:
+            raise ConfigError("--hidden-width needs --d-out: without it ORIG is the identity")
     paths = args.vectors or []
     if len(paths) == 1:
         paths = paths * len(args.test)  # one file may serve every test set
@@ -533,7 +535,11 @@ def cmd_eval(args) -> None:
             raise CorpusError(f"{args.vectors[0]}: vectors of width {tables[0].dim} do not fit "
                               f"the model's input width d_in={params.config.d_in}")
     else:
-        params = orig_model(_base_params(_orig_config(args, tables[0].dim), None, args.seed))
+        dim = tables[0].dim
+        if args.hidden_width is not None and args.d_out == dim:
+            raise ConfigError(f"--hidden-width needs a --d-out other than the vectors' width {dim}: "
+                              "at that width ORIG is the identity")
+        params = orig_model(_base_params(_orig_config(args, dim), None, args.seed))
         vocab = None
         name = args.model_name or "ORIG"
 
@@ -702,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-out", type=int, default=None,
                    help="with --orig: project to this width instead of identity")
     p.add_argument("--hidden-width", type=int, default=None,
-                   help="with --orig: hidden width of the projection (default 64)")
+                   help="with --orig and a --d-out other than the vectors' width: "
+                        "hidden width of the projection (default 64)")
     p.add_argument("--model-name", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -491,40 +491,14 @@ def make_input_fn(
 EMBED_CHUNK = 64
 
 
-def _gram_root(G: np.ndarray) -> np.ndarray:
-    """An R with R.T @ R == G to rounding, for a symmetric positive
-    semidefinite G: Cholesky with diagonal pivoting, one row of R per step.
-    It stops once no pivot left exceeds n * eps * max(diag(G)) and leaves the
-    remaining rows zero, so a rank-deficient G factors too. A non-finite G
-    gives a NaN R."""
-    n = len(G)
-    tol = n * np.finfo(np.float64).eps * G.diagonal().max()
-    if not math.isfinite(tol):
-        return np.full_like(G, np.nan)
-    S, R = G.copy(), np.zeros_like(G)
-    for k in range(n):
-        p = int(np.argmax(S.diagonal()))
-        if not S[p, p] > tol:
-            break
-        R[k] = S[p] / math.sqrt(S[p, p])
-        S -= np.outer(R[k], R[k])
-        # Zero in exact arithmetic; cleared so that rounding cannot pick p again.
-        S[p] = S[:, p] = 0.0
-    return R
-
-
 def _eval_head(params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
     """The output layer that eval applies to the hidden activations:
-    ``(W2, b2)`` when d_out <= h + 1, else ``(R[:, :h], R[:, h])``, where
-    R.T @ R is the Gram matrix of [W2 | b2]."""
+    ``(W2, b2)`` when d_out <= h + 1, else ``(R[:, :h], R[:, h])`` for the
+    R of a QR factorisation of [W2 | b2], whose R.T @ R is its Gram matrix."""
     h = params.config.h
     if params.config.d_out <= h + 1:
         return params.W2, params.b2
-    G = np.empty((h + 1, h + 1))
-    G[:h, :h] = params.W2.T @ params.W2
-    G[h, :h] = G[:h, h] = params.b2 @ params.W2
-    G[h, h] = params.b2 @ params.b2
-    R = _gram_root(G)
+    R = np.linalg.qr(np.column_stack([params.W2, params.b2]), mode="r")
     return R[:, :h], R[:, h]
 
 
@@ -560,28 +534,26 @@ def make_embedder(params: EncoderParams):
     Each embedding is z = [W2 | b2] @ [a; 1] for the hidden activations a.
     Factor [W2 | b2] = Q @ R with Q's h + 1 columns orthonormal; then
     z = Q @ y for y = R @ [a; 1], and z_i . z_j = y_i . y_j. R comes from
-    ``_gram_root`` of the (h + 1)-square Gram matrix, so Q is never formed.
-    When d_out <= h + 1 the rows are ``encode_batch``'s, bit for bit. The
-    rows are gathered, pooled and projected EMBED_CHUNK at a time, forward
-    only: ``_hidden`` and then the output layer of ``_eval_head``.
+    ``np.linalg.qr(..., mode="r")``, a Householder QR that never forms Q or
+    the Gram matrix and needs no rank tolerance. When d_out <= h + 1 the
+    rows are ``encode_batch``'s, bit for bit. The rows are gathered, pooled
+    and projected EMBED_CHUNK at a time, forward only: ``_hidden`` and then
+    the output layer of ``_eval_head``.
 
-    An exact ``identity_projection`` (``_is_identity``) skips the network:
-    its rows are the pooled inputs themselves. In that network every
-    product with a zero weight is +-0 and at most one of relu(m) and
-    relu(-m) is nonzero, so its outputs equal its inputs except for the
-    sign of zero entries, which no norm or inner product sees.
+    An exact ``identity_projection`` (``_is_identity``) has no head: its
+    rows are the pooled inputs themselves. In that network every product
+    with a zero weight is +-0 and at most one of relu(m) and relu(-m) is
+    nonzero, so its outputs equal its inputs except for the sign of zero
+    entries, which no norm or inner product sees.
     """
-    if _is_identity(params):
-
-        def embedder(inputs: InputTable):
-            return lambda rows: _pool(params, inputs.take(np.asarray(rows, dtype=np.intp)))[0]
-
-        return embedder
-    W2, b2 = _eval_head(params)
+    head = None if _is_identity(params) else _eval_head(params)
 
     def embedder(inputs: InputTable):
         def embed(rows) -> np.ndarray:
             rows = np.asarray(rows, dtype=np.intp)
+            if head is None:
+                return _pool(params, inputs.take(rows))[0]
+            W2, b2 = head
             Y = np.empty((len(rows), len(b2)))
             for lo in range(0, len(rows), EMBED_CHUNK):
                 chunk = rows[lo : lo + EMBED_CHUNK]

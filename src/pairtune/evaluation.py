@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, atomic_write, check_field
-from .episodes import EpisodeSpec, generate_episodes
+from .episodes import EpisodeSpec, generate_episodes, same_pair_count
 from .training import NumericError
 
 
@@ -25,10 +25,15 @@ class EvalSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_pairs < 2:
-            raise ValueError("n_pairs must be >= 2")
         if not 0.0 < self.same_fraction < 1.0:
             raise ValueError("same_fraction must be strictly between 0 and 1")
+        # The gap needs at least one pair of each kind.
+        n_same = same_pair_count(self.n_pairs, self.same_fraction)
+        if not 1 <= n_same < self.n_pairs:
+            raise ValueError(
+                f"n_pairs {self.n_pairs} at same_fraction {self.same_fraction} gives {n_same} "
+                f"same-class and {self.n_pairs - n_same} different-class pairs; need >= 1 of each"
+            )
 
 
 @dataclass
@@ -107,8 +112,7 @@ def delta_cosine_distance(embed, test_corpus: Corpus, spec: EvalSpec) -> DeltaRe
 
     same = pairs.target == 1
     same_arr, diff_arr = dist[same], dist[~same]
-    mean_same = float(same_arr.mean()) if same_arr.size else 0.0
-    mean_diff = float(diff_arr.mean()) if diff_arr.size else 0.0
+    mean_same, mean_diff = float(same_arr.mean()), float(diff_arr.mean())
     return DeltaReport(
         n_pairs=spec.n_pairs,
         s_count=int(same_arr.size),

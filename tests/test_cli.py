@@ -460,8 +460,12 @@ class TestEvalCommand:
         (("--model-name", "a\tb"), "config error: ", "--model-name"),
         (("--model-name", "a\nb"), "config error: ", "--model-name"),
         (("--vectors", "missing2.vec"), "config error: ", "--vectors"),
+        (("--n-pairs", 2, "--same-fraction", 0.1), "invalid value: ", "n_pairs"),
+        (("--n-pairs", 2, "--same-fraction", 0.9), "invalid value: ", "n_pairs"),
+        (("--hidden-width", 3), "config error: ", "--hidden-width"),
     ], ids=["same-fraction-0", "same-fraction-1.5", "n-pairs-1", "hidden-width-0", "d-out-0",
-            "model-name-tab", "model-name-newline", "vectors-count"])
+            "model-name-tab", "model-name-newline", "vectors-count", "no-same-pair",
+            "no-diff-pair", "hidden-width-without-d-out"])
     def test_bad_flag_fails_before_any_file_is_read(self, tmp_path, capsys, argv, prefix, word):
         out = tmp_path / "r.tsv"
         capsys.readouterr()
@@ -470,6 +474,22 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith(prefix) and len(err.splitlines()) == 1 and word in err, err
         assert not out.exists()
+
+    def test_hidden_width_of_an_identity_orig_is_refused(self, tmp_path, capsys):
+        # With --d-out equal to the vectors' width, ORIG is the identity and
+        # has no hidden width to set; any other --d-out takes the flag.
+        test = gen_corpus(tmp_path / "t.jsonl", classes=3, per_class=5)
+        ids = [ex.id for ex in load_corpus(test).examples]
+        rng = np.random.default_rng(2)
+        vec = tmp_path / "v.vec"
+        write_vectors(VectorTable(dim=4, entries={i: rng.normal(size=4) for i in ids}), vec)
+        argv = ("eval", "--orig", "--test", test, "--vectors", vec, "--hidden-width", 3)
+        out = tmp_path / "r.tsv"
+        capsys.readouterr()
+        assert run(*argv, "--d-out", 4, "--out", out) == EXIT_USAGE
+        assert_one_line_error(capsys, "--hidden-width", "width 4", kind="config")
+        assert not out.exists()
+        assert run(*argv, "--d-out", 5, "--out", out) == EXIT_OK
 
     @pytest.mark.parametrize("argv,prefix,word", [
         (("--same-fraction", 0), "config error: ", "--same-fraction"),
@@ -777,6 +797,8 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("section,field,value", [
         ("eval", "n_pairs", 1),
         ("eval", "same_fraction", 1.0),
+        ("eval", "same_fraction", 0.001),
+        ("eval", "same_fraction", 0.999),
         ("siamese", "learning_rate", -1),
         ("siamese", "learning_rate", float("nan")),
         ("siamese", "target_same", -0.5),

@@ -130,6 +130,12 @@ def encode_rows(params, xs):
     return encode_batch(params, input_table(params.config, xs))[0]
 
 
+def cosine_distance_matrix(Z):
+    """Every pair's eval cosine distance, from rows of any width."""
+    norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", Z, Z)), 1e-12)
+    return 1.0 - (Z @ Z.T) / np.outer(norms, norms)
+
+
 def probe_gradients(params, xs, probe):
     """The gradient of sum(probe * Z) for the batch of ``xs``: its analytic
     value from ``encode_batch_backward`` and its finite differences."""
@@ -626,10 +632,6 @@ class TestEmbedder:
             np.testing.assert_allclose(Z, expected, rtol=0, atol=1e-12)
             return
 
-        def cosine_distances(Z):
-            norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", Z, Z)), 1e-12)
-            return 1.0 - (Z @ Z.T) / np.outer(norms, norms)
-
         # Each head below changes the one before it.
         for head in ("random b2", "b2 = 0", "two equal W2 columns", "all-zero W2"):
             if head == "random b2":
@@ -644,9 +646,33 @@ class TestEmbedder:
             assert Z.shape == (len(rows), params.config.h + 1), head
             np.testing.assert_allclose(Z @ Z.T, direct @ direct.T, rtol=0, atol=1e-12, err_msg=head)
             np.testing.assert_allclose(
-                cosine_distances(Z), cosine_distances(direct), rtol=0, atol=1e-12, err_msg=head
+                cosine_distance_matrix(Z), cosine_distance_matrix(direct), rtol=0, atol=1e-12, err_msg=head
             )
-        assert not Z.any() and (cosine_distances(Z) == 1.0).all()
+        assert not Z.any() and (cosine_distance_matrix(Z) == 1.0).all()
+
+    @pytest.mark.parametrize("h", range(1, 9))
+    def test_narrowed_rows_keep_inner_products_over_a_shape_grid(self, h):
+        rng = np.random.default_rng(h)
+        X = rng.normal(size=(20, 3))
+        X[::4] = 0.0  # rows whose hidden layer is relu(b1) = 0: their embedding is b2
+        for d_out in range(h + 2, 3 * h + 6):
+            config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=3, h=h, d_out=d_out)
+            params = init_encoder_params(config, seed=d_out)
+            inputs = input_table(config, list(X))
+            for head in ("random b2", "b2 = 0", "duplicated columns", "zero W2"):
+                params.b2[...] = 0.0 if head == "b2 = 0" else rng.normal(size=d_out)
+                if head == "duplicated columns":
+                    # b2 repeats W2's first column, and so does W2's last.
+                    params.W2[:, -1] = params.b2[...] = params.W2[:, 0]
+                elif head == "zero W2":
+                    params.W2[...] = 0.0
+                Z, direct = make_embedder(params)(inputs)(range(len(X))), encode_rows(params, list(X))
+                where = f"h={h} d_out={d_out} {head}"
+                assert Z.shape == (len(X), h + 1), where
+                np.testing.assert_allclose(Z @ Z.T, direct @ direct.T, rtol=0, atol=1e-12,
+                                           err_msg=where)
+                np.testing.assert_allclose(cosine_distance_matrix(Z), cosine_distance_matrix(direct),
+                                           rtol=0, atol=1e-12, err_msg=where)
 
     @pytest.mark.parametrize("mode", [TRAINABLE, FROZEN_PROJECTION])
     @pytest.mark.parametrize("d_out", [5, 12], ids=["unnarrowed", "narrowed"])

@@ -194,6 +194,20 @@ class TestDeltaCosineDistance:
             EvalSpec(n_pairs=1)
         with pytest.raises(ValueError, match="same_fraction"):
             EvalSpec(n_pairs=10, same_fraction=0.0)
+        # Rounding would leave no same-class or no different-class pair to average.
+        for n_pairs, same_fraction in [(2, 0.1), (2, 0.9), (10, 0.04), (10, 0.96)]:
+            with pytest.raises(ValueError, match="n_pairs"):
+                EvalSpec(n_pairs=n_pairs, same_fraction=same_fraction)
+
+    @pytest.mark.parametrize("n_pairs,same_fraction", [(2, 0.5), (3, 0.2), (10, 0.05), (10, 0.94)])
+    def test_smallest_specs_score_one_pair_of_each_kind_or_more(self, n_pairs, same_fraction):
+        corpus, vectors = two_class_six_examples()
+        report = delta_cosine_distance(
+            stack_rows(lambda ex: vectors[ex.id], corpus), corpus,
+            EvalSpec(n_pairs=n_pairs, same_fraction=same_fraction, seed=5),
+        )
+        assert report.s_count >= 1 and report.d_count >= 1
+        assert report.delta == report.mean_diff_distance - report.mean_same_distance
 
 
 def reference_report(embed_one, corpus, spec):
