@@ -36,6 +36,7 @@ from .evaluation import (
     cosine_distance,
     delta_cosine_distance,
     emit_report,
+    eval_pairs,
     parse_report,
 )
 from .synthetic import synthetic_corpus

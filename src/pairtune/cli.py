@@ -50,7 +50,7 @@ from .encoder import (
     save_vocab,
 )
 from .episodes import EpisodeError, EpisodeSpec, generate_episodes, load_pairs, write_pairs
-from .evaluation import EvalSpec, delta_cosine_distance, emit_report
+from .evaluation import EvalSpec, delta_cosine_distance, emit_report, eval_pairs
 from .synthetic import synthetic_corpus
 from .training import (
     NaiveConfig,
@@ -198,6 +198,8 @@ def validate_experiment_config(cfg: dict) -> None:
         _check_train_sets(model, n_train)
     if not cfg["test_sets"]:
         raise ConfigError("test_sets: need at least one test set")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     if cfg["encoder"]["mode"] == FROZEN_PROJECTION:
         if len(cfg["train_vectors"]) != n_train:
             raise ConfigError("train_vectors: need one vector file per train set")
@@ -378,8 +380,9 @@ def orig_model(base_params: EncoderParams) -> EncoderParams:
     return base_params
 
 
-def train_variant(variant, params, corpora, input_fn, cfg: dict, seed: int, pairs=None):
-    """Finetune ``params`` in place as the NAIVE, SIAMESE or ALL variant.
+def train_variant(variant, params, corpora, table, cfg: dict, seed: int, pairs=None):
+    """Finetune ``params`` in place as the NAIVE, SIAMESE or ALL variant on
+    ``table``, the inputs of every example of ``corpora`` in order.
 
     ``cfg`` supplies the experiment config's "naive", "siamese" and
     "episodes" sections. SIAMESE samples episodes.siamese_pairs pairs from
@@ -391,7 +394,7 @@ def train_variant(variant, params, corpora, input_fn, cfg: dict, seed: int, pair
     if variant == "NAIVE":
         ncfg = NaiveConfig(seed=seed + SEED_NAIVE, **cfg["naive"])
         params, _head, report = train_naive(
-            params, corpus=corpora[0], input_fn=input_fn, ncfg=ncfg, log=_log
+            params, corpus=corpora[0], table=table, ncfg=ncfg, log=_log
         )
         _log("classification head discarded; keeping the finetuned encoder")
         return params, report
@@ -408,7 +411,7 @@ def train_variant(variant, params, corpora, input_fn, cfg: dict, seed: int, pair
             EpisodeSpec(quotas=quotas, same_fraction=ep["same_fraction"], seed=seed + episode_seed),
         )
     scfg = SiameseConfig(seed=seed + train_seed, **cfg["siamese"])
-    return train_siamese(params, pairs=pairs, input_fn=input_fn, scfg=scfg, log=_log)
+    return train_siamese(params, pairs=pairs, table=table, scfg=scfg, log=_log)
 
 
 def cmd_train(args) -> None:
@@ -452,12 +455,13 @@ def cmd_train(args) -> None:
     tables = _vector_tables(corpora, args.vectors or [])
     config, vocab = _encoder_and_vocab(enc, tables, corpora, args.vocab)
     input_fn = make_input_fn(config, vocab, {c.dataset_id: t for c, t in zip(corpora, tables)})
+    table = input_fn([ex for c in corpora for ex in c.examples])
     params = _base_params(config, vocab, args.seed)
 
     pairs = None
     if mode != "NAIVE" and args.pairs_in:
         pairs = load_pairs(args.pairs_in, corpora)
-    params, report = train_variant(mode, params, corpora, input_fn, cfg, args.seed, pairs)
+    params, report = train_variant(mode, params, corpora, table, cfg, args.seed, pairs)
 
     save_model(args.out, params, vocab, storage=args.format)
     _log(f"model written to {args.out}")
@@ -474,15 +478,16 @@ def _write_loss_curve(path, report) -> None:
 
 def _evaluate(models, tests, input_fn, spec: EvalSpec) -> list:
     """One report row per (model, test set), model-major. ``models`` holds
-    (name, params) pairs and ``input_fn`` prepares a test set's inputs,
-    which are prepared once and shared by every model. Each model's
-    embedder, and so its eval head, is built once and serves every test set."""
+    (name, params) pairs and ``input_fn`` prepares a test set's inputs. Each
+    test set's inputs and ``eval_pairs`` serve every model, and each model's
+    embedder, and so its eval head, serves every test set."""
     rows = [[] for _ in models]
     embedders = [make_embedder(params) for _, params in models]
     for test in tests:
         inputs = input_fn(test.examples)
+        pairs = eval_pairs(test, spec)
         for model_rows, (name, _), embedder in zip(rows, models, embedders):
-            result = delta_cosine_distance(embedder(inputs), test, spec)
+            result = delta_cosine_distance(embedder(inputs), pairs)
             model_rows.append((name, test.dataset_id, result))
             _log(f"{name} on {test.dataset_id}: delta={result.delta:.6f}")
     return [row for model_rows in rows for row in model_rows]
@@ -589,6 +594,7 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
     config, vocab = _encoder_and_vocab(enc, tables, train_corpora or test_corpora)
     base_params = _base_params(config, vocab, seed)
     input_fn = make_input_fn(config, vocab, {c.dataset_id: t for c, t in zip(train_corpora, tables)})
+    table = input_fn([ex for c in train_corpora for ex in c.examples])
 
     trained = []
     for model in cfg["models"]:
@@ -599,7 +605,7 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
             _log("untrained surrogate; no finetuning")
         else:
             model_params, report = train_variant(
-                model, base_params.copy(), train_corpora, input_fn, cfg, seed
+                model, base_params.copy(), train_corpora, table, cfg, seed
             )
         trained.append((model, model_params))
         save_model(out_dir / f"{model}.ptm", model_params, vocab, storage=cfg["model_format"])
@@ -731,6 +737,8 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # numpy seeds are >= 0
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         args.func(args)
         return EXIT_OK
     except ConfigError as err:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, atomic_write, check_field
-from .episodes import EpisodeSpec, generate_episodes, same_pair_count
+from .episodes import EpisodeSpec, PairSet, generate_episodes, same_pair_count
 from .training import NumericError
 
 
@@ -76,24 +76,21 @@ def _stderr(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-def delta_cosine_distance(embed, test_corpus: Corpus, spec: EvalSpec) -> DeltaReport:
-    """Estimate the distance gap on spec.n_pairs sampled pairs.
+def eval_pairs(test_corpus: Corpus, spec: EvalSpec) -> PairSet:
+    """A test set's spec.n_pairs sampled pairs, on which every model is scored."""
+    quotas = {test_corpus.dataset_id: spec.n_pairs}
+    return generate_episodes([test_corpus], EpisodeSpec(quotas, spec.same_fraction, spec.seed))
+
+
+def delta_cosine_distance(embed, pairs: PairSet) -> DeltaReport:
+    """The distance gap over ``pairs``, as drawn by ``eval_pairs``.
 
     ``embed(rows)``, as made by ``make_embedder(params)(inputs)``, runs once
-    over the indices into ``test_corpus.examples`` of the distinct examples
-    the pairs reference and returns one embedding per index. The rows may
-    be of any width that keeps the embeddings' norms and inner products, as
-    ``make_embedder``'s narrowed rows do. Pairs score by
-    ``cosine_distance``'s formula. Deterministic given the seed.
+    over the indices into ``pairs.examples`` of the distinct examples the
+    pairs reference and returns one embedding per index. The rows may be of
+    any width that keeps the embeddings' norms and inner products, as
+    ``make_embedder``'s narrowed rows do. Pairs score by ``cosine_distance``'s formula.
     """
-    pairs = generate_episodes(
-        [test_corpus],
-        EpisodeSpec(
-            quotas={test_corpus.dataset_id: spec.n_pairs},
-            same_fraction=spec.same_fraction,
-            seed=spec.seed,
-        ),
-    )
     ref, a, b = pairs.member_rows()  # a and b are rows of Z
     Z = np.asarray(embed(ref), dtype=np.float64)
     squares = np.einsum("ij,ij->i", Z, Z)
@@ -114,7 +111,7 @@ def delta_cosine_distance(embed, test_corpus: Corpus, spec: EvalSpec) -> DeltaRe
     same_arr, diff_arr = dist[same], dist[~same]
     mean_same, mean_diff = float(same_arr.mean()), float(diff_arr.mean())
     return DeltaReport(
-        n_pairs=spec.n_pairs,
+        n_pairs=len(pairs),
         s_count=int(same_arr.size),
         d_count=int(diff_arr.size),
         mean_same_distance=mean_same,

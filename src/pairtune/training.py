@@ -304,7 +304,7 @@ def _run_epochs(n_items: int, cfg, params: dict, grads: dict, batch_losses, log)
 def train_siamese(
     params: EncoderParams,
     pairs: PairSet,
-    input_fn,
+    table: InputTable,
     scfg: SiameseConfig,
     log=None,
 ) -> tuple[EncoderParams, TrainingReport]:
@@ -314,19 +314,18 @@ def train_siamese(
     parameter set; batching and the Adam steps follow ``_run_epochs``.
     Deterministic given the seed.
 
-    ``input_fn``, as made by ``make_input_fn``, packs the examples the pairs
-    reference into one InputTable in one call; every batch gathers its 2B
-    rows from it.
+    Row i of ``table`` is the encoder input of ``pairs.examples[i]``; every
+    batch gathers its 2B rows ``pairs.a`` and ``pairs.b`` from it.
     """
+    if len(table) != len(pairs.examples):
+        raise ValueError(f"input table has {len(table)} rows for {len(pairs.examples)} examples")
     if len(pairs) == 0 and scfg.epochs > 0:
         raise ValueError("no training pairs")
-    ref, a, b = pairs.member_rows()  # a and b are rows of the table
-    table = input_fn([pairs.examples[i] for i in ref.tolist()])
     targets = np.where(pairs.target == 1, scfg.target_same, scfg.target_diff)
     grad = params.zeros_like()
 
     def batch_losses(batch):
-        members = table.take(np.concatenate((a[batch], b[batch])))
+        members = table.take(np.concatenate((pairs.a[batch], pairs.b[batch])))
         return siamese_batch_backward(params, members, targets[batch], scfg.epsilon_norm, grad)
 
     report = _run_epochs(
@@ -349,19 +348,21 @@ def softmax_cross_entropy(logits: np.ndarray, target_indices) -> tuple[np.ndarra
 def train_naive(
     params: EncoderParams,
     corpus: Corpus,
-    input_fn,
+    table: InputTable,
     ncfg: NaiveConfig,
     log=None,
 ) -> tuple[EncoderParams, EncoderParams, TrainingReport]:
     """Finetune encoder + classification head on the corpus's class labels.
 
-    Gradients flow through the head into the encoder. Returns the finetuned
+    Gradients flow through the head into the encoder; row i of ``table`` is
+    the encoder input of ``corpus.examples[i]``. Returns the finetuned
     encoder and the head (which callers typically discard).
     """
+    if len(table) != len(corpus):
+        raise ValueError(f"input table has {len(table)} rows for {len(corpus)} examples")
     # stable class -> output index assignment: sorted labels
     label_index = {label: i for i, label in enumerate(sorted(corpus.class_index))}
     head = init_head_params(params.config.d_out, ncfg.hidden_dim, len(label_index), seed=ncfg.seed)
-    table = input_fn(corpus.examples)
     targets = np.array([label_index[ex.class_label] for ex in corpus.examples], dtype=np.intp)
     egrad = params.zeros_like()
     hgrad = head.zeros_like()

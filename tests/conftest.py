@@ -55,12 +55,23 @@ def well_scaled_params(params, seed):
     return params
 
 
-def finite_difference_gradients(loss_fn, arrays: dict[str, np.ndarray], step: float = 1e-4):
-    """Central finite differences of a scalar loss over every array entry.
+# (offset, weight) pairs, offsets in steps, and the divisor of two stencils:
+# central differences (error O(step^2)) and the five-point stencil (O(step^4)).
+CENTRAL = (((1, 1.0), (-1, -1.0)), 2.0)
+FIVE_POINT = (((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)), 12.0)
+
+
+def finite_difference_gradients(
+    loss_fn, arrays: dict[str, np.ndarray], step: float = 1e-4, stencil=CENTRAL
+):
+    """Finite differences of a scalar loss over every array entry: entry i's
+    derivative is sum(w * loss(x_i + k * step)) / (divisor * step) over the
+    stencil's (k, w) pairs.
 
     Perturbs the live arrays in place and restores them, so ``loss_fn``
     must recompute the loss from those arrays on every call.
     """
+    points, divisor = stencil
     grads = {}
     for name, arr in arrays.items():
         g = np.zeros_like(arr)
@@ -68,30 +79,31 @@ def finite_difference_gradients(loss_fn, arrays: dict[str, np.ndarray], step: fl
         gflat = g.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
-            loss_plus = loss_fn()
-            flat[i] = orig - step
-            loss_minus = loss_fn()
+            total = 0.0
+            for k, w in points:
+                flat[i] = orig + k * step
+                total += w * loss_fn()
             flat[i] = orig
-            gflat[i] = (loss_plus - loss_minus) / (2.0 * step)
+            gflat[i] = total / (divisor * step)
         grads[name] = g
     return grads
 
 
-def fd_conditioned(params, batch, head=None) -> bool:
-    """Whether central differences at step 1e-4 can resolve the gradient of a
-    loss over ``batch``: every ReLU pre-activation lies at least 1e-2 from its
-    kink, so no step crosses one, and no part of the loss is flat except to
-    rounding. Without a head the batch is Siamese (pair i is rows i and
-    n/2 + i): no pair's embeddings are equal, where the cosine is 1 whatever
-    the parameters, and every embedding is at least 0.1 long, away from the
-    cosine's vanishing-norm region. With a head, its hidden layer is active
-    on some row, or the encoder gets no gradient to check.
+def fd_conditioned(params, batch, head=None, step: float = 1e-4) -> bool:
+    """Whether finite differences at ``step`` (up to two steps from each
+    entry) can resolve the gradient of a loss over ``batch``: every ReLU
+    pre-activation lies at least 100 steps from its kink, so no step crosses
+    one, and no part of the loss is flat except to rounding. Without a head
+    the batch is Siamese (pair i is rows i and n/2 + i): no pair's
+    embeddings are equal, where the cosine is 1 whatever the parameters, and
+    every embedding is at least 0.1 long, away from the cosine's
+    vanishing-norm region. With a head, its hidden layer is active on some
+    row, or the encoder gets no gradient to check.
     """
     Z, fwd = encode_batch(params, batch)
     layers = [(fwd.M, params)] + ([(Z, head)] if head is not None else [])
     pre = [X @ p.W1.T + p.b1 for X, p in layers]
-    if min(np.abs(A).min() for A in pre) < 1e-2:
+    if min(np.abs(A).min() for A in pre) < 100.0 * step:
         return False
     if head is not None:
         return bool((pre[-1] > 0).any())

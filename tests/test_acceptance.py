@@ -9,6 +9,7 @@ per-dataset pair quotas for the full default epoch count.
 import math
 import time
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from pairtune.encoder import (
     project,
 )
 from pairtune.episodes import EpisodeSpec, generate_episodes
-from pairtune.evaluation import EvalSpec, cosine_distance, delta_cosine_distance
+from pairtune.evaluation import EvalSpec, cosine_distance, delta_cosine_distance, eval_pairs
 from pairtune.synthetic import synthetic_corpus
 from pairtune.training import (
     NaiveConfig,
@@ -48,6 +49,7 @@ from pairtune.training import (
 )
 
 from conftest import (
+    FIVE_POINT,
     brute_force_delta,
     cross_entropy_loss,
     encoder_and_head,
@@ -61,9 +63,20 @@ from conftest import (
 )
 
 
-def test_criterion_1_gradient_correctness():
-    started = time.perf_counter()
-    rng = np.random.default_rng(2024)
+# Seeds 1, 7 and 11 fail with central differences at step 1e-4, whose error
+# on the smallest gradient entries exceeds the bound; 2024 is the
+# criterion's original seed. CI runs check_criterion_1 at seeds 0-23.
+CRITERION_1_SEEDS = (1, 7, 11, 2024)
+CRITERION_1_STEP = 1e-3
+
+
+def check_criterion_1(seed: int) -> tuple[float, float, int]:
+    """Criterion 1 over one seed's draws: 20 configs each trainable and
+    frozen, every gradient checked by the five-point stencil at step 1e-3
+    on draws that ``fd_conditioned`` passes at that step. Asserts the 1e-4
+    relative bound and returns the worst siamese and naive errors and the
+    number of draws."""
+    rng = np.random.default_rng(seed)
     worst_siamese = 0.0
     worst_naive = 0.0
     n_configs = 20
@@ -73,6 +86,7 @@ def test_criterion_1_gradient_correctness():
     # would see only rounding.
     n_pairs, n_examples = 3, 5
     draws = 0
+    fd = partial(finite_difference_gradients, step=CRITERION_1_STEP, stencil=FIVE_POINT)
 
     for mode in (TRAINABLE, FROZEN_PROJECTION):
         checked = 0
@@ -99,8 +113,8 @@ def test_criterion_1_gradient_correctness():
             targets = rng.integers(0, 2, size=n_pairs).astype(np.float64)
             ys = rng.integers(0, n_classes, size=n_examples)
             # A draw that finite differences cannot resolve checks nothing.
-            if not (fd_conditioned(params, pairs)
-                    and fd_conditioned(params, examples, head)):
+            if not (fd_conditioned(params, pairs, step=CRITERION_1_STEP)
+                    and fd_conditioned(params, examples, head, step=CRITERION_1_STEP)):
                 continue
             checked += 1
 
@@ -111,7 +125,7 @@ def test_criterion_1_gradient_correctness():
             def siamese_scalar_loss():
                 return pair_cosine_loss(encode_batch(params, pairs)[0], targets, 1e-12)
 
-            numeric = finite_difference_gradients(siamese_scalar_loss, params.as_dict())
+            numeric = fd(siamese_scalar_loss, params.as_dict())
             worst_siamese = max(worst_siamese, max_relative_error(grad.as_dict(), numeric))
 
             # (b) softmax cross-entropy through the classification head
@@ -124,21 +138,28 @@ def test_criterion_1_gradient_correctness():
                 logits = project(head, encode_batch(params, examples)[0])[0]
                 return cross_entropy_loss(logits, ys)
 
-            numeric = finite_difference_gradients(naive_scalar_loss, encoder_and_head(params, head))
+            numeric = fd(naive_scalar_loss, encoder_and_head(params, head))
             assert list(numeric) == list(analytic) == ["E"] * (mode == TRAINABLE) + [
                 "W1", "b1", "W2", "b2", "head.W1", "head.b1", "head.W2", "head.b2"
             ]
             worst_naive = max(worst_naive, max_relative_error(analytic, numeric))
 
+    assert worst_siamese < 1e-4, f"seed {seed}: siamese-loss gradient mismatch {worst_siamese:.2e}"
+    assert worst_naive < 1e-4, f"seed {seed}: cross-entropy gradient mismatch {worst_naive:.2e}"
+    return worst_siamese, worst_naive, draws
+
+
+def test_criterion_1_gradient_correctness():
+    started = time.perf_counter()
+    results = [check_criterion_1(seed) for seed in CRITERION_1_SEEDS]
     elapsed = time.perf_counter() - started
-    assert worst_siamese < 1e-4, f"siamese-loss gradient mismatch: {worst_siamese:.2e}"
-    assert worst_naive < 1e-4, f"cross-entropy gradient mismatch: {worst_naive:.2e}"
     assert elapsed < 60.0
     print(
         f"\nACCEPTANCE 1 (gradient correctness): PASS "
-        f"[{n_configs} configs each trainable and frozen ({draws} drawn), batches of "
-        f"{n_pairs} pairs and {n_examples} examples, max rel err siamese {worst_siamese:.2e}, "
-        f"naive {worst_naive:.2e}, {elapsed:.1f}s]"
+        f"[seeds {', '.join(map(str, CRITERION_1_SEEDS))}: 20 configs each trainable and frozen "
+        f"per seed ({sum(r[2] for r in results)} drawn), batches of 3 pairs and 5 examples, "
+        f"five-point differences at step {CRITERION_1_STEP:g}, max rel err siamese "
+        f"{max(r[0] for r in results):.2e}, naive {max(r[1] for r in results):.2e}, {elapsed:.1f}s]"
     )
 
 
@@ -156,7 +177,8 @@ def test_criterion_2_metric_oracle_equivalence():
 
     exhaustive, _, _ = brute_force_delta(corpus, vectors)
     report = delta_cosine_distance(
-        stack_rows(lambda ex: vectors[ex.id], corpus), corpus, EvalSpec(n_pairs=5000, seed=17)
+        stack_rows(lambda ex: vectors[ex.id], corpus),
+        eval_pairs(corpus, EvalSpec(n_pairs=5000, seed=17)),
     )
     gap = abs(report.delta - exhaustive)
     elapsed = time.perf_counter() - started
@@ -205,18 +227,18 @@ def test_criterion_4_siamese_separability_end_to_end():
     config = EncoderConfig(mode=TRAINABLE, d_tok=8, h=16, d_out=16)
     params = init_encoder_params(config, vocab_size=vocab.size, seed=7)
     input_fn = make_input_fn(config, vocab=vocab)
-    espec = EvalSpec(seed=99)
     held_inputs = input_fn(held.examples)
+    held_pairs = eval_pairs(held, EvalSpec(seed=99))
 
-    untrained = delta_cosine_distance(make_embedder(params)(held_inputs), held, espec)
+    untrained = delta_cosine_distance(make_embedder(params)(held_inputs), held_pairs)
     assert abs(untrained.delta) < 0.1, f"untrained delta {untrained.delta:.4f}"
 
     pairs = generate_episodes(train, EpisodeSpec(quotas={"sep4": 2000}, seed=5))
     assert len(pairs) == 2000
     params, report = train_siamese(
-        params, pairs, input_fn, SiameseConfig(epochs=30, seed=13)
+        params, pairs, input_fn(train.examples), SiameseConfig(epochs=30, seed=13)
     )
-    trained = delta_cosine_distance(make_embedder(params)(held_inputs), held, espec)
+    trained = delta_cosine_distance(make_embedder(params)(held_inputs), held_pairs)
     elapsed = time.perf_counter() - started
     assert trained.delta > 0.5, f"trained delta {trained.delta:.4f}"
     assert elapsed < 300.0
@@ -244,25 +266,22 @@ def test_criterion_5_generalization_to_unseen_classes():
     config = EncoderConfig(mode=TRAINABLE, d_tok=12, h=24, d_out=24)
     base = init_encoder_params(config, vocab_size=vocab.size, seed=3)
     input_fn = make_input_fn(config, vocab=vocab)
-    espec = EvalSpec(n_pairs=3000, seed=77)
+    train_inputs = input_fn(train.examples)
     unseen_inputs = input_fn(unseen.examples)
+    unseen_pairs = eval_pairs(unseen, EvalSpec(n_pairs=3000, seed=77))
 
-    orig = delta_cosine_distance(make_embedder(base)(unseen_inputs), unseen, espec)
+    orig = delta_cosine_distance(make_embedder(base)(unseen_inputs), unseen_pairs)
 
     pairs = generate_episodes(train, EpisodeSpec(quotas={"gen-train": 3000}, seed=31))
     siam_params, _ = train_siamese(
-        base.copy(), pairs, input_fn, SiameseConfig(epochs=30, seed=32)
+        base.copy(), pairs, train_inputs, SiameseConfig(epochs=30, seed=32)
     )
-    siam = delta_cosine_distance(
-        make_embedder(siam_params)(unseen_inputs), unseen, espec
-    )
+    siam = delta_cosine_distance(make_embedder(siam_params)(unseen_inputs), unseen_pairs)
 
     naive_params, _head, _ = train_naive(
-        base.copy(), train, input_fn, NaiveConfig(epochs=30, seed=33)
+        base.copy(), train, train_inputs, NaiveConfig(epochs=30, seed=33)
     )
-    naive = delta_cosine_distance(
-        make_embedder(naive_params)(unseen_inputs), unseen, espec
-    )
+    naive = delta_cosine_distance(make_embedder(naive_params)(unseen_inputs), unseen_pairs)
 
     elapsed = time.perf_counter() - started
     assert siam.delta - orig.delta >= 0.2, (
@@ -317,15 +336,15 @@ def test_criterion_6_all_model_balance():
     assert counts == {ds: DEFAULT_ALL_PAIRS_PER_DATASET for ds in splits}, counts
 
     all_params, _ = train_siamese(
-        base.copy(), pairs, input_fn, SiameseConfig(seed=52)
+        base.copy(), pairs, input_fn(pairs.examples), SiameseConfig(seed=52)
     )
 
     espec = EvalSpec(n_pairs=3000, seed=53)
     margins = {}
     for ds, (_, test) in splits.items():
-        inputs = input_fn(test.examples)
-        orig = delta_cosine_distance(make_embedder(base)(inputs), test, espec)
-        allm = delta_cosine_distance(make_embedder(all_params)(inputs), test, espec)
+        inputs, test_pairs = input_fn(test.examples), eval_pairs(test, espec)
+        orig = delta_cosine_distance(make_embedder(base)(inputs), test_pairs)
+        allm = delta_cosine_distance(make_embedder(all_params)(inputs), test_pairs)
         margins[ds] = (orig.delta, allm.delta)
         assert allm.delta > orig.delta, (
             f"{ds}: ALL {allm.delta:.4f} does not beat ORIG {orig.delta:.4f}"

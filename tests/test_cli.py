@@ -13,6 +13,7 @@ import pairtune
 import pairtune.cli
 import pairtune.corpus
 import pairtune.encoder
+import pairtune.evaluation
 from pairtune.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -272,10 +273,12 @@ class TestTrainCommand:
          "config error: ", "split"),
         (("train", "--mode", "SIAMESE", "--vectors", "a.vec", "--vectors", "b.vec"),
          "config error: ", "--vectors"),
+        (("gen-pairs", "--seed", -3), "config error: ", "--seed"),
+        (("train", "--mode", "SIAMESE", "--seed", -1), "config error: ", "--seed"),
     ], ids=["gen-pairs-pairs", "gen-pairs-per-dataset", "train-pairs", "train-learning-rate",
             "train-d-out", "train-frozen-hidden-width", "train-hidden-dim", "train-min-count",
             "build-vocab-min-count", "gen-pairs-uneven-pairs", "train-uneven-pairs",
-            "train-vectors-count"])
+            "train-vectors-count", "gen-pairs-negative-seed", "train-negative-seed"])
     def test_bad_numeric_flag_is_usage_error(self, tmp_path, capsys, argv, prefix, word):
         # The train set does not exist: the flag must fail before any file is read.
         out = tmp_path / "out"
@@ -463,9 +466,10 @@ class TestEvalCommand:
         (("--n-pairs", 2, "--same-fraction", 0.1), "invalid value: ", "n_pairs"),
         (("--n-pairs", 2, "--same-fraction", 0.9), "invalid value: ", "n_pairs"),
         (("--hidden-width", 3), "config error: ", "--hidden-width"),
+        (("--seed", -4), "config error: ", "--seed"),
     ], ids=["same-fraction-0", "same-fraction-1.5", "n-pairs-1", "hidden-width-0", "d-out-0",
             "model-name-tab", "model-name-newline", "vectors-count", "no-same-pair",
-            "no-diff-pair", "hidden-width-without-d-out"])
+            "no-diff-pair", "hidden-width-without-d-out", "negative-seed"])
     def test_bad_flag_fails_before_any_file_is_read(self, tmp_path, capsys, argv, prefix, word):
         out = tmp_path / "r.tsv"
         capsys.readouterr()
@@ -498,8 +502,9 @@ class TestEvalCommand:
         (("--vectors", "a.vec", "--vectors", "b.vec"), "config error: ", "--vectors"),
         (("--d-out", 7), "config error: ", "--d-out"),
         (("--hidden-width", 3), "config error: ", "--hidden-width"),
+        (("--seed", -4), "config error: ", "--seed"),
     ], ids=["same-fraction-0", "n-pairs-1", "model-name-tab", "vectors-count", "d-out",
-            "hidden-width"])
+            "hidden-width", "negative-seed"])
     def test_bad_model_flag_fails_before_any_file_is_read(self, tmp_path, capsys, argv, prefix,
                                                           word):
         # --d-out and --hidden-width shape only --orig's surrogate; a model sets its own.
@@ -755,6 +760,40 @@ class TestExperimentCommand:
         assert [calls[t] for t in texts] == [1] * len(texts)
         assert len(parse_report(tmp_path / "run" / "consolidated.tsv")) == 8
 
+    def test_run_prepares_train_inputs_once_and_draws_eval_pairs_once_per_test_set(
+        self, tmp_path, monkeypatch
+    ):
+        # Every variant trains on one table, and every model is scored on each
+        # test set's one draw of eval pairs.
+        config, cfg = experiment_config(tmp_path)
+        prepared = Counter()
+        make_input_fn = pairtune.cli.make_input_fn
+
+        def counting_make_input_fn(*args):
+            prepare = make_input_fn(*args)
+
+            def counting_prepare(examples):
+                prepared.update((ex.dataset_id, ex.id) for ex in examples)
+                return prepare(examples)
+
+            return counting_prepare
+
+        draws = []
+        generate_episodes = pairtune.evaluation.generate_episodes
+
+        def counting_generate_episodes(corpora, spec):
+            draws.append(dict(spec.quotas))
+            return generate_episodes(corpora, spec)
+
+        monkeypatch.setattr(pairtune.cli, "make_input_fn", counting_make_input_fn)
+        monkeypatch.setattr(pairtune.evaluation, "generate_episodes", counting_generate_episodes)
+        run_experiment(load_experiment_config(config))
+        train = load_corpus(cfg["train_sets"][0])
+        assert cfg["models"] == ["ORIG", "NAIVE", "SIAMESE", "ALL"]
+        assert [prepared["train", ex.id] for ex in train.examples] == [1] * len(train)
+        assert draws == [{"t1": 100}, {"t2": 100}]
+        assert len(parse_report(tmp_path / "run" / "consolidated.tsv")) == 8
+
     def test_empty_models_is_usage_error(self, tmp_path):
         config, _ = experiment_config(tmp_path, models=[])
         assert run("experiment", "--config", config) == EXIT_USAGE
@@ -811,14 +850,15 @@ class TestExperimentCommand:
         ("encoder", "h", 0),
         ("encoder", "d_out", 0),
         ("encoder", "min_count", 0),
+        (None, "seed", -1),
     ])
     def test_bad_section_value_fails_before_training(self, tmp_path, capsys, section, field, value):
         config, cfg = experiment_config(tmp_path)
-        cfg[section][field] = value
+        (cfg if section is None else cfg[section])[field] = value
         config.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert run("experiment", "--config", config) == EXIT_USAGE
-        assert_one_line_error(capsys, section, kind="config")
+        assert_one_line_error(capsys, section or field, kind="config")
         assert not (tmp_path / "run").exists()
         assert not list(tmp_path.rglob("*.ptm"))
 
@@ -1007,6 +1047,20 @@ def test_missing_output_directory_fails_before_any_input_is_read(tmp_path, capsy
     capsys.readouterr()
     assert run(command, *argv, flag, missing) == EXIT_DATA
     assert_one_line_error(capsys, f"'{missing}'", kind="i/o")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gen-synthetic", "experiment"])
+def test_negative_seed_flag_fails_before_any_file_is_read(tmp_path, capsys, command):
+    # gen-pairs, train and eval have their cases in their commands' flag tests.
+    argv = {
+        "gen-synthetic": ("--out", tmp_path / "c.jsonl", "--classes", 3,
+                          "--examples-per-class", 5, "--groups", 3),
+        "experiment": ("--config", tmp_path / "missing.json", "--out-dir", tmp_path / "run"),
+    }[command]
+    capsys.readouterr()
+    assert run(command, *argv, "--seed", -2) == EXIT_USAGE
+    assert_one_line_error(capsys, "--seed must be >= 0, got -2", kind="config")
     assert list(tmp_path.iterdir()) == []
 
 

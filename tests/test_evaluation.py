@@ -27,6 +27,7 @@ from pairtune.evaluation import (
     cosine_distance,
     delta_cosine_distance,
     emit_report,
+    eval_pairs,
     parse_report,
 )
 from pairtune.synthetic import synthetic_corpus
@@ -94,7 +95,7 @@ class TestDeltaCosineDistance:
         corpus, _ = two_class_six_examples()
         fixed = np.array([3.0, 4.0])
         report = delta_cosine_distance(
-            stack_rows(lambda ex: fixed, corpus), corpus, EvalSpec(n_pairs=200, seed=1)
+            stack_rows(lambda ex: fixed, corpus), eval_pairs(corpus, EvalSpec(n_pairs=200, seed=1))
         )
         assert report.mean_same_distance == 0.0
         assert report.mean_diff_distance == 0.0
@@ -104,15 +105,16 @@ class TestDeltaCosineDistance:
         corpus, _ = two_class_six_examples()
         axes = {"A": np.array([1.0, 0.0]), "B": np.array([0.0, 1.0])}
         report = delta_cosine_distance(
-            stack_rows(lambda ex: axes[ex.class_label], corpus), corpus, EvalSpec(n_pairs=500, seed=2)
+            stack_rows(lambda ex: axes[ex.class_label], corpus),
+            eval_pairs(corpus, EvalSpec(n_pairs=500, seed=2)),
         )
         assert report.delta == 1.0
 
     def test_counts_partition_n_pairs(self):
         corpus, vectors = two_class_six_examples()
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id], corpus), corpus,
-            EvalSpec(n_pairs=101, same_fraction=0.3, seed=3),
+            stack_rows(lambda ex: vectors[ex.id], corpus),
+            eval_pairs(corpus, EvalSpec(n_pairs=101, same_fraction=0.3, seed=3)),
         )
         assert report.s_count + report.d_count == 101
         assert report.s_count == 30  # round(101 * 0.3)
@@ -121,7 +123,8 @@ class TestDeltaCosineDistance:
         corpus, vectors = two_class_six_examples()
         exhaustive, _, _ = brute_force_delta(corpus, vectors)
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id], corpus), corpus, EvalSpec(n_pairs=5000, seed=4)
+            stack_rows(lambda ex: vectors[ex.id], corpus),
+            eval_pairs(corpus, EvalSpec(n_pairs=5000, seed=4))
         )
         assert abs(report.delta - exhaustive) < 0.02
 
@@ -139,7 +142,8 @@ class TestDeltaCosineDistance:
         }
         exhaustive, _, _ = brute_force_delta(corpus, vectors)
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id], corpus), corpus, EvalSpec(n_pairs=5000, seed=6)
+            stack_rows(lambda ex: vectors[ex.id], corpus),
+            eval_pairs(corpus, EvalSpec(n_pairs=5000, seed=6))
         )
         se = math.sqrt(report.same_stderr**2 + report.diff_stderr**2)
         assert abs(report.delta - exhaustive) <= 3.0 * se
@@ -153,7 +157,8 @@ class TestDeltaCosineDistance:
                 "B": np.array([math.cos(math.radians(theta)), math.sin(math.radians(theta))]),
             }
             report = delta_cosine_distance(
-                stack_rows(lambda ex: axes[ex.class_label], corpus), corpus, EvalSpec(n_pairs=400, seed=7)
+                stack_rows(lambda ex: axes[ex.class_label], corpus),
+                eval_pairs(corpus, EvalSpec(n_pairs=400, seed=7))
             )
             expected = 1.0 - math.cos(math.radians(theta))
             assert abs(report.delta - expected) < 1e-12
@@ -173,9 +178,9 @@ class TestDeltaCosineDistance:
         def embed_scaled(ex):
             return 7.3 * embed(ex)
 
-        spec = EvalSpec(n_pairs=600, seed=8)
-        base = delta_cosine_distance(stack_rows(embed, corpus), corpus, spec)
-        scaled = delta_cosine_distance(stack_rows(embed_scaled, corpus), corpus, spec)
+        pairs = eval_pairs(corpus, EvalSpec(n_pairs=600, seed=8))
+        base = delta_cosine_distance(stack_rows(embed, corpus), pairs)
+        scaled = delta_cosine_distance(stack_rows(embed_scaled, corpus), pairs)
         assert scaled.delta == base.delta
         assert scaled.mean_same_distance == base.mean_same_distance
         assert scaled.mean_diff_distance == base.mean_diff_distance
@@ -186,8 +191,20 @@ class TestDeltaCosineDistance:
         bad["a2"] = np.array([np.nan, 1.0])
         with pytest.raises(NumericError, match="a2"):
             delta_cosine_distance(
-                stack_rows(lambda ex: bad[ex.id], corpus), corpus, EvalSpec(n_pairs=50, seed=9)
+                stack_rows(lambda ex: bad[ex.id], corpus),
+                eval_pairs(corpus, EvalSpec(n_pairs=50, seed=9))
             )
+
+    def test_eval_pairs_are_the_specs_draw_from_one_test_set(self):
+        corpus, vectors = two_class_six_examples()
+        spec = EvalSpec(n_pairs=101, same_fraction=0.3, seed=3)
+        pairs = eval_pairs(corpus, spec)
+        drawn = generate_episodes([corpus], EpisodeSpec(quotas={"hex": 101}, same_fraction=0.3, seed=3))
+        assert pairs.examples == corpus.examples
+        for name in ("a", "b", "target"):
+            assert np.array_equal(getattr(pairs, name), getattr(drawn, name)), name
+        report = delta_cosine_distance(stack_rows(lambda ex: vectors[ex.id], corpus), pairs)
+        assert report.n_pairs == len(pairs) == 101
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="n_pairs"):
@@ -203,8 +220,8 @@ class TestDeltaCosineDistance:
     def test_smallest_specs_score_one_pair_of_each_kind_or_more(self, n_pairs, same_fraction):
         corpus, vectors = two_class_six_examples()
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id], corpus), corpus,
-            EvalSpec(n_pairs=n_pairs, same_fraction=same_fraction, seed=5),
+            stack_rows(lambda ex: vectors[ex.id], corpus),
+            eval_pairs(corpus, EvalSpec(n_pairs=n_pairs, same_fraction=same_fraction, seed=5)),
         )
         assert report.s_count >= 1 and report.d_count >= 1
         assert report.delta == report.mean_diff_distance - report.mean_same_distance
@@ -276,7 +293,7 @@ class TestBatchedEvalMatchesReference:
         assert n_ref > EMBED_CHUNK and n_ref % EMBED_CHUNK, n_ref
         assert spec.n_pairs > PAIR_CHUNK and spec.n_pairs % PAIR_CHUNK
 
-        report = delta_cosine_distance(embed, corpus, spec)
+        report = delta_cosine_distance(embed, eval_pairs(corpus, spec))
         assert (report.s_count, report.d_count) == (len(same), len(diff))
         expected = {
             "mean_same_distance": statistics.fmean(same),
@@ -316,10 +333,8 @@ def test_identity_orig_scored_on_its_inputs_matches_the_network(d):
     assert Z.tobytes() == X.tobytes()
     assert np.abs(Z).tobytes() == np.abs(N).tobytes()
     assert (Z @ Z.T).tobytes() == (N @ N.T).tobytes()
-    spec = EvalSpec(n_pairs=400, same_fraction=0.5, seed=3)
-    shortcut, reference = delta_cosine_distance(embed, corpus, spec), delta_cosine_distance(
-        network, corpus, spec
-    )
+    pairs = eval_pairs(corpus, EvalSpec(n_pairs=400, same_fraction=0.5, seed=3))
+    shortcut, reference = delta_cosine_distance(embed, pairs), delta_cosine_distance(network, pairs)
     for field in dataclasses.fields(DeltaReport):
         assert getattr(shortcut, field.name) == getattr(reference, field.name), field.name
 

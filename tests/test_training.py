@@ -19,7 +19,7 @@ from pairtune.encoder import (
     project,
 )
 from pairtune.episodes import EpisodeSpec, PairSet, generate_episodes
-from pairtune.evaluation import EvalSpec, cosine_distance, delta_cosine_distance
+from pairtune.evaluation import EvalSpec, cosine_distance, delta_cosine_distance, eval_pairs
 from pairtune.synthetic import synthetic_corpus
 from pairtune.training import (
     ADAM_BLOCK,
@@ -294,7 +294,7 @@ class TestTrainSiamese:
         corpus, params, input_fn = toy_setup()
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 10}, seed=1))
         before = {k: v.copy() for k, v in params.as_dict().items()}
-        out, report = train_siamese(params, pairs, input_fn,
+        out, report = train_siamese(params, pairs, input_fn(pairs.examples),
                                     SiameseConfig(epochs=0, seed=1))
         assert report.epoch_losses == []
         for k, v in out.as_dict().items():
@@ -324,7 +324,7 @@ class TestTrainSiamese:
 
         # the trainer's parameter delta equals the first-step Adam transform
         # of the batch-mean gradient
-        trained, _ = train_siamese(params, pairs, input_fn, scfg)
+        trained, _ = train_siamese(params, pairs, input_fn(pairs.examples), scfg)
         for name, g in grad.as_dict().items():
             g = g / len(pairs)
             expected = start.as_dict()[name] - scfg.learning_rate * g / (np.abs(g) + 1e-8)
@@ -349,33 +349,29 @@ class TestTrainSiamese:
             numeric = finite_difference_gradients(total_loss, params.as_dict())
             assert max_relative_error(grad.as_dict(), numeric) < 1e-4, mode
 
-    def test_inputs_prepared_once_per_referenced_example(self):
+    @pytest.mark.parametrize("rows", [slice(1, None), [0, 1, 2, 3, 0]], ids=["short", "long"])
+    def test_table_of_the_wrong_length_is_refused(self, rows):
         corpus, params, input_fn = toy_setup()
-        prepared = []
-
-        def counting_input_fn(examples):
-            prepared.extend(ex.id for ex in examples)
-            return input_fn(examples)
-
-        # examples 0, 1 and 2 appear in several pairs; example 3 in none
-        pairs = PairSet(corpus.examples, np.array([0, 2, 0]), np.array([2, 0, 1]),
-                        np.array([0, 0, 1]))
-        train_siamese(params, pairs, counting_input_fn,
-                      SiameseConfig(epochs=2, batch_size=2, seed=1))
-        assert sorted(prepared) == ["a1", "a2", "b1"]
+        pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 4}, seed=1))
+        table = input_fn(corpus.examples).take(np.arange(len(corpus))[rows])
+        before = params.flat.copy()
+        with pytest.raises(ValueError, match=f"{len(table)} rows for 4 examples"):
+            train_siamese(params, pairs, table, SiameseConfig(epochs=1, seed=1))
+        assert np.array_equal(params.flat, before)
 
     def test_weight_sharing_single_parameter_object(self):
         corpus, params, input_fn = toy_setup()
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 8}, seed=3))
-        out, _ = train_siamese(params, pairs, input_fn,
+        out, _ = train_siamese(params, pairs, input_fn(pairs.examples),
                                SiameseConfig(epochs=1, seed=3))
         assert out is params
 
     def test_pair_order_symmetry(self):
         corpus, params, input_fn = toy_setup(seed=21)
         scfg = SiameseConfig(epochs=1, batch_size=1, seed=4)
-        p_ab, _ = train_siamese(params.copy(), one_pair(corpus, 1, 3, 0), input_fn, scfg)
-        p_ba, _ = train_siamese(params.copy(), one_pair(corpus, 3, 1, 0), input_fn, scfg)
+        table = input_fn(corpus.examples)
+        p_ab, _ = train_siamese(params.copy(), one_pair(corpus, 1, 3, 0), table, scfg)
+        p_ba, _ = train_siamese(params.copy(), one_pair(corpus, 3, 1, 0), table, scfg)
         for x, y in zip(p_ab.as_dict().values(), p_ba.as_dict().values()):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
 
@@ -383,8 +379,8 @@ class TestTrainSiamese:
         corpus, params, input_fn = toy_setup(seed=8)
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 40}, seed=5))
         scfg = SiameseConfig(epochs=3, batch_size=8, seed=6)
-        p1, r1 = train_siamese(params.copy(), pairs, input_fn, scfg)
-        p2, r2 = train_siamese(params.copy(), pairs, input_fn, scfg)
+        p1, r1 = train_siamese(params.copy(), pairs, input_fn(pairs.examples), scfg)
+        p2, r2 = train_siamese(params.copy(), pairs, input_fn(pairs.examples), scfg)
         for x, y in zip(p1.as_dict().values(), p2.as_dict().values()):
             assert np.array_equal(x, y)
         assert r1.epoch_losses == r2.epoch_losses
@@ -395,7 +391,7 @@ class TestTrainSiamese:
         pairs = generate_episodes(corpus, EpisodeSpec(quotas={"toy": 4}, seed=7))
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="epoch 0 batch 0"):
-                train_siamese(params, pairs, input_fn,
+                train_siamese(params, pairs, input_fn(pairs.examples),
                               SiameseConfig(epochs=1, seed=7))
 
     def test_separable_two_class_end_to_end(self):
@@ -409,13 +405,13 @@ class TestTrainSiamese:
         params = init_encoder_params(config, vocab_size=vocab.size, seed=32)
         input_fn = make_input_fn(config, vocab=vocab)
         pairs = generate_episodes(train, EpisodeSpec(quotas={"sep2": 2_000}, seed=33))
-        params, report = train_siamese(params, pairs, input_fn,
+        params, report = train_siamese(params, pairs, input_fn(pairs.examples),
                                        SiameseConfig(epochs=30, seed=34))
         assert report.epoch_losses[-1] < 0.05
         assert report.epoch_losses[-1] < report.epoch_losses[0]
         result = delta_cosine_distance(
-            make_embedder(params)(input_fn(held.examples)), held,
-            EvalSpec(n_pairs=2_000, seed=35),
+            make_embedder(params)(input_fn(held.examples)),
+            eval_pairs(held, EvalSpec(n_pairs=2_000, seed=35)),
         )
         assert result.delta > 0.5
 
@@ -436,7 +432,7 @@ class TestTrainNaive:
     def test_zero_epochs_is_a_no_op(self):
         corpus, params, input_fn = three_class_setup()
         before = {k: v.copy() for k, v in params.as_dict().items()}
-        out, head, report = train_naive(params, corpus, input_fn,
+        out, head, report = train_naive(params, corpus, input_fn(corpus.examples),
                                         NaiveConfig(epochs=0, seed=1))
         assert report.epoch_losses == []
         for k, v in out.as_dict().items():
@@ -483,19 +479,29 @@ class TestTrainNaive:
     def test_determinism_bitwise(self):
         corpus, params, input_fn = three_class_setup(seed=2)
         ncfg = NaiveConfig(epochs=3, batch_size=2, hidden_dim=5, seed=3)
-        p1, h1, _ = train_naive(params.copy(), corpus, input_fn, ncfg)
-        p2, h2, _ = train_naive(params.copy(), corpus, input_fn, ncfg)
+        p1, h1, _ = train_naive(params.copy(), corpus, input_fn(corpus.examples), ncfg)
+        p2, h2, _ = train_naive(params.copy(), corpus, input_fn(corpus.examples), ncfg)
         for x, y in zip(p1.as_dict().values(), p2.as_dict().values()):
             assert np.array_equal(x, y)
         for x, y in zip(h1.as_dict().values(), h2.as_dict().values()):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("rows", [slice(1, None), [0, 1, 2, 3, 4, 5, 0]],
+                             ids=["short", "long"])
+    def test_table_of_the_wrong_length_is_refused(self, rows):
+        corpus, params, input_fn = three_class_setup()
+        table = input_fn(corpus.examples).take(np.arange(len(corpus))[rows])
+        before = params.flat.copy()
+        with pytest.raises(ValueError, match=f"{len(table)} rows for 6 examples"):
+            train_naive(params, corpus, table, NaiveConfig(epochs=1, seed=1))
+        assert np.array_equal(params.flat, before)
 
     def test_non_finite_loss_aborts(self):
         corpus, params, input_fn = three_class_setup()
         params.W2[0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="epoch 0 batch 0"):
-                train_naive(params, corpus, input_fn,
+                train_naive(params, corpus, input_fn(corpus.examples),
                             NaiveConfig(epochs=1, seed=4))
 
     def test_nan_pre_activation_aborts(self):
@@ -505,7 +511,7 @@ class TestTrainNaive:
         params.W1[0, 0] = np.nan
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="epoch 0 batch 0"):
-                train_naive(params, corpus, input_fn,
+                train_naive(params, corpus, input_fn(corpus.examples),
                             NaiveConfig(epochs=1, seed=4))
 
     def test_separable_corpus_reaches_high_accuracy(self):
@@ -515,7 +521,7 @@ class TestTrainNaive:
         config = EncoderConfig(mode=TRAINABLE, d_tok=8, h=16, d_out=16)
         params = init_encoder_params(config, vocab_size=vocab.size, seed=42)
         input_fn = make_input_fn(config, vocab=vocab)
-        params, head, report = train_naive(params, corpus, input_fn,
+        params, head, report = train_naive(params, corpus, input_fn(corpus.examples),
                                            NaiveConfig(epochs=30, hidden_dim=32, seed=43))
         labels = sorted(corpus.class_index)
         logits = project(head, encode_batch(params, input_fn(corpus.examples))[0])[0]
