@@ -26,6 +26,7 @@ from .corpus import (
     VectorTable,
     atomic_write,
     check_field,
+    file_sha256,
     load_corpus,
     load_vectors,
     split_corpus,
@@ -479,13 +480,14 @@ def _write_loss_curve(path, report) -> None:
 def _evaluate(models, tests, input_fn, spec: EvalSpec) -> list:
     """One report row per (model, test set), model-major. ``models`` holds
     (name, params) pairs and ``input_fn`` prepares a test set's inputs. Each
-    test set's inputs and ``eval_pairs`` serve every model, and each model's
-    embedder, and so its eval head, serves every test set."""
+    test set's ``eval_pairs``, and the inputs of the examples they reference,
+    serve every model, and each model's embedder, and so its eval head,
+    serves every test set."""
     rows = [[] for _ in models]
     embedders = [make_embedder(params) for _, params in models]
     for test in tests:
-        inputs = input_fn(test.examples)
-        pairs = eval_pairs(test, spec)
+        pairs = eval_pairs(test, spec).compact()
+        inputs = input_fn(pairs.examples)
         for model_rows, (name, _), embedder in zip(rows, models, embedders):
             result = delta_cosine_distance(embedder(inputs), pairs)
             model_rows.append((name, test.dataset_id, result))
@@ -591,6 +593,15 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
     test_corpora = _load_corpora(cfg["test_sets"])
     paths = cfg["train_vectors"] + cfg["test_vectors"] if enc["mode"] == FROZEN_PROJECTION else []
     tables = _vector_tables(train_corpora + test_corpora, paths)
+    # Each input file's sha256, listed as the config lists the files; each
+    # vector table carries the digest its load computed.
+    digests = [t.sha256 for t in tables]
+    input_sha256 = {
+        "train_sets": [file_sha256(p) for p in cfg["train_sets"]],
+        "test_sets": [file_sha256(p) for p in cfg["test_sets"]],
+        "train_vectors": digests[: len(train_corpora)],
+        "test_vectors": digests[len(train_corpora) :],
+    }
     config, vocab = _encoder_and_vocab(enc, tables, train_corpora or test_corpora)
     base_params = _base_params(config, vocab, seed)
     input_fn = make_input_fn(config, vocab, {c.dataset_id: t for c, t in zip(train_corpora, tables)})
@@ -622,6 +633,7 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
         "name": cfg["name"],
         "package_version": __version__,
         "config": cfg,
+        "input_sha256": input_sha256,
         "orig_note": (
             "ORIG rows come from an untrained surrogate (the seed-initialized "
             "reference encoder, or an identity projection over supplied "

@@ -8,8 +8,10 @@ tweets routinely contain commas and quotes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -105,10 +107,13 @@ class SplitSpec:
 
 @dataclass
 class VectorTable:
-    """Precomputed embeddings keyed by example id, all of one dimension."""
+    """Precomputed embeddings keyed by example id, all of one dimension.
+    ``sha256`` is the hex digest of the file the table was loaded from, or
+    None for a table built in memory."""
 
     dim: int
     entries: dict[str, np.ndarray] = field(default_factory=dict)
+    sha256: str | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -338,6 +343,15 @@ def _split_by_class(corpus: Corpus, spec: SplitSpec) -> tuple[list[int], list[in
     return train_idx, test_idx
 
 
+def file_sha256(path) -> str:
+    """The hex sha256 of a file's bytes, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def load_vectors(path) -> VectorTable:
     """Load precomputed vectors: a "dim=<N>" header then id<TAB>floats rows.
 
@@ -348,10 +362,77 @@ def load_vectors(path) -> VectorTable:
     that this rejects, or whose values are not all finite, is read again
     line by line: that raises the first error in line order, or loads the
     values that only ``float()`` accepts (``1_0``, non-ASCII digits).
+
+    A file is parsed once per version. After a successful parse the table
+    is also written, atomically, to a binary copy beside the file,
+    ``.<name>.pairtune.npz``: an uncompressed ``np.savez`` of the file's
+    sha256, ``dim``, the ids in file order and the (n, dim) float64 matrix.
+    Every load first streams the file's sha256 (kept as the table's
+    ``sha256``); when the copy holds that digest and a well-formed table,
+    the table comes from the copy, bit for bit the parse's. A missing,
+    stale, unreadable or malformed copy is ignored and rewritten. A copy
+    that cannot be written (say, in a read-only directory) is skipped, as
+    is the copy of a file that changed while it was parsed; deleting a
+    copy is always safe.
     """
     p = Path(path)
     if not p.is_file():
         raise CorpusError(f"no such vector file: {p}")
+    version = _file_version(p)
+    digest = file_sha256(p)
+    copy = p.with_name(f".{p.name}.pairtune.npz")
+    table = _read_copy(copy, digest)
+    if table is None:
+        table = _parse_vectors(p)
+        # The digest was taken before the parse, so it may not be this content's.
+        if _file_version(p) == version:
+            try:
+                _write_copy(copy, digest, table)
+            except OSError:
+                pass
+    table.sha256 = digest
+    return table
+
+
+def _file_version(p: Path) -> tuple[int, int, int]:
+    st = p.stat()
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read_copy(copy: Path, digest: str) -> VectorTable | None:
+    """The table that ``_write_copy`` stored at ``copy`` for a file of this
+    sha256, or None when the copy is missing, stale or malformed."""
+    try:
+        with open(copy, "rb") as f, np.load(f, allow_pickle=False) as z:
+            if z["sha256"].item() != digest:
+                return None
+            dim, ids, values = int(z["dim"]), z["ids"], z["values"]
+        if ids.dtype != np.uint8 or values.dtype != np.float64 or values.ndim != 2:
+            return None
+        id_text = ids.tobytes().decode("utf-8")
+    except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile):
+        return None
+    # Ids hold no line break, so one "\n"-joined text carries them all; an
+    # empty text is one empty id, or none in a table of no rows.
+    ids = id_text.split("\n") if id_text or len(values) else []
+    entries = dict(zip(ids, values))
+    if (dim < 1 or values.shape != (len(ids), dim) or len(entries) != len(ids)
+            or not np.isfinite(values).all()):
+        return None
+    return VectorTable(dim=dim, entries=entries)
+
+
+def _write_copy(copy: Path, digest: str, table: VectorTable) -> None:
+    values = np.array(list(table.entries.values()), dtype=np.float64)
+    ids = np.frombuffer("\n".join(table.entries).encode("utf-8"), dtype=np.uint8)
+    with atomic_write(copy) as f:
+        np.savez(f, sha256=digest, dim=table.dim, ids=ids,
+                 values=values.reshape(len(table), table.dim))
+
+
+def _parse_vectors(p: Path) -> VectorTable:
+    """``load_vectors``' text parser: one ``np.loadtxt`` pass, or the
+    line-by-line reader when that fails."""
     try:
         with open_text(p) as f:
             dim = _vector_dim(p, f)

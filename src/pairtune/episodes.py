@@ -57,6 +57,12 @@ class PairSet:
         row[ref] = np.arange(len(ref))
         return ref, row[self.a], row[self.b]
 
+    def compact(self) -> "PairSet":
+        """The same pairs over a table of only the examples they reference,
+        in table order, so preparing its ``examples`` prepares no unused one."""
+        ref, a, b = self.member_rows()
+        return PairSet([self.examples[i] for i in ref], a, b, self.target)
+
 
 @dataclass
 class EpisodeSpec:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -39,7 +40,7 @@ from pairtune.encoder import (
     save_vocab,
 )
 from pairtune.episodes import EpisodeSpec, generate_episodes, write_pairs
-from pairtune.evaluation import DeltaReport, emit_report, parse_report
+from pairtune.evaluation import DeltaReport, EvalSpec, emit_report, eval_pairs, parse_report
 from pairtune.training import TrainingReport
 
 
@@ -405,6 +406,27 @@ class TestEvalCommand:
                        "--n-pairs", 120, "--seed", 8, "--out", out) == EXIT_OK
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_only_examples_the_eval_pairs_reference_are_prepared(self, tmp_path, monkeypatch):
+        train = gen_corpus(tmp_path / "train.jsonl", seed=1)
+        test = gen_corpus(tmp_path / "t.jsonl", classes=4, per_class=150, seed=2)
+        model = tmp_path / "m.ptm"
+        assert run("train", "--mode", "SIAMESE", "--train", train,
+                   "--out", model, *SMALL_TRAIN) == EXIT_OK
+        tokenized = []
+        tokenize = pairtune.encoder.tokenize
+
+        def recording_tokenize(text):
+            tokenized.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(pairtune.encoder, "tokenize", recording_tokenize)
+        assert run("eval", "--model", model, "--test", test, "--n-pairs", 100,
+                   "--seed", 3, "--out", tmp_path / "r.tsv") == EXIT_OK
+        corpus = load_corpus(test)
+        used = eval_pairs(corpus, EvalSpec(n_pairs=100, seed=3)).referenced()
+        assert len(corpus) == 600 and len(used) <= 200
+        assert tokenized == [corpus.examples[i].text for i in used]
+
     def test_orig_over_identical_vectors_gives_zero_delta(self, tmp_path):
         test = gen_corpus(tmp_path / "t.jsonl", classes=3, per_class=5)
         corpus = load_corpus(test)
@@ -755,9 +777,15 @@ class TestExperimentCommand:
 
         monkeypatch.setattr(pairtune.encoder, "tokenize", counting_tokenize)
         run_experiment(load_experiment_config(config))
-        texts = [ex.text for test in tests for ex in test.examples]
+        # Once if the test set's eval pairs reference it, else never.
+        spec = EvalSpec(seed=cfg["seed"] + SEED_EVAL, **cfg["eval"])
+        want, texts = [], []
+        for test in tests:
+            used = set(eval_pairs(test, spec).referenced())
+            want += [int(i in used) for i in range(len(test))]
+            texts += [ex.text for ex in test.examples]
         assert len(cfg["models"]) == 4 and len(tests) == 2
-        assert [calls[t] for t in texts] == [1] * len(texts)
+        assert [calls[t] for t in texts] == want and 0 < sum(want) < len(want)
         assert len(parse_report(tmp_path / "run" / "consolidated.tsv")) == 8
 
     def test_run_prepares_train_inputs_once_and_draws_eval_pairs_once_per_test_set(
@@ -981,6 +1009,44 @@ def test_frozen_experiment_rows_match_standalone_eval_of_each_model(tmp_path):
         assert run(*argv) == EXIT_OK
         standalone += report.read_text().splitlines(keepends=True)[1:]
     assert standalone == consolidated
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+def test_metadata_records_the_sha256_of_every_input_file(tmp_path, monkeypatch, frozen):
+    config, cfg = experiment_config(tmp_path)
+    loads, hashed = [], []
+    load_vectors, file_sha256 = pairtune.cli.load_vectors, pairtune.cli.file_sha256
+
+    def recording(calls, function):
+        def record(path):
+            calls.append(str(path))
+            return function(path)
+
+        return record
+
+    # The pipeline hashes only the corpora; each vector digest comes from its load.
+    monkeypatch.setattr(pairtune.cli, "load_vectors", recording(loads, load_vectors))
+    monkeypatch.setattr(pairtune.cli, "file_sha256", recording(hashed, file_sha256))
+    if frozen:
+        # One file serves both test sets, and each distinct file loads once.
+        train_vec = vector_file(tmp_path / "train.vec", cfg["train_sets"][0])
+        test_vec = tmp_path / "tests.vec"
+        ids = [ex.id for path in cfg["test_sets"] for ex in load_corpus(path).examples]
+        write_vectors(VectorTable(dim=3, entries={i: np.full(3, float(k)) for k, i in
+                                                  enumerate(dict.fromkeys(ids))}), test_vec)
+        cfg.update(encoder={"mode": "frozen-projection", "h": 4, "d_out": 8},
+                   train_vectors=[str(train_vec)], test_vectors=[str(test_vec)] * 2)
+        config.write_text(json.dumps(cfg))
+    assert run("experiment", "--config", config) == EXIT_OK
+    recorded = json.loads((tmp_path / "run" / "metadata.json").read_text())["input_sha256"]
+    keys = ("train_sets", "test_sets", "train_vectors", "test_vectors")
+    want = {k: [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in cfg.get(k, [])]
+            for k in keys}
+    assert recorded == want
+    assert len(recorded["test_sets"]) == 2 and len(recorded["test_vectors"]) == (2 if frozen else 0)
+    assert loads == ([str(train_vec), str(test_vec)] if frozen else [])
+    assert hashed == cfg["train_sets"] + cfg["test_sets"]
+
 
 def vector_file(path, corpus_path, drop=None):
     """Write 3-d vectors for every example of a corpus file except ``drop``."""

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+import pairtune.corpus
 from pairtune.corpus import (
     BY_CLASS,
     CorpusError,
@@ -318,3 +322,133 @@ class TestVectors:
         write_vectors(VectorTable(dim=1, entries={"a\x85b": np.ones(1), "c\u2028d": np.zeros(1)}),
                       path)
         assert list(load_vectors(path).entries) == ["a\x85b", "c\u2028d"]
+
+
+def copy_path(path):
+    return path.with_name(f".{path.name}.pairtune.npz")
+
+
+def load_from_copy(path, monkeypatch):
+    """load_vectors with the text parser disabled, so only a copy can serve it."""
+    def no_parse(p):
+        raise AssertionError(f"{p} was parsed")
+
+    with monkeypatch.context() as m:
+        m.setattr(pairtune.corpus, "_parse_vectors", no_parse)
+        return load_vectors(path)
+
+
+def assert_same_table(got, want):
+    assert got.dim == want.dim
+    assert list(got.entries) == list(want.entries)
+    for key, vec in want.entries.items():
+        assert got[key].tobytes() == vec.tobytes(), key
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestVectorCopy:
+    """The binary copy that load_vectors keeps beside a parsed vector file."""
+
+    @pytest.mark.parametrize("text", [
+        None,
+        "dim=2\na\t1_0\t-0.0\n\t١\t5e-324\na\x00\t2\t3\n\xe9\x85\t-1e308\t.5\n",
+    ], ids=["loadtxt", "by-line"])
+    def test_cached_load_equals_the_text_parse_bit_for_bit(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "v.tsv"
+        if text is None:
+            rng = np.random.default_rng(3)
+            entries = {f"e{i}": rng.normal(size=64) * 10.0 ** rng.integers(-300, 300)
+                       for i in range(50, 0, -1)}
+            write_vectors(VectorTable(dim=64, entries=entries), path)
+        else:
+            path.write_bytes(text.encode("utf-8"))
+        parsed = load_vectors(path)
+        assert copy_path(path).is_file() and len(parsed) >= 3
+        cached = load_from_copy(path, monkeypatch)
+        assert_same_table(cached, parsed)
+        assert parsed.sha256 == cached.sha256 == sha256_of(path)
+
+    def test_header_only_file_round_trips(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.tsv"
+        path.write_text("dim=3\n")
+        load_vectors(path)
+        table = load_from_copy(path, monkeypatch)
+        assert table.dim == 3 and table.entries == {}
+
+    def test_rewrite_at_the_same_size_and_mtime_invalidates_the_copy(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.tsv"
+        path.write_text("dim=2\na\t1\t2\nb\t3\t4\n")
+        load_vectors(path)
+        stat = path.stat()
+        path.write_text("dim=2\na\t1\t2\nb\t3\t5\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        np.testing.assert_array_equal(load_vectors(path)["b"], [3.0, 5.0])
+        np.testing.assert_array_equal(load_from_copy(path, monkeypatch)["b"], [3.0, 5.0])
+
+    def test_file_rewritten_during_the_parse_gets_no_copy(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.tsv"
+        path.write_text("dim=2\na\t1\t2\n")
+        parse = pairtune.corpus._parse_vectors
+
+        def parse_then_rewrite(p):
+            table = parse(p)
+            path.write_text("dim=2\na\t1\t2\nb\t3\t4\n")
+            return table
+
+        monkeypatch.setattr(pairtune.corpus, "_parse_vectors", parse_then_rewrite)
+        assert list(load_vectors(path).entries) == ["a"]
+        assert not copy_path(path).exists()
+
+    @staticmethod
+    def _truncated(copy, digest):
+        data = copy.read_bytes()
+        copy.write_bytes(data[: len(data) // 2])
+
+    @staticmethod
+    def _stored(copy, digest, ids="a\nb", values=((1.0, 2.0), (3.0, 4.0)), dim=2):
+        np.savez(copy, sha256=digest, dim=dim, values=np.array(values),
+                 ids=np.frombuffer(ids.encode(), dtype=np.uint8))
+
+    @pytest.mark.parametrize("damage", [
+        _truncated,
+        lambda copy, digest: TestVectorCopy._stored(copy, "0" * 64, values=((9.0, 9.0), (9.0, 9.0))),
+        lambda copy, digest: TestVectorCopy._stored(copy, digest, values=((1.0,), (3.0,))),
+        lambda copy, digest: TestVectorCopy._stored(copy, digest, values=((1.0, 2.0),)),
+        lambda copy, digest: TestVectorCopy._stored(copy, digest, values=((1.0, np.nan), (3.0, 4.0))),
+        lambda copy, digest: TestVectorCopy._stored(copy, digest, ids="a\na"),
+        lambda copy, digest: TestVectorCopy._stored(copy, digest, dim=(2, 2)),
+        lambda copy, digest: copy.write_bytes(b"not a copy"),
+    ], ids=["truncated", "other-digest", "wrong-width", "wrong-rows", "non-finite",
+            "duplicate-id", "array-dim", "not-a-zip"])
+    def test_malformed_copy_is_ignored_and_replaced(self, tmp_path, monkeypatch, damage):
+        path = tmp_path / "v.tsv"
+        path.write_text("dim=2\na\t1\t2\nb\t3\t4\n")
+        want = load_vectors(path)
+        damage(copy_path(path), sha256_of(path))
+        assert_same_table(load_vectors(path), want)
+        assert_same_table(load_from_copy(path, monkeypatch), want)
+
+    def test_failing_copy_write_still_returns_the_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.tsv"
+        path.write_text("dim=2\na\t1\t2\nb\t3\t4\n")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(pairtune.corpus.os, "replace", refuse)
+        table = load_vectors(path)
+        assert list(table.entries) == ["a", "b"] and table.sha256 == sha256_of(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["v.tsv"]
+
+    @pytest.mark.parametrize("text", ["dim=2\na\t1\t2\nb\t1\n", "dim=2\na\t1\tnan\n", "dim=x\n"],
+                             ids=["wrong-count", "non-finite", "bad-header"])
+    def test_file_that_fails_to_parse_leaves_no_copy(self, tmp_path, text):
+        path = tmp_path / "v.tsv"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:\d+: "):
+            load_vectors(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["v.tsv"]
