@@ -27,6 +27,7 @@ from .corpus import (
     atomic_write,
     check_field,
     file_sha256,
+    file_version,
     load_corpus,
     load_vectors,
     split_corpus,
@@ -589,16 +590,22 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
     seed = cfg["seed"]
     enc = cfg["encoder"]
 
+    versions = {p: file_version(p) for p in cfg["train_sets"] + cfg["test_sets"]}
     train_corpora = _load_corpora(cfg["train_sets"])
     test_corpora = _load_corpora(cfg["test_sets"])
     paths = cfg["train_vectors"] + cfg["test_vectors"] if enc["mode"] == FROZEN_PROJECTION else []
     tables = _vector_tables(train_corpora + test_corpora, paths)
-    # Each input file's sha256, listed as the config lists the files; each
-    # vector table carries the digest its load computed.
+    # Each input file's sha256, listed as the config lists the files, or None
+    # for a file that changed while it was read: a corpus is hashed after its
+    # load, and each vector table carries the digest its load computed.
+    corpus_digests = {}
+    for p, version in versions.items():
+        digest = file_sha256(p)
+        corpus_digests[p] = digest if file_version(p) == version else None
     digests = [t.sha256 for t in tables]
     input_sha256 = {
-        "train_sets": [file_sha256(p) for p in cfg["train_sets"]],
-        "test_sets": [file_sha256(p) for p in cfg["test_sets"]],
+        "train_sets": [corpus_digests[p] for p in cfg["train_sets"]],
+        "test_sets": [corpus_digests[p] for p in cfg["test_sets"]],
         "train_vectors": digests[: len(train_corpora)],
         "test_vectors": digests[len(train_corpora) :],
     }

@@ -109,7 +109,8 @@ class SplitSpec:
 class VectorTable:
     """Precomputed embeddings keyed by example id, all of one dimension.
     ``sha256`` is the hex digest of the file the table was loaded from, or
-    None for a table built in memory."""
+    None for a table built in memory or from a file that changed while it
+    was parsed."""
 
     dim: int
     entries: dict[str, np.ndarray] = field(default_factory=dict)
@@ -365,48 +366,66 @@ def load_vectors(path) -> VectorTable:
 
     A file is parsed once per version. After a successful parse the table
     is also written, atomically, to a binary copy beside the file,
-    ``.<name>.pairtune.npz``: an uncompressed ``np.savez`` of the file's
-    sha256, ``dim``, the ids in file order and the (n, dim) float64 matrix.
-    Every load first streams the file's sha256 (kept as the table's
-    ``sha256``); when the copy holds that digest and a well-formed table,
-    the table comes from the copy, bit for bit the parse's. A missing,
-    stale, unreadable or malformed copy is ignored and rewritten. A copy
-    that cannot be written (say, in a read-only directory) is skipped, as
-    is the copy of a file that changed while it was parsed; deleting a
-    copy is always safe.
+    ``.<name>.pairtune.npz``: an uncompressed ``np.savez`` of the copy
+    format, the file's sha256, ``dim``, the ids in file order and the
+    (n, dim) float64 matrix. Every load first streams the file's sha256
+    (kept as the table's ``sha256``); when the copy holds that digest, this
+    version's copy format and a well-formed table, and is owned by the
+    current user or by the file's owner, the table comes from the copy, bit
+    for bit the parse's. Any other copy is ignored and rewritten. A copy
+    that cannot be written (say, in a read-only directory) is skipped. A
+    file that changed while it was parsed gets no copy, and its table's
+    ``sha256`` is None. Deleting a copy is always safe.
     """
     p = Path(path)
     if not p.is_file():
         raise CorpusError(f"no such vector file: {p}")
-    version = _file_version(p)
+    version = file_version(p)
     digest = file_sha256(p)
     copy = p.with_name(f".{p.name}.pairtune.npz")
-    table = _read_copy(copy, digest)
+    # Whoever owns the file could put any values in it, so their copy adds no
+    # trust; a copy planted by anyone else is never read.
+    table = _read_copy(copy, digest, {p.stat().st_uid, os.getuid()})
     if table is None:
         table = _parse_vectors(p)
         # The digest was taken before the parse, so it may not be this content's.
-        if _file_version(p) == version:
-            try:
-                _write_copy(copy, digest, table)
-            except OSError:
-                pass
+        if file_version(p) != version:
+            return table
+        try:
+            _write_copy(copy, digest, table)
+        except OSError:
+            pass
     table.sha256 = digest
     return table
 
 
-def _file_version(p: Path) -> tuple[int, int, int]:
-    st = p.stat()
+def file_version(path) -> tuple[int, int, int] | None:
+    """A file's inode, size and modification time, which a write or a
+    replacement changes; None when the file cannot be stat'ed."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
     return st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _read_copy(copy: Path, digest: str) -> VectorTable | None:
+# The copy format, stored in each copy; bump it whenever the text parse
+# would give some file another table, so older copies are parsed again.
+_COPY_FORMAT = 1
+
+
+def _read_copy(copy: Path, digest: str, owners: set[int]) -> VectorTable | None:
     """The table that ``_write_copy`` stored at ``copy`` for a file of this
-    sha256, or None when the copy is missing, stale or malformed."""
+    sha256, or None when the copy is missing, stale, malformed, of another
+    copy format or owned by a user not in ``owners``."""
     try:
-        with open(copy, "rb") as f, np.load(f, allow_pickle=False) as z:
-            if z["sha256"].item() != digest:
+        with open(copy, "rb") as f:
+            if os.fstat(f.fileno()).st_uid not in owners:
                 return None
-            dim, ids, values = int(z["dim"]), z["ids"], z["values"]
+            with np.load(f, allow_pickle=False) as z:
+                if z["format"].item() != _COPY_FORMAT or z["sha256"].item() != digest:
+                    return None
+                dim, ids, values = int(z["dim"]), z["ids"], z["values"]
         if ids.dtype != np.uint8 or values.dtype != np.float64 or values.ndim != 2:
             return None
         id_text = ids.tobytes().decode("utf-8")
@@ -426,7 +445,7 @@ def _write_copy(copy: Path, digest: str, table: VectorTable) -> None:
     values = np.array(list(table.entries.values()), dtype=np.float64)
     ids = np.frombuffer("\n".join(table.entries).encode("utf-8"), dtype=np.uint8)
     with atomic_write(copy) as f:
-        np.savez(f, sha256=digest, dim=table.dim, ids=ids,
+        np.savez(f, format=_COPY_FORMAT, sha256=digest, dim=table.dim, ids=ids,
                  values=values.reshape(len(table), table.dim))
 
 

@@ -1048,6 +1048,27 @@ def test_metadata_records_the_sha256_of_every_input_file(tmp_path, monkeypatch, 
     assert hashed == cfg["train_sets"] + cfg["test_sets"]
 
 
+def test_metadata_records_no_digest_for_a_corpus_rewritten_while_the_run_read_it(
+        tmp_path, monkeypatch):
+    config, cfg = experiment_config(tmp_path, models=["ORIG"])
+    changed = Path(cfg["test_sets"][1])
+    load_corpus = pairtune.cli.load_corpus
+
+    def load_then_rewrite(path, **kwargs):
+        corpus = load_corpus(path, **kwargs)
+        if Path(path) == changed:
+            changed.write_bytes(changed.read_bytes() + b"\n")
+        return corpus
+
+    monkeypatch.setattr(pairtune.cli, "load_corpus", load_then_rewrite)
+    assert run("experiment", "--config", config) == EXIT_OK
+    recorded = json.loads((tmp_path / "run" / "metadata.json").read_text())["input_sha256"]
+    sha = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in cfg["test_sets"][:1]]
+    assert recorded["test_sets"] == sha + [None]
+    assert recorded["train_sets"] == [hashlib.sha256(Path(cfg["train_sets"][0]).read_bytes())
+                                      .hexdigest()]
+
+
 def vector_file(path, corpus_path, drop=None):
     """Write 3-d vectors for every example of a corpus file except ``drop``."""
     ids = [ex.id for ex in load_corpus(corpus_path).examples if ex.id != drop]

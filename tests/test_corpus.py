@@ -400,7 +400,8 @@ class TestVectorCopy:
             return table
 
         monkeypatch.setattr(pairtune.corpus, "_parse_vectors", parse_then_rewrite)
-        assert list(load_vectors(path).entries) == ["a"]
+        table = load_vectors(path)
+        assert list(table.entries) == ["a"] and table.sha256 is None
         assert not copy_path(path).exists()
 
     @staticmethod
@@ -409,9 +410,11 @@ class TestVectorCopy:
         copy.write_bytes(data[: len(data) // 2])
 
     @staticmethod
-    def _stored(copy, digest, ids="a\nb", values=((1.0, 2.0), (3.0, 4.0)), dim=2):
+    def _stored(copy, digest, ids="a\nb", values=((1.0, 2.0), (3.0, 4.0)), dim=2,
+                format=pairtune.corpus._COPY_FORMAT):
+        members = {} if format is None else {"format": format}
         np.savez(copy, sha256=digest, dim=dim, values=np.array(values),
-                 ids=np.frombuffer(ids.encode(), dtype=np.uint8))
+                 ids=np.frombuffer(ids.encode(), dtype=np.uint8), **members)
 
     @pytest.mark.parametrize("damage", [
         _truncated,
@@ -422,14 +425,50 @@ class TestVectorCopy:
         lambda copy, digest: TestVectorCopy._stored(copy, digest, ids="a\na"),
         lambda copy, digest: TestVectorCopy._stored(copy, digest, dim=(2, 2)),
         lambda copy, digest: copy.write_bytes(b"not a copy"),
+        lambda copy, digest: TestVectorCopy._stored(copy, digest, values=((9.0, 9.0), (9.0, 9.0)),
+                                                    format=pairtune.corpus._COPY_FORMAT + 1),
+        lambda copy, digest: TestVectorCopy._stored(copy, digest, values=((9.0, 9.0), (9.0, 9.0)),
+                                                    format=None),
     ], ids=["truncated", "other-digest", "wrong-width", "wrong-rows", "non-finite",
-            "duplicate-id", "array-dim", "not-a-zip"])
+            "duplicate-id", "array-dim", "not-a-zip", "other-format", "no-format"])
     def test_malformed_copy_is_ignored_and_replaced(self, tmp_path, monkeypatch, damage):
         path = tmp_path / "v.tsv"
         path.write_text("dim=2\na\t1\t2\nb\t3\t4\n")
         want = load_vectors(path)
         damage(copy_path(path), sha256_of(path))
         assert_same_table(load_vectors(path), want)
+        assert_same_table(load_from_copy(path, monkeypatch), want)
+
+    @staticmethod
+    def _owned_by(monkeypatch, uid, path):
+        """Make os.fstat report ``uid`` as the owner of the file at ``path``."""
+        fstat = os.fstat
+
+        def fake(fd):
+            st = fstat(fd)
+            if os.path.samestat(st, os.stat(path)):
+                return os.stat_result(tuple(st)[:4] + (uid,) + tuple(st)[5:])
+            return st
+
+        monkeypatch.setattr(pairtune.corpus.os, "fstat", fake)
+
+    def test_copy_owned_by_another_user_is_ignored_and_replaced(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.tsv"
+        path.write_text("dim=2\na\t1\t2\nb\t3\t4\n")
+        want = load_vectors(path)
+        self._stored(copy_path(path), sha256_of(path), values=((9.0, 9.0), (9.0, 9.0)))
+        foreign = max(os.getuid(), path.stat().st_uid) + 1
+        with monkeypatch.context() as m:
+            self._owned_by(m, foreign, copy_path(path))
+            assert_same_table(load_vectors(path), want)
+        assert_same_table(load_from_copy(path, monkeypatch), want)
+
+    def test_copy_owned_by_the_files_owner_serves_another_user(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.tsv"
+        path.write_text("dim=2\na\t1\t2\nb\t3\t4\n")
+        want = load_vectors(path)
+        assert copy_path(path).stat().st_uid == path.stat().st_uid
+        monkeypatch.setattr(pairtune.corpus.os, "getuid", lambda: path.stat().st_uid + 1)
         assert_same_table(load_from_copy(path, monkeypatch), want)
 
     def test_failing_copy_write_still_returns_the_table(self, tmp_path, monkeypatch):
