@@ -387,12 +387,12 @@ def load_vectors(path) -> VectorTable:
     # trust; a copy planted by anyone else is never read.
     table = _read_copy(copy, digest, {p.stat().st_uid, os.getuid()})
     if table is None:
-        table = _parse_vectors(p)
+        table, values = _parse_vectors(p)
         # The digest was taken before the parse, so it may not be this content's.
         if file_version(p) != version:
             return table
         try:
-            _write_copy(copy, digest, table)
+            _write_copy(copy, digest, table, values)
         except OSError:
             pass
     table.sha256 = digest
@@ -441,17 +441,21 @@ def _read_copy(copy: Path, digest: str, owners: set[int]) -> VectorTable | None:
     return VectorTable(dim=dim, entries=entries)
 
 
-def _write_copy(copy: Path, digest: str, table: VectorTable) -> None:
-    values = np.array(list(table.entries.values()), dtype=np.float64)
+def _write_copy(copy: Path, digest: str, table: VectorTable, values: np.ndarray | None) -> None:
+    """Store ``table`` at ``copy``. ``values`` is the (n, dim) matrix whose
+    rows are the table's vectors, or None to stack them into one."""
+    if values is None:
+        values = np.array(list(table.entries.values()), dtype=np.float64)
     ids = np.frombuffer("\n".join(table.entries).encode("utf-8"), dtype=np.uint8)
     with atomic_write(copy) as f:
         np.savez(f, format=_COPY_FORMAT, sha256=digest, dim=table.dim, ids=ids,
                  values=values.reshape(len(table), table.dim))
 
 
-def _parse_vectors(p: Path) -> VectorTable:
+def _parse_vectors(p: Path) -> tuple[VectorTable, np.ndarray | None]:
     """``load_vectors``' text parser: one ``np.loadtxt`` pass, or the
-    line-by-line reader when that fails."""
+    line-by-line reader when that fails. Returns the table and, after a
+    ``loadtxt`` pass that read rows, the matrix that holds its vectors."""
     try:
         with open_text(p) as f:
             dim = _vector_dim(p, f)
@@ -459,15 +463,15 @@ def _parse_vectors(p: Path) -> VectorTable:
             texts = _value_texts(f, ids)
             first = next(texts, None)
             if first is None:
-                return VectorTable(dim=dim)
+                return VectorTable(dim=dim), None
             values = np.loadtxt(
                 chain([first], texts), delimiter="\t", comments=None, dtype=np.float64, ndmin=2
             )
         if values.shape == (len(ids), dim) and np.isfinite(values).all():
-            return VectorTable(dim=dim, entries=dict(zip(ids, values)))
+            return VectorTable(dim=dim, entries=dict(zip(ids, values))), values
     except (CorpusError, ValueError):
         pass
-    return _load_vectors_by_line(p)
+    return _load_vectors_by_line(p), None
 
 
 def _value_texts(f, ids: dict[str, None]):

@@ -340,12 +340,13 @@ class BatchForward:
     lengths: np.ndarray | None = None
 
 
-def _hidden(params: EncoderParams, M: np.ndarray) -> np.ndarray:
-    """The hidden layer of every row of M: ``relu(M @ W1.T + b1)``."""
-    A = M @ params.W1.T
+def _hidden(params: EncoderParams, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The hidden layer of every row of M: ``relu(M @ W1.T + b1)``, written
+    into ``out`` when given, else into a new array."""
+    A = np.matmul(M, params.W1.T, out=out)
     A += params.b1
     # np.maximum, unlike np.where(A > 0, A, 0), lets a NaN reach the loss check.
-    return np.maximum(A, 0.0)
+    return np.maximum(A, 0.0, out=out)
 
 
 def project(params: EncoderParams, M: np.ndarray) -> tuple[np.ndarray, BatchForward]:
@@ -486,9 +487,17 @@ def make_input_fn(
     return lambda examples: input_table(config, [vector_of(ex) for ex in examples])
 
 
-# Examples gathered, pooled and projected per step of make_embedder. With
-# d_out-wide rows, 128 raised frozen 512-d peak RSS by ~2 MiB.
-EMBED_CHUNK = 64
+# Bytes of the widest per-row array of one make_embedder block: 64 rows of
+# 512-d float64. Twice that raised frozen 512-d peak RSS by ~2 MiB.
+EMBED_BLOCK_BYTES = 64 * 512 * 8
+
+
+def embed_block_rows(config: EncoderConfig) -> int:
+    """Rows per ``make_embedder`` block: as many as fit EMBED_BLOCK_BYTES in
+    the block's widest float64 row, the pooled input (d_in_eff), the hidden
+    row (h) or the output row (min(d_out, h + 1)); at least one."""
+    width = max(config.d_in_eff, config.h, min(config.d_out, config.h + 1))
+    return max(1, EMBED_BLOCK_BYTES // (8 * width))
 
 
 def _eval_head(params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
@@ -536,9 +545,15 @@ def make_embedder(params: EncoderParams):
     z = Q @ y for y = R @ [a; 1], and z_i . z_j = y_i . y_j. R comes from
     ``np.linalg.qr(..., mode="r")``, a Householder QR that never forms Q or
     the Gram matrix and needs no rank tolerance. When d_out <= h + 1 the
-    rows are ``encode_batch``'s, bit for bit. The rows are gathered, pooled
-    and projected EMBED_CHUNK at a time, forward only: ``_hidden`` and then
-    the output layer of ``_eval_head``.
+    rows are ``encode_batch``'s, bit for bit.
+
+    ``embed`` gathers the rows once (``inputs.take``), then pools and
+    projects them forward only, ``embed_block_rows`` at a time: ``_hidden``
+    and then the output layer of ``_eval_head``, each block written with
+    ``out=`` into one workspace allocated per call (token gather, pooled
+    inputs, hidden rows) and into its rows of the result. These are
+    ``encode_batch``'s operations in its order, so a row depends only on
+    the size of its block, and only a short last block rounds differently.
 
     An exact ``identity_projection`` (``_is_identity``) has no head: its
     rows are the pooled inputs themselves. In that network every product
@@ -547,18 +562,38 @@ def make_embedder(params: EncoderParams):
     entries, which no norm or inner product sees.
     """
     head = None if _is_identity(params) else _eval_head(params)
+    step, E = embed_block_rows(params.config), params.E
 
     def embedder(inputs: InputTable):
         def embed(rows) -> np.ndarray:
-            rows = np.asarray(rows, dtype=np.intp)
+            batch = inputs.take(np.asarray(rows, dtype=np.intp))
             if head is None:
-                return _pool(params, inputs.take(rows))[0]
+                return _pool(params, batch)[0]
             W2, b2 = head
-            Y = np.empty((len(rows), len(b2)))
-            for lo in range(0, len(rows), EMBED_CHUNK):
-                chunk = rows[lo : lo + EMBED_CHUNK]
-                H = _hidden(params, _pool(params, inputs.take(chunk))[0])
-                Y[lo : lo + len(chunk)] = H @ W2.T + b2
+            n = len(batch)
+            cuts = np.append(np.arange(0, n, step), n)
+            Y = np.empty((n, len(b2)))
+            M = np.empty((min(n, step), params.config.d_in_eff))
+            H = np.empty((len(M), params.config.h))
+            if E is not None:
+                offsets, tokens = batch.offsets, batch.tokens
+                # np.take below clips, so an index E lacks must be refused here.
+                if tokens.size and not 0 <= tokens.min() <= tokens.max() < len(E):
+                    raise IndexError(f"token index out of range for {len(E)} embedding rows")
+                lengths = np.diff(offsets).astype(np.float64)
+                G = np.empty((np.diff(offsets[cuts]).max(initial=0), E.shape[1]))
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                m, h = M[: hi - lo], H[: hi - lo]
+                if E is None:
+                    np.concatenate(batch.vectors[lo:hi], out=m.reshape(-1))
+                else:
+                    t0, t1 = offsets[lo], offsets[hi]
+                    # mode="raise" would gather into a fresh copy of the output.
+                    g = np.take(E, tokens[t0:t1], axis=0, out=G[: t1 - t0], mode="clip")
+                    np.add.reduceat(g, offsets[lo:hi] - t0, axis=0, out=m)
+                    m /= lengths[lo:hi, None]
+                y = np.matmul(_hidden(params, m, out=h), W2.T, out=Y[lo:hi])
+                y += b2
             return Y
 
         return embed

@@ -52,9 +52,10 @@ class DeltaReport:
 
 EPSILON_NORM = 1e-12
 
-# Pairs scored per step, so the two gathered (PAIR_CHUNK, width) row blocks stay
-# small: 65 KiB each for make_embedder's h + 1 = 65-wide rows at h 64.
-PAIR_CHUNK = 128
+# Bytes of each of the two gathered member blocks that one step scores: 504
+# pairs of make_embedder's 65-wide rows at h 64, or 64 pairs of 512-d rows.
+# Blocks of 128 KiB or 512 KiB each scored as fast or slower at widths 16-512.
+PAIR_BLOCK_BYTES = 256 * 1024
 
 
 # Kept because benchmarks/child.py's traced run wraps it by name.
@@ -89,10 +90,14 @@ def delta_cosine_distance(embed, pairs: PairSet) -> DeltaReport:
     over the indices into ``pairs.examples`` of the distinct examples the
     pairs reference and returns one embedding per index. The rows may be of
     any width that keeps the embeddings' norms and inner products, as
-    ``make_embedder``'s narrowed rows do. Pairs score by ``cosine_distance``'s formula.
+    ``make_embedder``'s narrowed rows do. Pairs score by ``cosine_distance``'s
+    formula, as many at a time as fill two PAIR_BLOCK_BYTES buffers, allocated
+    once per call, with their members' rows.
     """
     ref, a, b = pairs.member_rows()  # a and b are rows of Z
     Z = np.asarray(embed(ref), dtype=np.float64)
+    if len(Z) != len(ref):
+        raise ValueError(f"embed returned {len(Z)} rows for {len(ref)} examples")
     squares = np.einsum("ij,ij->i", Z, Z)
     # Only a row whose sum of squares is non-finite can hold a non-finite entry.
     suspect = np.flatnonzero(~np.isfinite(squares))
@@ -102,10 +107,18 @@ def delta_cosine_distance(embed, pairs: PairSet) -> DeltaReport:
     norms = np.maximum(np.sqrt(squares), EPSILON_NORM)
 
     dist = np.empty(len(pairs))
-    for lo in range(0, len(pairs), PAIR_CHUNK):
-        ia, ib = a[lo : lo + PAIR_CHUNK], b[lo : lo + PAIR_CHUNK]
-        dots = np.einsum("ij,ij->i", Z[ia], Z[ib])
-        dist[lo : lo + PAIR_CHUNK] = 1.0 - dots / (norms[ia] * norms[ib])
+    step = max(1, PAIR_BLOCK_BYTES // (8 * Z.shape[1]))
+    U = np.empty((min(step, len(pairs)), Z.shape[1]))
+    V = np.empty_like(U)
+    for lo in range(0, len(pairs), step):
+        ia, ib = a[lo : lo + step], b[lo : lo + step]
+        # Every index is a row of Z, so clipping moves none; mode="raise"
+        # would gather into a fresh copy of the buffer.
+        u = np.take(Z, ia, axis=0, out=U[: len(ia)], mode="clip")
+        v = np.take(Z, ib, axis=0, out=V[: len(ia)], mode="clip")
+        d = np.einsum("ij,ij->i", u, v, out=dist[lo : lo + step])
+        d /= norms[ia] * norms[ib]
+        np.subtract(1.0, d, out=d)
 
     same = pairs.target == 1
     same_arr, diff_arr = dist[same], dist[~same]

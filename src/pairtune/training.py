@@ -176,11 +176,9 @@ def siamese_loss(sim, target):
 
 @dataclass
 class TrainingReport:
-    """Per-epoch mean loss trajectory plus item counts and wall time."""
+    """Per-epoch mean loss trajectory."""
 
     epoch_losses: list[float] = field(default_factory=list)
-    n_items: int = 0
-    epoch_seconds: list[float] = field(default_factory=list)
 
 
 def siamese_batch_backward(
@@ -276,7 +274,7 @@ def _run_epochs(n_items: int, cfg, params: dict, grads: dict, batch_losses, log)
     """
     rng = np.random.default_rng(cfg.seed)
     opt = OptimizerState.for_params(params)
-    report = TrainingReport(n_items=n_items)
+    report = TrainingReport()
     order = np.arange(n_items)
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
@@ -295,7 +293,6 @@ def _run_epochs(n_items: int, cfg, params: dict, grads: dict, batch_losses, log)
         elapsed = time.perf_counter() - started
         mean_loss = total / n_items
         report.epoch_losses.append(mean_loss)
-        report.epoch_seconds.append(elapsed)
         if log is not None:
             log(f"epoch {epoch + 1}/{cfg.epochs} mean_loss={mean_loss:.6f} elapsed={elapsed:.2f}s")
     return report

@@ -111,6 +111,28 @@ def fd_conditioned(params, batch, head=None, step: float = 1e-4) -> bool:
     return not (Z[:n] == Z[n:]).all(axis=1).any() and np.linalg.norm(Z, axis=1).min() >= 0.1
 
 
+# The oracle below rounds in another order than the library's batched
+# products, so its rows agree with theirs to this tolerance, not bit for bit.
+FORWARD_RTOL = FORWARD_ATOL = 1e-12
+
+
+def straight_line_forward(params, x, head=None):
+    """One input's encoder output, written out row by row without the
+    library's kernels: the mean of its tokens' embedding rows, summed in a
+    Python loop (its fixed vector in frozen mode), then relu(W1 @ m + b1),
+    then the output layer ``head`` = (W2, b2), by default the model's own."""
+    if params.E is not None:
+        m = np.zeros(params.E.shape[1])
+        for t in x:
+            m = m + params.E[t]
+        m = m / len(x)
+    else:
+        m = np.asarray(x, dtype=np.float64)
+    hidden = np.maximum(params.W1 @ m + params.b1, 0.0)
+    W2, b2 = (params.W2, params.b2) if head is None else head
+    return W2 @ hidden + b2
+
+
 def pair_cosine_loss(Z, targets, epsilon_norm):
     """Summed squared error of each pair's cosine similarity against its
     target, written out pair by pair: pair i is rows i and len(Z) // 2 + i."""

@@ -683,10 +683,11 @@ def test_model_bytes_do_not_depend_on_blas_thread_count(tmp_path):
 
 
 def test_eval_report_does_not_depend_on_blas_thread_count(tmp_path):
-    # Eval embeds in 64-row chunks. With d_out above h + 1 its rows are h + 1
-    # wide, so at 16/64/512 the last layer's product is only 64 x 64 x 65;
-    # the frozen 512/64/512 model's first layer (64 x 512 x 64) is large
-    # enough for OpenBLAS to split across threads.
+    # Eval embeds in blocks of up to 504 rows at 16/64/512 and 64 rows over
+    # 512-d vectors. With d_out above h + 1 its rows are h + 1 wide, so the
+    # last layer's product of this 400-row block is only 400 x 64 x 65; the
+    # frozen 512/64/512 model's first layer (64 x 512 x 64 per block) is
+    # large enough for OpenBLAS to split across threads.
     corpus = gen_corpus(tmp_path / "c.jsonl", classes=4, per_class=100)
     loaded = load_corpus(corpus)
     config = EncoderConfig(mode=TRAINABLE, d_tok=16, h=64, d_out=512)

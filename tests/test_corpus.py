@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -370,6 +371,24 @@ class TestVectorCopy:
         cached = load_from_copy(path, monkeypatch)
         assert_same_table(cached, parsed)
         assert parsed.sha256 == cached.sha256 == sha256_of(path)
+
+    def test_first_load_stores_the_parsed_matrix_without_stacking_it_again(self, tmp_path):
+        # 2 MB of values, so that the digest's 1 MiB reads do not set the peak.
+        path = tmp_path / "v.tsv"
+        rng = np.random.default_rng(4)
+        write_vectors(VectorTable(dim=256, entries={f"e{i}": rng.normal(size=256)
+                                                    for i in range(1000)}), path)
+        matrix = 1000 * 256 * 8
+        tracemalloc.start()
+        try:
+            load_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert copy_path(path).is_file()
+        # The parsed matrix and the one buffer np.savez writes it through;
+        # stacking the table's rows into a new matrix makes three.
+        assert peak < 2.5 * matrix, peak / matrix
 
     def test_header_only_file_round_trips(self, tmp_path, monkeypatch):
         path = tmp_path / "v.tsv"

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import pairtune.encoder
 
 from pairtune.corpus import CorpusError, VectorTable
 from pairtune.encoder import (
-    EMBED_CHUNK,
     FROZEN_PROJECTION,
     STORAGE_BINARY,
     STORAGE_TEXT,
@@ -20,6 +21,7 @@ from pairtune.encoder import (
     EncoderParams,
     Vocabulary,
     build_vocab,
+    embed_block_rows,
     encode,
     encode_backward,
     encode_batch,
@@ -38,7 +40,15 @@ from pairtune.encoder import (
 from pairtune.synthetic import synthetic_corpus
 from pairtune.training import init_head_params
 
-from conftest import finite_difference_gradients, make_corpus, max_relative_error
+from conftest import (
+    FORWARD_ATOL,
+    FORWARD_RTOL,
+    finite_difference_gradients,
+    make_corpus,
+    max_relative_error,
+    straight_line_forward,
+    well_scaled_params,
+)
 
 
 class TestTokenize:
@@ -130,6 +140,37 @@ def encode_rows(params, xs):
     return encode_batch(params, input_table(params.config, xs))[0]
 
 
+def oracle_case(mode, d, h, d_out, n_examples=60, seed=0):
+    """A model of these widths at O(1) weight scale, its per-example inputs
+    and their InputTable: 1-5 token indices into a 40-row E each, or d-wide
+    vectors."""
+    rng = np.random.default_rng(seed)
+    if mode == TRAINABLE:
+        config = EncoderConfig(mode=TRAINABLE, d_tok=d, h=h, d_out=d_out)
+        params = init_encoder_params(config, vocab_size=40, seed=seed)
+        xs = [rng.integers(0, 40, size=rng.integers(1, 6)) for _ in range(n_examples)]
+    else:
+        config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=d, h=h, d_out=d_out)
+        params = init_encoder_params(config, seed=seed)
+        xs = list(rng.normal(size=(n_examples, d)))
+    return well_scaled_params(params, seed), xs, input_table(config, xs)
+
+
+def block_width(config):
+    """The widest float64 row of a make_embedder block: pooled, hidden or output."""
+    return max(config.d_in_eff, config.h, min(config.d_out, config.h + 1))
+
+
+# (mode, d_tok or d_in, h, d_out): paper dims, whose eval rows are narrowed
+# to h + 1, and small unnarrowed ones.
+EMBED_CASES = {
+    "trainable-16/64/512": (TRAINABLE, 16, 64, 512),
+    "trainable-4/6/5": (TRAINABLE, 4, 6, 5),
+    "frozen-512/64/512": (FROZEN_PROJECTION, 512, 64, 512),
+    "frozen-5/6/4": (FROZEN_PROJECTION, 5, 6, 4),
+}
+
+
 def cosine_distance_matrix(Z):
     """Every pair's eval cosine distance, from rows of any width."""
     norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", Z, Z)), 1e-12)
@@ -208,6 +249,14 @@ class TestEncodeForward:
 
         Z = encode_rows(params, [tokens, [0], [2, 2, 1]])
         np.testing.assert_allclose(Z[0], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", [TRAINABLE, FROZEN_PROJECTION])
+    def test_batch_rows_match_the_straight_line_oracle_over_a_shape_grid(self, mode):
+        for d, h, d_out, n in itertools.product((1, 3, 8), (1, 5), (1, 4, 9), (1, 2, 7)):
+            params, xs, inputs = oracle_case(mode, d, h, d_out, n_examples=n, seed=d * h + d_out)
+            expected = np.array([straight_line_forward(params, x) for x in xs])
+            np.testing.assert_allclose(encode_batch(params, inputs)[0], expected, rtol=FORWARD_RTOL,
+                                       atol=FORWARD_ATOL, err_msg=f"{d}/{h}/{d_out} n={n}")
 
     def test_encode_is_pure(self):
         params = tiny_trainable(seed=3)
@@ -591,7 +640,7 @@ class TestEmbedder:
     @pytest.mark.parametrize(
         "kind", ["trainable", "frozen", "identity-orig", "trainable-narrow", "frozen-narrow"]
     )
-    def test_embed_rows_equals_packed_chunks_and_per_row_encode(self, kind):
+    def test_embed_rows_equals_packed_chunks_and_per_row_encode(self, monkeypatch, kind):
         corpus = synthetic_corpus("emb", 3, 30, n_groups=3, seed=1)
         rng = np.random.default_rng(6)
         # A narrow kind's d_out exceeds h + 1, so eval rows are h + 1 wide.
@@ -613,15 +662,19 @@ class TestEmbedder:
                 params = init_encoder_params(config, seed=2)
             prepare = make_input_fn(params.config, vectors=table)
             xs = [table[ex.id] for ex in corpus.examples]
-        # Repeated and unsorted rows spanning more than two chunks.
-        rows = rng.integers(0, len(corpus), size=2 * EMBED_CHUNK + 9)
+        # Repeated and unsorted rows spanning more than two 64-row blocks.
+        budget = 64 * 8 * block_width(params.config)
+        monkeypatch.setattr(pairtune.encoder, "EMBED_BLOCK_BYTES", budget)
+        step = embed_block_rows(params.config)
+        assert step == 64
+        rows = rng.integers(0, len(corpus), size=2 * step + 9)
         inputs = prepare(corpus.examples)
 
         def packed():
-            # The same EMBED_CHUNK-row batches packed from per-example inputs.
+            # The same blocks packed from per-example inputs.
             return np.concatenate([
-                encode_batch(params, input_table(params.config, [xs[i] for i in chunk]))[0]
-                for chunk in np.split(rows, range(EMBED_CHUNK, len(rows), EMBED_CHUNK))
+                encode_batch(params, input_table(params.config, [xs[i] for i in block]))[0]
+                for block in np.split(rows, range(step, len(rows), step))
             ])
 
         if not narrow:
@@ -649,6 +702,73 @@ class TestEmbedder:
                 cosine_distance_matrix(Z), cosine_distance_matrix(direct), rtol=0, atol=1e-12, err_msg=head
             )
         assert not Z.any() and (cosine_distance_matrix(Z) == 1.0).all()
+
+    @pytest.mark.parametrize("case", EMBED_CASES)
+    def test_embed_rows_match_the_straight_line_oracle_through_its_head(self, monkeypatch, case):
+        params, xs, inputs = oracle_case(*EMBED_CASES[case])
+        head = pairtune.encoder._eval_head(params)
+        rng = np.random.default_rng(1)
+        # 5-row blocks with a last block of 1, 3 or 2 rows, then the default
+        # blocks with a last one of 3 rows.
+        small, default = 8 * 5 * block_width(params.config), pairtune.encoder.EMBED_BLOCK_BYTES
+        default_count = 2 * embed_block_rows(params.config) + 3
+        for budget, counts in ((small, (11, 23, 37)), (default, (default_count,))):
+            monkeypatch.setattr(pairtune.encoder, "EMBED_BLOCK_BYTES", budget)
+            embed = make_embedder(params)(inputs)
+            for n in counts:
+                rows = rng.integers(0, len(xs), size=n)
+                expected = np.array([straight_line_forward(params, xs[i], head) for i in rows])
+                np.testing.assert_allclose(embed(rows), expected, rtol=FORWARD_RTOL, atol=FORWARD_ATOL,
+                                           err_msg=f"{case} n={n}")
+
+    @pytest.mark.parametrize("case", EMBED_CASES)
+    def test_embed_rows_equal_their_blocks_run_one_at_a_time(self, monkeypatch, case):
+        params, xs, inputs = oracle_case(*EMBED_CASES[case])
+        W2, b2 = pairtune.encoder._eval_head(params)
+        width = block_width(params.config)
+        # Two full default blocks and a 9-row one.
+        n = 2 * embed_block_rows(params.config) + 9
+        rows = np.random.default_rng(2).integers(0, len(xs), size=n)
+        for budget in (8 * 7 * width, pairtune.encoder.EMBED_BLOCK_BYTES, 8 * (n + 1) * width):
+            monkeypatch.setattr(pairtune.encoder, "EMBED_BLOCK_BYTES", budget)
+            step = embed_block_rows(params.config)
+            pooled = [pairtune.encoder._pool(params, inputs.take(block))[0]
+                      for block in np.split(rows, range(step, n, step))]
+            blocks = [pairtune.encoder._hidden(params, M) @ W2.T + b2 for M in pooled]
+            Z = make_embedder(params)(inputs)(rows)
+            assert Z.tobytes() == np.concatenate(blocks).tobytes(), (case, step)
+
+    @pytest.mark.parametrize("mode", [TRAINABLE, FROZEN_PROJECTION])
+    def test_embed_allocates_its_rows_and_one_blocks_workspace(self, monkeypatch, mode):
+        d, h, step = (16 if mode == TRAINABLE else 512), 64, 32
+        params, xs, inputs = oracle_case(mode, d, h, 512)
+        budget = 8 * step * block_width(params.config)
+        monkeypatch.setattr(pairtune.encoder, "EMBED_BLOCK_BYTES", budget)
+        embed = make_embedder(params)(inputs)
+        for n_blocks in (2, 10):
+            rows = np.arange(step * n_blocks - 5) % len(xs)
+            batch = inputs.take(rows)
+            # The gathered rows, plus one block's pooled inputs and hidden rows.
+            workspace = 8 * step * (d + h)
+            if mode == TRAINABLE:
+                lengths = np.diff(batch.offsets)
+                # Each row's token count, and the token gather of the longest block.
+                gathered = batch.tokens.nbytes + batch.offsets.nbytes + lengths.nbytes
+                longest = max(lengths[lo : lo + step].sum() for lo in range(0, len(rows), step))
+                workspace += 8 * d * longest
+            else:
+                gathered = batch.vectors.nbytes
+            tracemalloc.start()
+            try:
+                Y = embed(rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert Y.shape == (len(rows), h + 1)
+            # Beyond those, only numpy's buffer for broadcasting b1 or b2 over
+            # one block's rows, and small objects.
+            excess = peak - (Y.nbytes + gathered + workspace)
+            assert excess <= 8 * step * (h + 1) + 8192, (n_blocks, excess)
 
     @pytest.mark.parametrize("h", range(1, 9))
     def test_narrowed_rows_keep_inner_products_over_a_shape_grid(self, h):
@@ -731,14 +851,22 @@ class TestEmbedder:
             params.W2[1, 0] = 1e-300
         hidden, hidden_calls = pairtune.encoder._hidden, []
 
-        def counting_hidden(params, M):
+        def counting_hidden(params, M, out=None):
             hidden_calls.append(len(M))
-            return hidden(params, M)
+            return hidden(params, M, out)
 
         monkeypatch.setattr(pairtune.encoder, "_hidden", counting_hidden)
         Z = make_embedder(params)(inputs)([0, 1, 2])
         assert hidden_calls == ([] if change is None else [3])
         np.testing.assert_allclose(Z, encode_batch(params, inputs)[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("token", [-1, 6])
+    def test_token_index_outside_the_embedding_table_is_refused(self, token):
+        params = tiny_trainable(vocab_size=6)
+        # The blocks gather with clipping, which would map the index into E.
+        inputs = input_table(params.config, [[1, 2], [0, token], [3]])
+        with pytest.raises(IndexError, match="out of range for 6 embedding rows"):
+            make_embedder(params)(inputs)(range(len(inputs)))
 
     def test_trainable_embedder_uses_tokens(self):
         corpus = make_corpus("d", [("t1", "a b", "x"), ("t2", "c", "y")])

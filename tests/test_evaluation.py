@@ -5,13 +5,15 @@ import statistics
 import numpy as np
 import pytest
 
+import pairtune.encoder
+import pairtune.evaluation
 from pairtune.corpus import CorpusError, VectorTable
 from pairtune.encoder import (
-    EMBED_CHUNK,
     FROZEN_PROJECTION,
     TRAINABLE,
     EncoderConfig,
     build_vocab,
+    embed_block_rows,
     encode_batch,
     identity_projection,
     init_encoder_params,
@@ -21,7 +23,6 @@ from pairtune.encoder import (
 )
 from pairtune.episodes import EpisodeSpec, generate_episodes
 from pairtune.evaluation import (
-    PAIR_CHUNK,
     DeltaReport,
     EvalSpec,
     cosine_distance,
@@ -265,12 +266,12 @@ class TestBatchedEvalMatchesReference:
                 return params.W2 @ np.maximum(params.W1 @ m + params.b1, 0.0) + params.b2
 
             inputs = make_input_fn(config, vocab=vocab)(corpus.examples)
-            return corpus, embed_one, make_embedder(params)(inputs)
+            return corpus, embed_one, make_embedder(params)(inputs), params
         table = VectorTable(dim=6, entries={ex.id: rng.normal(size=6) for ex in corpus.examples})
         if kind == "identity-orig":
             params = identity_projection(6)
             inputs = make_input_fn(params.config, vectors=table)(corpus.examples)
-            return corpus, lambda ex: table[ex.id], make_embedder(params)(inputs)
+            return corpus, lambda ex: table[ex.id], make_embedder(params)(inputs), params
         h, d_out = (4, 11) if kind == "frozen-narrow" else (7, 5)
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=6, h=h, d_out=d_out)
         params = init_encoder_params(config, seed=4)
@@ -280,18 +281,23 @@ class TestBatchedEvalMatchesReference:
             return params.W2 @ np.maximum(params.W1 @ table[ex.id] + params.b1, 0.0) + params.b2
 
         inputs = make_input_fn(config, vectors=table)(corpus.examples)
-        return corpus, embed_one, make_embedder(params)(inputs)
+        return corpus, embed_one, make_embedder(params)(inputs), params
 
     @pytest.mark.parametrize(
         "kind", ["trainable", "frozen", "identity-orig", "trainable-narrow", "frozen-narrow"]
     )
-    def test_report_matches_per_pair_loop(self, kind):
-        corpus, embed_one, embed = self.setup_case(kind)
+    def test_report_matches_per_pair_loop(self, monkeypatch, kind):
+        # Budgets of a few rows, so that embedding and scoring each run
+        # several blocks and a short last one.
+        monkeypatch.setattr(pairtune.encoder, "EMBED_BLOCK_BYTES", 8 * 64)
+        monkeypatch.setattr(pairtune.evaluation, "PAIR_BLOCK_BYTES", 8 * 256)
+        corpus, embed_one, embed, params = self.setup_case(kind)
         spec = EvalSpec(n_pairs=333, same_fraction=0.4, seed=5)
         pairs, same, diff = reference_report(embed_one, corpus, spec)
-        n_ref = pairs.referenced().size
-        assert n_ref > EMBED_CHUNK and n_ref % EMBED_CHUNK, n_ref
-        assert spec.n_pairs > PAIR_CHUNK and spec.n_pairs % PAIR_CHUNK
+        n_ref, step = pairs.referenced().size, embed_block_rows(params.config)
+        assert n_ref > step and n_ref % step, (n_ref, step)
+        pair_step = 256 // embed(np.arange(1)).shape[1]
+        assert spec.n_pairs > pair_step and spec.n_pairs % pair_step, pair_step
 
         report = delta_cosine_distance(embed, eval_pairs(corpus, spec))
         assert (report.s_count, report.d_count) == (len(same), len(diff))
@@ -305,6 +311,25 @@ class TestBatchedEvalMatchesReference:
         for name, value in expected.items():
             assert abs(getattr(report, name) - value) <= 1e-12, name
 
+    @pytest.mark.parametrize("kind", ["trainable-narrow", "frozen", "identity-orig"])
+    def test_report_bytes_do_not_depend_on_the_pair_block_size(self, monkeypatch, kind):
+        corpus, _, embed, _ = self.setup_case(kind)
+        pairs = eval_pairs(corpus, EvalSpec(n_pairs=333, same_fraction=0.4, seed=5))
+        width = embed(np.arange(1)).shape[1]
+        reports = []
+        # One pair per block, 7 (the last one short), the default, and all in one.
+        for budget in (8 * width, 8 * 7 * width, pairtune.evaluation.PAIR_BLOCK_BYTES,
+                       8 * (len(pairs) + 1) * width):
+            monkeypatch.setattr(pairtune.evaluation, "PAIR_BLOCK_BYTES", budget)
+            reports.append(repr(dataclasses.astuple(delta_cosine_distance(embed, pairs))))
+        assert reports == reports[:1] * 4
+
+
+def test_embed_that_returns_another_row_count_is_refused():
+    corpus = synthetic_corpus("rows", 3, 10, n_groups=3, seed=1)
+    pairs = eval_pairs(corpus, EvalSpec(n_pairs=40, seed=1))
+    with pytest.raises(ValueError, match=r"embed returned \d+ rows for \d+ examples"):
+        delta_cosine_distance(lambda rows: np.ones((len(rows) - 1, 3)), pairs)
 
 
 @pytest.mark.parametrize("d", [5, 64, 512])
