@@ -368,18 +368,18 @@ def _encoder_and_vocab(enc: dict, tables, corpora, vocab_path=None):
 
 
 def _base_params(config: EncoderConfig, vocab, seed: int) -> EncoderParams:
-    """The seed-initialised encoder that every variant starts from."""
+    """The seed-initialised encoder that every variant starts from, drawn
+    afresh for each, so no run holds one base for all of them."""
     vocab_size = vocab.size if vocab is not None else None
     return init_encoder_params(config, vocab_size=vocab_size, seed=seed + SEED_INIT)
 
 
-def orig_model(base_params: EncoderParams) -> EncoderParams:
+def orig_model(config: EncoderConfig, vocab, seed: int) -> EncoderParams:
     """The untrained ORIG surrogate: an identity projection when the input is
-    frozen and d_out == d_in, else the base encoder."""
-    config = base_params.config
+    frozen and d_out == d_in, drawing no base encoder, else the base encoder."""
     if config.mode == FROZEN_PROJECTION and config.d_out == config.d_in:
         return identity_projection(config.d_in)
-    return base_params
+    return _base_params(config, vocab, seed)
 
 
 def train_variant(variant, params, corpora, table, cfg: dict, seed: int, pairs=None):
@@ -480,16 +480,16 @@ def _write_loss_curve(path, report) -> None:
 
 def _evaluate(models, tests, input_fn, spec: EvalSpec) -> list:
     """One report row per (model, test set), model-major. ``models`` holds
-    (name, params) pairs and ``input_fn`` prepares a test set's inputs. Each
-    test set's ``eval_pairs``, and the inputs of the examples they reference,
-    serve every model, and each model's embedder, and so its eval head,
-    serves every test set."""
+    (name, embedder) pairs, each embedder made by ``make_embedder``, and
+    ``input_fn`` prepares a test set's inputs. Each test set's
+    ``eval_pairs``, and the inputs of the examples they reference, serve
+    every model, and each model's embedder, and so its eval head, serves
+    every test set."""
     rows = [[] for _ in models]
-    embedders = [make_embedder(params) for _, params in models]
     for test in tests:
         pairs = eval_pairs(test, spec).compact()
         inputs = input_fn(pairs.examples)
-        for model_rows, (name, _), embedder in zip(rows, models, embedders):
+        for model_rows, (name, embedder) in zip(rows, models):
             result = delta_cosine_distance(embedder(inputs), pairs)
             model_rows.append((name, test.dataset_id, result))
             _log(f"{name} on {test.dataset_id}: delta={result.delta:.6f}")
@@ -547,12 +547,12 @@ def cmd_eval(args) -> None:
         if args.hidden_width is not None and args.d_out == dim:
             raise ConfigError(f"--hidden-width needs a --d-out other than the vectors' width {dim}: "
                               "at that width ORIG is the identity")
-        params = orig_model(_base_params(_orig_config(args, dim), None, args.seed))
+        params = orig_model(_orig_config(args, dim), None, args.seed)
         vocab = None
         name = args.model_name or "ORIG"
 
     input_fn = make_input_fn(params.config, vocab, {t.dataset_id: v for t, v in zip(tests, tables)})
-    emit_report(_evaluate([(name, params)], tests, input_fn, spec), args.out)
+    emit_report(_evaluate([(name, make_embedder(params))], tests, input_fn, spec), args.out)
     _log(f"report written to {args.out}")
 
 
@@ -586,6 +586,24 @@ def run_experiment(cfg: dict) -> Path:
     return out_dir
 
 
+def _saved_embedder(model: str, config: EncoderConfig, vocab, corpora, table, cfg: dict, out_dir: Path):
+    """Make ``model``, the untrained ORIG or a variant finetuned from its own
+    seeded base, write its ``.ptm`` (and a variant's loss curve) into
+    ``out_dir``, and return its embedder. The parameter set outlives this
+    call only as far as the embedder holds it; an identity ORIG's holds
+    none of it, so it is freed before the next model trains."""
+    seed = cfg["seed"]
+    if model == "ORIG":
+        params, report = orig_model(config, vocab, seed), None
+        _log("untrained surrogate; no finetuning")
+    else:
+        params, report = train_variant(model, _base_params(config, vocab, seed), corpora, table, cfg, seed)
+    save_model(out_dir / f"{model}.ptm", params, vocab, storage=cfg["model_format"])
+    if report is not None:
+        _write_loss_curve(out_dir / f"{model}.losses.tsv", report)
+    return make_embedder(params)
+
+
 def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
     seed = cfg["seed"]
     enc = cfg["encoder"]
@@ -610,30 +628,18 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
         "test_vectors": digests[len(train_corpora) :],
     }
     config, vocab = _encoder_and_vocab(enc, tables, train_corpora or test_corpora)
-    base_params = _base_params(config, vocab, seed)
     input_fn = make_input_fn(config, vocab, {c.dataset_id: t for c, t in zip(train_corpora, tables)})
     table = input_fn([ex for c in train_corpora for ex in c.examples])
 
-    trained = []
+    embedders = []
     for model in cfg["models"]:
         _log(f"--- {model} ---")
-        report = None
-        if model == "ORIG":
-            model_params = orig_model(base_params)
-            _log("untrained surrogate; no finetuning")
-        else:
-            model_params, report = train_variant(
-                model, base_params.copy(), train_corpora, table, cfg, seed
-            )
-        trained.append((model, model_params))
-        save_model(out_dir / f"{model}.ptm", model_params, vocab, storage=cfg["model_format"])
-        if report is not None:
-            _write_loss_curve(out_dir / f"{model}.losses.tsv", report)
+        embedders.append((model, _saved_embedder(model, config, vocab, train_corpora, table, cfg, out_dir)))
 
     eval_spec = EvalSpec(seed=seed + SEED_EVAL, **cfg["eval"])
     test_tables = tables[len(train_corpora):]
     test_fn = make_input_fn(config, vocab, {c.dataset_id: t for c, t in zip(test_corpora, test_tables)})
-    rows = _evaluate(trained, test_corpora, test_fn, eval_spec)
+    rows = _evaluate(embedders, test_corpora, test_fn, eval_spec)
 
     emit_report(rows, out_dir / "consolidated.tsv")
     metadata = {

@@ -265,11 +265,13 @@ def identity_projection(dim: int) -> EncoderParams:
     """
     config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=dim, h=2 * dim, d_out=dim)
     params = EncoderParams.zeros(config)
-    eye = np.eye(dim)
-    params.W1[:dim] = eye
-    np.negative(eye, out=params.W1[dim:])
-    params.W2[:, :dim] = eye
-    np.negative(eye, out=params.W2[:, dim:])
+    # Each block is written in place, with no dim x dim temporary. The -I
+    # blocks hold -0.0 off their diagonals, as np.negative(np.eye(dim)) does.
+    params.W1[dim:] = -0.0
+    params.W2[:, dim:] = -0.0
+    for block, one in ((params.W1[:dim], 1.0), (params.W1[dim:], -1.0),
+                       (params.W2[:, :dim], 1.0), (params.W2[:, dim:], -1.0)):
+        np.fill_diagonal(block, one)
     return params
 
 
@@ -382,7 +384,12 @@ def _pool(params: EncoderParams, batch: InputTable):
         M = np.add.reduceat(params.E[batch.tokens], batch.offsets[:-1], axis=0)
         M /= lengths[:, None]
         return M, lengths
-    return np.concatenate(batch.vectors, dtype=np.float64).reshape(len(batch), -1), None
+    return _stacked(batch), None
+
+
+def _stacked(batch: InputTable) -> np.ndarray:
+    """A frozen-mode batch's input vectors as the rows of one matrix."""
+    return np.concatenate(batch.vectors, dtype=np.float64).reshape(len(batch), -1)
 
 
 def encode_batch(params: EncoderParams, batch: InputTable) -> tuple[np.ndarray, BatchForward]:
@@ -556,20 +563,21 @@ def make_embedder(params: EncoderParams):
     the size of its block, and only a short last block rounds differently.
 
     An exact ``identity_projection`` (``_is_identity``) has no head: its
-    rows are the pooled inputs themselves. In that network every product
-    with a zero weight is +-0 and at most one of relu(m) and relu(-m) is
-    nonzero, so its outputs equal its inputs except for the sign of zero
-    entries, which no norm or inner product sees.
+    rows are the input vectors themselves, and its embedder holds no
+    reference to ``params``, so the 4 * d_in**2 floats can be freed as soon
+    as it is built. In that network every product with a zero weight is
+    +-0 and at most one of relu(m) and relu(-m) is nonzero, so its outputs
+    equal its inputs except for the sign of zero entries, which no norm or
+    inner product sees.
     """
-    head = None if _is_identity(params) else _eval_head(params)
+    if _is_identity(params):
+        return lambda inputs: lambda rows: _stacked(inputs.take(np.asarray(rows, dtype=np.intp)))
+    W2, b2 = _eval_head(params)
     step, E = embed_block_rows(params.config), params.E
 
     def embedder(inputs: InputTable):
         def embed(rows) -> np.ndarray:
             batch = inputs.take(np.asarray(rows, dtype=np.intp))
-            if head is None:
-                return _pool(params, batch)[0]
-            W2, b2 = head
             n = len(batch)
             cuts = np.append(np.arange(0, n, step), n)
             Y = np.empty((n, len(b2)))

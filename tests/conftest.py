@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from pairtune.corpus import Corpus, LabeledExample
-from pairtune.encoder import encode_batch
+from pairtune.encoder import FROZEN_PROJECTION, EncoderConfig, EncoderParams, encode_batch
 
 
 def make_corpus(dataset_id, rows):
@@ -89,11 +89,15 @@ def finite_difference_gradients(
     return grads
 
 
+# fd_conditioned's distance, in steps, between every ReLU pre-activation and its kink.
+KINK_MARGIN_STEPS = 100.0
+
+
 def fd_conditioned(params, batch, head=None, step: float = 1e-4) -> bool:
     """Whether finite differences at ``step`` (up to two steps from each
     entry) can resolve the gradient of a loss over ``batch``: every ReLU
-    pre-activation lies at least 100 steps from its kink, so no step crosses
-    one, and no part of the loss is flat except to rounding. Without a head
+    pre-activation lies at least KINK_MARGIN_STEPS steps from its kink, so
+    no step crosses one, and no part of the loss is flat except to rounding. Without a head
     the batch is Siamese (pair i is rows i and n/2 + i): no pair's
     embeddings are equal, where the cosine is 1 whatever the parameters, and
     every embedding is at least 0.1 long, away from the cosine's
@@ -103,12 +107,45 @@ def fd_conditioned(params, batch, head=None, step: float = 1e-4) -> bool:
     Z, fwd = encode_batch(params, batch)
     layers = [(fwd.M, params)] + ([(Z, head)] if head is not None else [])
     pre = [X @ p.W1.T + p.b1 for X, p in layers]
-    if min(np.abs(A).min() for A in pre) < 100.0 * step:
+    if min(np.abs(A).min() for A in pre) < KINK_MARGIN_STEPS * step:
         return False
     if head is not None:
         return bool((pre[-1] > 0).any())
     n = len(Z) // 2
     return not (Z[:n] == Z[n:]).all(axis=1).any() and np.linalg.norm(Z, axis=1).min() >= 0.1
+
+
+def redraw_kinked_units(X, layer, draw_unit, step: float, tries: int = 100) -> bool:
+    """Redraw each hidden unit j of ``layer`` (row j of W1 and entry j of
+    b1), by ``draw_unit(j)``, while its pre-activation ``X @ W1[j] + b1[j]``
+    lies within KINK_MARGIN_STEPS steps of the ReLU kink on some row of X.
+    The units of a layer are drawn independently and each one's margin
+    depends on its own row only, so a unit redrawn until it clears has the
+    distribution that redrawing the whole layer until every unit clears
+    would give, at a fraction of the draws. False when a unit fails
+    ``tries`` checks in a row."""
+    for j in range(len(layer.b1)):
+        for _ in range(tries):
+            if np.abs(X @ layer.W1[j] + layer.b1[j]).min() >= KINK_MARGIN_STEPS * step:
+                break
+            draw_unit(j)
+        else:
+            return False
+    return True
+
+
+def identity_reference(dim):
+    """The exact identity projection from d_in = dim, built with dim x dim
+    temporaries: [I; -I] before the ReLU and [I, -I] after it, each -I made
+    by ``np.negative(np.eye(dim))``, so it holds -0.0 off its diagonal."""
+    config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=dim, h=2 * dim, d_out=dim)
+    params = EncoderParams.zeros(config)
+    eye = np.eye(dim)
+    params.W1[:dim] = eye
+    params.W1[dim:] = np.negative(eye)
+    params.W2[:, :dim] = eye
+    params.W2[:, dim:] = np.negative(eye)
+    return params
 
 
 # The oracle below rounds in another order than the library's batched

@@ -58,6 +58,7 @@ from conftest import (
     make_corpus,
     max_relative_error,
     pair_cosine_loss,
+    redraw_kinked_units,
     stack_rows,
     well_scaled_params,
 )
@@ -73,9 +74,10 @@ CRITERION_1_STEP = 1e-3
 def check_criterion_1(seed: int) -> tuple[float, float, int]:
     """Criterion 1 over one seed's draws: 20 configs each trainable and
     frozen, every gradient checked by the five-point stencil at step 1e-3
-    on draws that ``fd_conditioned`` passes at that step. Asserts the 1e-4
-    relative bound and returns the worst siamese and naive errors and the
-    number of draws."""
+    on draws that ``fd_conditioned`` passes at that step, after
+    ``redraw_kinked_units`` has redrawn the hidden units it would reject.
+    Asserts the 1e-4 relative bound and returns the worst siamese and naive
+    errors and the number of draws."""
     rng = np.random.default_rng(seed)
     worst_siamese = 0.0
     worst_naive = 0.0
@@ -110,6 +112,25 @@ def check_criterion_1(seed: int) -> tuple[float, float, int]:
             head = init_head_params(d_out, hidden, n_classes, seed=2000 + draws)
             pairs = input_table(config, xs[: 2 * n_pairs])
             examples = input_table(config, xs[2 * n_pairs :])
+            # Redraw the hidden units whose ReLUs sit near a kink on some row,
+            # each from the distribution well_scaled_params or
+            # init_head_params drew it from: the encoder's over every pooled
+            # row, then the head's over the example embeddings.
+            unit_rng = np.random.default_rng(3000 + draws)
+            lim = 1.0 / np.sqrt(d_out)
+
+            def draw_encoder_unit(j):
+                params.W1[j] = unit_rng.normal(size=params.W1.shape[1]) / np.sqrt(params.W1.shape[1])
+                params.b1[j] = unit_rng.normal() * 0.2
+
+            def draw_head_unit(j):
+                head.W1[j] = unit_rng.uniform(-lim, lim, size=d_out)
+
+            pooled = encode_batch(params, input_table(config, xs))[1].M
+            if not (redraw_kinked_units(pooled, params, draw_encoder_unit, CRITERION_1_STEP)
+                    and redraw_kinked_units(encode_batch(params, examples)[0], head,
+                                            draw_head_unit, CRITERION_1_STEP)):
+                continue
             targets = rng.integers(0, 2, size=n_pairs).astype(np.float64)
             ys = rng.integers(0, n_classes, size=n_examples)
             # A draw that finite differences cannot resolve checks nothing.

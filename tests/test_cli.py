@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -1010,6 +1012,53 @@ def test_frozen_experiment_rows_match_standalone_eval_of_each_model(tmp_path):
         assert run(*argv) == EXIT_OK
         standalone += report.read_text().splitlines(keepends=True)[1:]
     assert standalone == consolidated
+
+
+def test_identity_orig_is_freed_before_the_next_model_trains(tmp_path, monkeypatch):
+    # d_out equals the vectors' width, so ORIG is the identity projection,
+    # whose 4 * d_in**2 floats no later stage needs.
+    config, cfg = experiment_config(tmp_path, models=["ORIG", "NAIVE", "SIAMESE"])
+    paths = cfg["train_sets"] + cfg["test_sets"]
+    vectors = [str(vector_file(Path(p).with_suffix(".vec"), p)) for p in paths]
+    cfg.update(encoder={"mode": "frozen-projection", "h": 16, "d_out": 3},
+               train_vectors=vectors[:1], test_vectors=vectors[1:])
+    config.write_text(json.dumps(cfg))
+    orig, alive = [], []
+    identity_projection, train_naive = pairtune.cli.identity_projection, pairtune.cli.train_naive
+
+    def tracked_identity_projection(dim):
+        params = identity_projection(dim)
+        orig.append(weakref.ref(params))
+        return params
+
+    def checked_train_naive(*args, **kwargs):
+        gc.collect()
+        alive.append(orig[0]() is not None)
+        return train_naive(*args, **kwargs)
+
+    monkeypatch.setattr(pairtune.cli, "identity_projection", tracked_identity_projection)
+    monkeypatch.setattr(pairtune.cli, "train_naive", checked_train_naive)
+    run_experiment(load_experiment_config(config))
+    assert len(orig) == 1 and alive == [False]
+    assert [r["model"] for r in parse_report(tmp_path / "run" / "consolidated.tsv")] == [
+        "ORIG", "ORIG", "NAIVE", "NAIVE", "SIAMESE", "SIAMESE",
+    ]
+
+
+def test_every_variant_starts_from_the_orig_model_payload(tmp_path, monkeypatch):
+    # In trainable mode ORIG is the seeded base, and each variant trains from its own draw of it.
+    config, cfg = experiment_config(tmp_path)
+    started = []
+    for name in ("train_naive", "train_siamese"):
+        def recording(params, *args, _train=getattr(pairtune.cli, name), **kwargs):
+            started.append(params.flat.tobytes())
+            return _train(params, *args, **kwargs)
+
+        monkeypatch.setattr(pairtune.cli, name, recording)
+    run_experiment(load_experiment_config(config))
+    payload = (tmp_path / "run" / "ORIG.ptm").read_bytes().split(b"\n", 2)[2]
+    assert cfg["models"] == ["ORIG", "NAIVE", "SIAMESE", "ALL"]
+    assert started == [payload] * 3
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])

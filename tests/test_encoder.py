@@ -44,6 +44,7 @@ from conftest import (
     FORWARD_ATOL,
     FORWARD_RTOL,
     finite_difference_gradients,
+    identity_reference,
     make_corpus,
     max_relative_error,
     straight_line_forward,
@@ -284,6 +285,21 @@ class TestEncodeForward:
         vecs = np.array([[0.3, -1.2, 0.0, 7.5, -0.25], [-2.0, 0.5, 1.5, -0.75, 3.0],
                          [1.0, 1.0, -1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(encode_rows(params, list(vecs)), vecs)
+
+    @pytest.mark.parametrize("dim", [1, 5, 64, 512])
+    def test_identity_projection_bytes_equal_the_eye_reference(self, dim):
+        # Bit for bit, including the -0.0 entries off the diagonals of W1[dim:] and W2[:, dim:].
+        assert identity_projection(dim).flat.tobytes() == identity_reference(dim).flat.tobytes()
+
+    def test_identity_projection_allocates_no_dim_by_dim_temporary(self):
+        # An np.eye(256) temporary would add a quarter of the set's 4 * 256**2 floats.
+        tracemalloc.start()
+        try:
+            params = identity_projection(256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * params.flat.nbytes
 
 
 class TestEncodeBackward:
