@@ -411,41 +411,67 @@ def encode(params: EncoderParams, x) -> np.ndarray:
     return encode_batch(params, input_table(params.config, [x]))[0][0]
 
 
+@dataclass
+class TokenRows:
+    """A batch's gradient of the embedding table E as token rows.
+
+    ``index`` holds flat element indices into ``E.reshape(-1)``, d_tok per
+    token position in batch order, and ``values`` the matching gradient
+    entries. Adding ``values`` at ``index`` with ``np.add.at``, in order, into
+    a zeroed array of E's ``shape`` gives E's dense gradient; repeated tokens
+    accumulate. No E-sized array is made.
+    """
+
+    index: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+
+def add_token_rows(grad: EncoderParams, rows: TokenRows | None) -> None:
+    """Add token rows into ``grad.E`` (nothing in frozen mode, where rows are None)."""
+    if rows is None:
+        return
+    # One 1-D add.at over flat element indices is several times faster
+    # than a row-wise add.at; it needs a contiguous accumulator to view.
+    if not grad.E.flags.c_contiguous:
+        raise ValueError("the embedding gradient must be C-contiguous")
+    np.add.at(grad.E.reshape(-1), rows.index, rows.values)
+
+
 def encode_batch_backward(
     params: EncoderParams, fwd: BatchForward, dZ: np.ndarray, grad: EncoderParams
-) -> EncoderParams:
-    """Accumulate d(sum_i dZ[i] . Z[i])/d(theta) into ``grad`` for one batch.
+) -> TokenRows | None:
+    """Accumulate d(sum_i dZ[i] . Z[i]) over W1, b1, W2 and b2 into ``grad``
+    for one batch, and return E's gradient as ``TokenRows`` (None in frozen
+    mode); ``grad.E``, if ``grad`` has one, is left untouched.
 
     ``project_backward`` handles the projection. In trainable mode each
     token position then contributes 1/n_tokens of its example's pooled
-    gradient to its embedding row; the rows are scattered into ``grad.E``
-    once per batch, so repeated indices accumulate.
+    gradient to its embedding row: the rows hold one entry per position and
+    column, which ``add_token_rows`` or ``optimizer_step`` adds up.
     """
     dA = project_backward(params, fwd, dZ, grad)
-    if params.E is not None:
-        dM = dA @ params.W1
-        dM /= fwd.lengths[:, None]
-        # One 1-D add.at over flat element indices is several times faster
-        # than a row-wise add.at; it needs a contiguous accumulator to view.
-        if not grad.E.flags.c_contiguous:
-            raise ValueError("the embedding gradient must be C-contiguous")
-        d = params.config.d_tok
-        flat = (fwd.tokens[:, None] * d + np.arange(d)).ravel()
-        np.add.at(grad.E.reshape(-1), flat, np.repeat(dM, fwd.lengths, axis=0).ravel())
-    return grad
+    if params.E is None:
+        return None
+    dM = dA @ params.W1
+    dM /= fwd.lengths[:, None]
+    d = params.config.d_tok
+    index = (fwd.tokens[:, None] * d + np.arange(d)).ravel()
+    return TokenRows(index, np.repeat(dM, fwd.lengths, axis=0).ravel(), params.E.shape)
 
 
 # Kept because benchmarks/child.py's traced run wraps it by name.
 def encode_backward(
     params: EncoderParams, x, upstream: np.ndarray, grad: EncoderParams
 ) -> EncoderParams:
-    """Accumulate d(upstream . z)/d(theta) into ``grad`` for input ``x``:
-    ``encode_batch_backward`` on one row."""
+    """Accumulate d(upstream . z)/d(theta) into ``grad`` for input ``x``,
+    ``grad.E`` included: ``encode_batch_backward`` on one row."""
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (params.config.d_out,):
         raise ValueError(f"upstream gradient must have shape ({params.config.d_out},)")
     _, fwd = encode_batch(params, input_table(params.config, [x]))
-    return encode_batch_backward(params, fwd, upstream[None, :], grad)
+    add_token_rows(grad, encode_batch_backward(params, fwd, upstream[None, :], grad))
+    return grad
 
 
 def make_input_fn(
@@ -561,6 +587,9 @@ def make_embedder(params: EncoderParams):
     inputs, hidden rows) and into its rows of the result. These are
     ``encode_batch``'s operations in its order, so a row depends only on
     the size of its block, and only a short last block rounds differently.
+    A block's tokens are gathered and pooled in runs of rows whose tokens
+    fit EMBED_BLOCK_BYTES as d_tok-wide float64 rows (a longer row alone),
+    which gives each pooled row the bytes of a whole-block gather.
 
     An exact ``identity_projection`` (``_is_identity``) has no head: its
     rows are the input vectors themselves, and its embedder holds no
@@ -574,6 +603,8 @@ def make_embedder(params: EncoderParams):
         return lambda inputs: lambda rows: _stacked(inputs.take(np.asarray(rows, dtype=np.intp)))
     W2, b2 = _eval_head(params)
     step, E = embed_block_rows(params.config), params.E
+    # Tokens per gather: d_tok-wide float64 rows within EMBED_BLOCK_BYTES.
+    cap = 0 if E is None else max(1, EMBED_BLOCK_BYTES // (8 * E.shape[1]))
 
     def embedder(inputs: InputTable):
         def embed(rows) -> np.ndarray:
@@ -588,17 +619,26 @@ def make_embedder(params: EncoderParams):
                 # np.take below clips, so an index E lacks must be refused here.
                 if tokens.size and not 0 <= tokens.min() <= tokens.max() < len(E):
                     raise IndexError(f"token index out of range for {len(E)} embedding rows")
-                lengths = np.diff(offsets).astype(np.float64)
-                G = np.empty((np.diff(offsets[cuts]).max(initial=0), E.shape[1]))
+                counts = np.diff(offsets)
+                lengths = counts.astype(np.float64)
+                # A run's gather is at most cap tokens or one row, and at most a block.
+                longest = min(np.diff(offsets[cuts]).max(initial=0), max(cap, counts.max(initial=0)))
+                G = np.empty((longest, E.shape[1]))
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 m, h = M[: hi - lo], H[: hi - lo]
                 if E is None:
                     np.concatenate(batch.vectors[lo:hi], out=m.reshape(-1))
                 else:
-                    t0, t1 = offsets[lo], offsets[hi]
-                    # mode="raise" would gather into a fresh copy of the output.
-                    g = np.take(E, tokens[t0:t1], axis=0, out=G[: t1 - t0], mode="clip")
-                    np.add.reduceat(g, offsets[lo:hi] - t0, axis=0, out=m)
+                    r = lo
+                    while r < hi:
+                        # The most rows from r whose tokens fit cap, and one at least.
+                        fit = np.searchsorted(offsets[r + 1 : hi + 1], offsets[r] + cap, side="right")
+                        s = r + max(1, fit)
+                        t0, t1 = offsets[r], offsets[s]
+                        # mode="raise" would gather into a fresh copy of the output.
+                        g = np.take(E, tokens[t0:t1], axis=0, out=G[: t1 - t0], mode="clip")
+                        np.add.reduceat(g, offsets[r:s] - t0, axis=0, out=m[r - lo : s - lo])
+                        r = s
                     m /= lengths[lo:hi, None]
                 y = np.matmul(_hidden(params, m, out=h), W2.T, out=Y[lo:hi])
                 y += b2

@@ -25,6 +25,8 @@ from .encoder import (  # noqa: F401
     EncoderConfig,
     EncoderParams,
     InputTable,
+    TokenRows,
+    add_token_rows,
     encode,
     encode_backward,
     encode_batch,
@@ -109,9 +111,17 @@ class OptimizerState:
         )
 
 
+def table_block(shape: tuple[int, int]) -> int:
+    """Elements of the gradient block through which ``optimizer_step`` walks
+    an embedding table of ``shape``: as many whole rows as fit ADAM_BLOCK
+    (at least one), and no more than the table holds."""
+    rows, width = shape
+    return min(rows, max(1, ADAM_BLOCK // width)) * width
+
+
 def optimizer_step(
     params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    grads: dict,
     state: OptimizerState,
     learning_rate: float,
     *,
@@ -125,8 +135,20 @@ def optimizer_step(
     Algorithm 1): both bias corrections fold into the step size and epsilon,
     and the batch mean folds into the moment weights, so ``m`` and ``v`` stay
     the textbook moments. Each array is walked in ADAM_BLOCK-element blocks
-    through the state's scratch block, so a step allocates nothing; every
-    element sees the same operations in the same order whatever the block size.
+    through the state's scratch block; every element sees the same operations
+    in the same order whatever the block size.
+
+    A gradient is an array shaped like its parameter, or, for a flat vector
+    that starts with an embedding table E, a pair ``(rows, g)``: ``rows`` are
+    the batch's ``TokenRows`` of E, and ``g`` holds one ``table_block`` of
+    gradient followed by the dense gradient of the elements after E. E is
+    walked one row-aligned block at a time: that block's token occurrences are
+    added with ``np.add.at``, in batch order, into the zeroed block of ``g``,
+    which then takes the update and is zeroed again. Every element of E so
+    gets the additions it would get in a zeroed dense gradient, in the same
+    order, and then the same update. The last block of E sits at the end of
+    ``g``'s block, so it and the elements after E are walked as one array: a
+    table that fits one block takes the step a dense gradient would.
     """
     state.t += 1
     r2 = math.sqrt(1.0 - ADAM_BETA2**state.t)
@@ -134,16 +156,8 @@ def optimizer_step(
     eps_hat = ADAM_EPS * r2
     a1 = (1.0 - ADAM_BETA1) / batch_size
     a2 = (1.0 - ADAM_BETA2) / (batch_size * batch_size)
-    for name, g in grads.items():
-        if name not in params:
-            raise ValueError(f"gradient for unknown parameter '{name}'")
-        p = params[name]
-        if g.shape != p.shape:
-            raise ValueError(f"shape mismatch for '{name}': {g.shape} vs {p.shape}")
-        arrays = (p, g, state.m[name], state.v[name])
-        if not all(a.flags.c_contiguous for a in arrays):
-            raise ValueError(f"'{name}', its gradient and its moments must be C-contiguous")
-        p, g, m, v = (a.reshape(-1) for a in arrays)
+
+    def walk(p, g, m, v):
         for lo in range(0, p.size, ADAM_BLOCK):
             hi = lo + ADAM_BLOCK
             gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
@@ -162,7 +176,55 @@ def optimizer_step(
             tmp *= step_size
             p[lo:hi] -= tmp
             gb.fill(0.0)
+
+    for name, g in grads.items():
+        if name not in params:
+            raise ValueError(f"gradient for unknown parameter '{name}'")
+        p = params[name]
+        rows, g = g if isinstance(g, tuple) else (None, g)
+        if rows is None:
+            table = block = last = 0
+            mismatch = g.shape != p.shape
+        else:
+            table, block = math.prod(rows.shape), table_block(rows.shape)
+            last = (table - 1) // block * block  # where E's last block starts
+            mismatch = g.size != p.size - table + block
+        if mismatch:
+            raise ValueError(f"shape mismatch for '{name}': {g.shape} vs {p.shape}")
+        arrays = (p, g, state.m[name], state.v[name])
+        if not all(a.flags.c_contiguous for a in arrays):
+            raise ValueError(f"'{name}', its gradient and its moments must be C-contiguous")
+        p, g, m, v = (a.reshape(-1) for a in arrays)
+        if last:
+            index, values, cuts = _by_block(rows, block, last)
+            for k, lo in enumerate(range(0, last, block)):
+                hi = lo + block
+                np.add.at(g[:block], index[cuts[k] : cuts[k + 1]] - lo, values[cuts[k] : cuts[k + 1]])
+                walk(p[lo:hi], g[:block], m[lo:hi], v[lo:hi])
+            # The last block's gradient ends where the block of storage does.
+            np.add.at(g, index[cuts[-1] :] - (table - block), values[cuts[-1] :])
+            p, g, m, v = p[last:], g[block - (table - last) :], m[last:], v[last:]
+        elif rows is not None:
+            np.add.at(g, rows.index, rows.values)
+        walk(p, g, m, v)
     return params, state
+
+
+def _by_block(rows, block: int, last: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """``rows`` grouped by the ``block``-element block of E they fall in,
+    in batch order within each group: ``(index, values, cuts)``, where the
+    group of block k is ``[cuts[k]:cuts[k + 1]]`` and that of the last
+    block, which starts at element ``last`` > 0, runs from ``cuts[-1]``."""
+    width = rows.shape[1]
+    # A block holds whole rows, so a token position's width entries share
+    # one, and its first index says which. Keys in their smallest integer
+    # type make the stable sort a radix sort.
+    key = (rows.index[::width] // block).astype(np.min_scalar_type(last // block))
+    order = np.argsort(key, kind="stable")
+    cuts = np.searchsorted(key[order], np.arange(last // block + 1)) * width
+    index = np.take(rows.index.reshape(-1, width), order, axis=0).ravel()
+    values = np.take(rows.values.reshape(-1, width), order, axis=0).ravel()
+    return index, values, cuts.tolist()
 
 
 def siamese_loss(sim, target):
@@ -187,8 +249,9 @@ def siamese_batch_backward(
     targets,
     epsilon_norm: float,
     grad: EncoderParams,
-) -> np.ndarray:
-    """Per-pair losses of a batch; their summed gradient joins ``grad``.
+) -> tuple[np.ndarray, TokenRows | None]:
+    """Per-pair losses of a batch and E's gradient as token rows; the rest
+    of their summed gradient joins ``grad`` (see ``encode_batch_backward``).
 
     ``batch`` holds 2B rows: pair i is (row i, row B + i). All 2B members go
     through one ``encode_batch`` call. When a norm sits at the epsilon guard
@@ -207,8 +270,7 @@ def siamese_batch_backward(
     self_u = np.where(nu > epsilon_norm, dsim * sim / (gu * gu), 0.0)[:, None]
     self_v = np.where(nv > epsilon_norm, dsim * sim / (gv * gv), 0.0)[:, None]
     dZ = np.concatenate([cross * zb - self_u * za, cross * za - self_v * zb])
-    encode_batch_backward(params, fwd, dZ, grad)
-    return losses
+    return losses, encode_batch_backward(params, fwd, dZ, grad)
 
 
 # Kept because benchmarks/child.py's traced run wraps it by name.
@@ -220,9 +282,12 @@ def siamese_pair_backward(
     epsilon_norm: float,
     grad: EncoderParams,
 ) -> float:
-    """Loss of one pair, whose gradient joins ``grad``: ``siamese_batch_backward`` on one pair."""
+    """Loss of one pair, whose gradient joins ``grad``, ``grad.E`` included:
+    ``siamese_batch_backward`` on one pair."""
     batch = input_table(params.config, [xa, xb])
-    return float(siamese_batch_backward(params, batch, [target], epsilon_norm, grad)[0])
+    losses, rows = siamese_batch_backward(params, batch, [target], epsilon_norm, grad)
+    add_token_rows(grad, rows)
+    return float(losses[0])
 
 
 def naive_batch_backward(
@@ -232,8 +297,9 @@ def naive_batch_backward(
     target_indices,
     egrad: EncoderParams,
     hgrad: EncoderParams,
-) -> np.ndarray:
-    """Per-row cross-entropy losses of a batch; gradients join the accumulators.
+) -> tuple[np.ndarray, TokenRows | None]:
+    """Per-row cross-entropy losses of a batch and E's gradient as token
+    rows; the other gradients join the accumulators.
 
     The head projects the batch's embeddings to logits; the embeddings'
     gradient is the head's pre-activation gradient times ``head.W1``.
@@ -242,8 +308,7 @@ def naive_batch_backward(
     logits, head_fwd = project(head, Z)
     losses, dlogits = softmax_cross_entropy(logits, target_indices)
     dA = project_backward(head, head_fwd, dlogits, hgrad)
-    encode_batch_backward(params, fwd, dA @ head.W1, egrad)
-    return losses
+    return losses, encode_batch_backward(params, fwd, dA @ head.W1, egrad)
 
 
 # Kept because benchmarks/child.py's traced run wraps it by name.
@@ -255,19 +320,42 @@ def naive_example_backward(
     egrad: EncoderParams,
     hgrad: EncoderParams,
 ) -> float:
-    """Loss of one example, whose gradients join ``egrad`` and ``hgrad``:
-    ``naive_batch_backward`` on one row."""
+    """Loss of one example, whose gradients join ``egrad`` (``egrad.E``
+    included) and ``hgrad``: ``naive_batch_backward`` on one row."""
     batch = input_table(params.config, [x])
-    return float(naive_batch_backward(params, head, batch, [target_index], egrad, hgrad)[0])
+    losses, rows = naive_batch_backward(params, head, batch, [target_index], egrad, hgrad)
+    add_token_rows(egrad, rows)
+    return float(losses[0])
+
+
+def _encoder_gradient(params: EncoderParams) -> tuple[np.ndarray, EncoderParams]:
+    """An encoder's zeroed gradient storage for ``optimizer_step`` and the
+    accumulator of its projection (W1, b1, W2 and b2), which views it.
+
+    Frozen mode: ``zeros_like()`` and its ``flat``. Trainable mode holds no
+    E-sized array: the storage is one ``table_block`` for E's token rows
+    followed by the arrays after E, and the accumulator is the
+    frozen-projection set of the encoder's widths laid over that tail.
+    """
+    if params.E is None:
+        grad = params.zeros_like()
+        return grad.flat, grad
+    c = params.config
+    block = table_block(params.E.shape)
+    storage = np.zeros(block + params.flat.size - params.E.size)
+    projection = EncoderConfig(mode=FROZEN_PROJECTION, d_in=c.d_tok, h=c.h, d_out=c.d_out)
+    return storage, EncoderParams(projection, None, storage[block:])
 
 
 def _run_epochs(n_items: int, cfg, params: dict, grads: dict, batch_losses, log) -> TrainingReport:
     """The shared mini-batch loop of both trainers.
 
-    ``params`` and ``grads`` map each parameter group's name to its flat
-    vector. Each epoch reshuffles the item order with the ``cfg.seed``
+    ``params`` maps each parameter group's name to its flat vector and
+    ``grads`` to its gradient storage (``_encoder_gradient``'s for the
+    encoder). Each epoch reshuffles the item order with the ``cfg.seed``
     stream and walks it in batches. ``batch_losses(batch)`` returns the
-    per-item losses of the item indices in ``batch`` and adds their summed
+    per-item losses of the item indices in ``batch`` and the encoder's
+    token rows (None in frozen mode), and adds the rest of their summed
     gradient into ``grads``, which start zeroed; each batch then takes one
     Adam step on the batch-mean gradient, which also re-zeroes ``grads``.
     Every epoch ends by checking that the parameters are still finite.
@@ -282,11 +370,12 @@ def _run_epochs(n_items: int, cfg, params: dict, grads: dict, batch_losses, log)
         total = 0.0
         for batch_no, lo in enumerate(range(0, n_items, cfg.batch_size)):
             batch = order[lo : lo + cfg.batch_size]
-            losses = batch_losses(batch)
+            losses, rows = batch_losses(batch)
             if not np.isfinite(losses).all():
                 raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_no}")
             total += float(losses.sum())
-            optimizer_step(params, grads, opt, cfg.learning_rate, batch_size=len(batch))
+            step = grads if rows is None else grads | {"encoder": (rows, grads["encoder"])}
+            optimizer_step(params, step, opt, cfg.learning_rate, batch_size=len(batch))
         for name, flat in params.items():
             if not np.isfinite(flat).all():
                 raise NumericError(f"non-finite {name} parameters after epoch {epoch}")
@@ -319,14 +408,14 @@ def train_siamese(
     if len(pairs) == 0 and scfg.epochs > 0:
         raise ValueError("no training pairs")
     targets = np.where(pairs.target == 1, scfg.target_same, scfg.target_diff)
-    grad = params.zeros_like()
+    storage, grad = _encoder_gradient(params)
 
     def batch_losses(batch):
         members = table.take(np.concatenate((pairs.a[batch], pairs.b[batch])))
         return siamese_batch_backward(params, members, targets[batch], scfg.epsilon_norm, grad)
 
     report = _run_epochs(
-        len(pairs), scfg, {"encoder": params.flat}, {"encoder": grad.flat}, batch_losses, log
+        len(pairs), scfg, {"encoder": params.flat}, {"encoder": storage}, batch_losses, log
     )
     return params, report
 
@@ -361,7 +450,7 @@ def train_naive(
     label_index = {label: i for i, label in enumerate(sorted(corpus.class_index))}
     head = init_head_params(params.config.d_out, ncfg.hidden_dim, len(label_index), seed=ncfg.seed)
     targets = np.array([label_index[ex.class_label] for ex in corpus.examples], dtype=np.intp)
-    egrad = params.zeros_like()
+    storage, egrad = _encoder_gradient(params)
     hgrad = head.zeros_like()
 
     def batch_losses(batch):
@@ -370,7 +459,7 @@ def train_naive(
     report = _run_epochs(
         len(corpus), ncfg,
         {"encoder": params.flat, "head": head.flat},
-        {"encoder": egrad.flat, "head": hgrad.flat},
+        {"encoder": storage, "head": hgrad.flat},
         batch_losses, log,
     )
     return params, head, report

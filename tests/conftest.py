@@ -202,6 +202,25 @@ def encoder_and_head(encoder, head) -> dict[str, np.ndarray]:
     return arrays
 
 
+def dense_table_gradient(rows):
+    """E's dense gradient from a batch's token rows, built apart from the
+    library: ``rows.values`` added at ``rows.index`` with ``np.add.at`` into
+    a zeroed array of E's shape."""
+    dense = np.zeros(rows.shape)
+    np.add.at(dense.reshape(-1), rows.index, rows.values)
+    return dense
+
+
+def with_table_gradient(arrays: dict, rows) -> dict:
+    """A gradient dict whose "E" entry is replaced by the densified token
+    rows (unchanged when ``rows`` is None, as in frozen mode). The batch
+    backward must have left the accumulator's own E at zero."""
+    if rows is None:
+        return arrays
+    assert not arrays["E"].any()
+    return arrays | {"E": dense_table_gradient(rows)}
+
+
 def max_relative_error(analytic: dict, numeric: dict, abs_floor: float = 1e-8) -> float:
     """Largest element-wise relative error between two gradient dicts."""
     worst = 0.0

@@ -61,6 +61,7 @@ from conftest import (
     redraw_kinked_units,
     stack_rows,
     well_scaled_params,
+    with_table_gradient,
 )
 
 
@@ -141,19 +142,20 @@ def check_criterion_1(seed: int) -> tuple[float, float, int]:
 
             # (a) squared error over cosine similarity of a batch of pairs
             grad = params.zeros_like()
-            siamese_batch_backward(params, pairs, targets, 1e-12, grad)
+            _, rows = siamese_batch_backward(params, pairs, targets, 1e-12, grad)
 
             def siamese_scalar_loss():
                 return pair_cosine_loss(encode_batch(params, pairs)[0], targets, 1e-12)
 
             numeric = fd(siamese_scalar_loss, params.as_dict())
-            worst_siamese = max(worst_siamese, max_relative_error(grad.as_dict(), numeric))
+            analytic = with_table_gradient(grad.as_dict(), rows)
+            worst_siamese = max(worst_siamese, max_relative_error(analytic, numeric))
 
             # (b) softmax cross-entropy through the classification head
             egrad = params.zeros_like()
             hgrad = head.zeros_like()
-            naive_batch_backward(params, head, examples, ys, egrad, hgrad)
-            analytic = encoder_and_head(egrad, hgrad)
+            _, rows = naive_batch_backward(params, head, examples, ys, egrad, hgrad)
+            analytic = with_table_gradient(encoder_and_head(egrad, hgrad), rows)
 
             def naive_scalar_loss():
                 logits = project(head, encode_batch(params, examples)[0])[0]

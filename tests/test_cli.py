@@ -328,9 +328,9 @@ class TestTrainCommand:
         backward = training.encode_batch_backward
 
         def inf_gradient(params, fwd, dZ, grad):
-            backward(params, fwd, dZ, grad)
+            rows = backward(params, fwd, dZ, grad)
             grad.b2[0] = np.inf
-            return grad
+            return rows
 
         monkeypatch.setattr(training, "encode_batch_backward", inf_gradient)
         corpus = gen_corpus(tmp_path / "c.jsonl", per_class=20)

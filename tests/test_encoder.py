@@ -43,12 +43,14 @@ from pairtune.training import init_head_params
 from conftest import (
     FORWARD_ATOL,
     FORWARD_RTOL,
+    dense_table_gradient,
     finite_difference_gradients,
     identity_reference,
     make_corpus,
     max_relative_error,
     straight_line_forward,
     well_scaled_params,
+    with_table_gradient,
 )
 
 
@@ -172,6 +174,30 @@ EMBED_CASES = {
 }
 
 
+def long_row_case():
+    """A 16/64/512 model over a 50-row E and the InputTable of 1,100 rows of
+    20 tokens each, but for one 1-token and one 45-token row in every 100."""
+    rng = np.random.default_rng(8)
+    config = EncoderConfig(mode=TRAINABLE, d_tok=16, h=64, d_out=512)
+    params = well_scaled_params(init_encoder_params(config, vocab_size=50, seed=8), 8)
+    lengths = np.full(1100, 20)
+    lengths[::100], lengths[50::100] = 1, 45
+    return params, input_table(config, [rng.integers(0, 50, size=n) for n in lengths])
+
+
+def whole_block_gather_rows(params, inputs, rows):
+    """``make_embedder``'s rows with each block's tokens gathered at once, as
+    it computed them before its gathers were bounded by EMBED_BLOCK_BYTES."""
+    W2, b2 = pairtune.encoder._eval_head(params)
+    step, blocks = embed_block_rows(params.config), []
+    for block in np.split(rows, range(step, len(rows), step)):
+        batch = inputs.take(block)
+        M = np.add.reduceat(params.E[batch.tokens], batch.offsets[:-1], axis=0)
+        M /= np.diff(batch.offsets).astype(np.float64)[:, None]
+        blocks.append(pairtune.encoder._hidden(params, M) @ W2.T + b2)
+    return np.concatenate(blocks)
+
+
 def cosine_distance_matrix(Z):
     """Every pair's eval cosine distance, from rows of any width."""
     norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", Z, Z)), 1e-12)
@@ -183,12 +209,14 @@ def probe_gradients(params, xs, probe):
     value from ``encode_batch_backward`` and its finite differences."""
     batch = input_table(params.config, xs)
     _, fwd = encode_batch(params, batch)
-    grad = encode_batch_backward(params, fwd, probe, params.zeros_like())
+    grad = params.zeros_like()
+    rows = encode_batch_backward(params, fwd, probe, grad)
 
     def loss():
         return float(np.sum(probe * encode_batch(params, batch)[0]))
 
-    return grad.as_dict(), finite_difference_gradients(loss, params.as_dict())
+    analytic = with_table_gradient(grad.as_dict(), rows)
+    return analytic, finite_difference_gradients(loss, params.as_dict())
 
 
 class TestEncodeForward:
@@ -307,8 +335,9 @@ class TestEncodeBackward:
         params = tiny_trainable(seed=2)
         batch = input_table(params.config, [[1, 4], [0], [2, 2, 5]])
         _, fwd = encode_batch(params, batch)
-        grad = encode_batch_backward(params, fwd, np.zeros((3, 3)), params.zeros_like())
-        for arr in grad.as_dict().values():
+        grad = params.zeros_like()
+        rows = encode_batch_backward(params, fwd, np.zeros((3, 3)), grad)
+        for arr in with_table_gradient(grad.as_dict(), rows).values():
             assert not arr.any()
 
     def test_scalar_probe_matches_finite_differences_trainable(self):
@@ -336,9 +365,10 @@ class TestEncodeBackward:
         grads = []
         for first in ([5, 5], [5]):
             _, fwd = encode_batch(params, input_table(params.config, [first, [1, 2], [3]]))
-            grads.append(encode_batch_backward(params, fwd, upstream, params.zeros_like()))
+            rows = encode_batch_backward(params, fwd, upstream, params.zeros_like())
+            grads.append(dense_table_gradient(rows))
         g_repeat, g_single = grads
-        np.testing.assert_allclose(g_repeat.E, g_single.E, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(g_repeat, g_single, rtol=0, atol=1e-15)
 
     def test_upstream_shape_checked(self):
         params = tiny_trainable()
@@ -785,6 +815,41 @@ class TestEmbedder:
             # one block's rows, and small objects.
             excess = peak - (Y.nbytes + gathered + workspace)
             assert excess <= 8 * step * (h + 1) + 8192, (n_blocks, excess)
+
+    @pytest.mark.parametrize("budget_rows", [None, 7], ids=["default-budget", "7-row-budget"])
+    def test_bounded_token_gathers_give_whole_block_gather_bytes(self, monkeypatch, budget_rows):
+        params, inputs = long_row_case()
+        if budget_rows is not None:
+            monkeypatch.setattr(pairtune.encoder, "EMBED_BLOCK_BYTES",
+                                8 * budget_rows * block_width(params.config))
+        step = embed_block_rows(params.config)
+        assert step == (budget_rows or 504)
+        # Two full blocks and a 9-row one, whose tokens overflow each budget.
+        rows = np.random.default_rng(3).integers(0, len(inputs), size=2 * step + 9)
+        Z = make_embedder(params)(inputs)(rows)
+        expected = whole_block_gather_rows(params, inputs, rows)
+        assert Z.shape == expected.shape and Z.tobytes() == expected.tobytes()
+
+    def test_token_gather_stays_within_the_byte_budget(self):
+        params, inputs = long_row_case()
+        step, (d, h) = embed_block_rows(params.config), (params.config.d_tok, params.config.h)
+        embed = make_embedder(params)(inputs)
+        rows = np.arange(step)  # one full block of 20-token rows
+        batch = inputs.take(rows)
+        assert 8 * d * len(batch.tokens) > 4 * pairtune.encoder.EMBED_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            Y = embed(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The gathered rows and each row's token count, one block's pooled
+        # inputs and hidden rows, and a token gather of at most the budget.
+        gathered = batch.tokens.nbytes + batch.offsets.nbytes + 2 * 8 * len(rows)
+        workspace = 8 * step * (d + h) + pairtune.encoder.EMBED_BLOCK_BYTES
+        excess = peak - (Y.nbytes + gathered + workspace)
+        # Beyond those, numpy's buffer for broadcasting b1 or b2 and small objects.
+        assert excess <= 8 * step * (h + 1) + 8192, excess
 
     @pytest.mark.parametrize("h", range(1, 9))
     def test_narrowed_rows_keep_inner_products_over_a_shape_grid(self, h):

@@ -9,6 +9,7 @@ from pairtune.encoder import (
     FROZEN_PROJECTION,
     TRAINABLE,
     EncoderConfig,
+    TokenRows,
     build_vocab,
     encode,
     encode_batch,
@@ -34,18 +35,21 @@ from pairtune.training import (
     siamese_batch_backward,
     siamese_loss,
     siamese_pair_backward,
+    table_block,
     train_naive,
     train_siamese,
 )
 
 from conftest import (
     cross_entropy_loss,
+    dense_table_gradient,
     encoder_and_head,
     finite_difference_gradients,
     make_corpus,
     max_relative_error,
     pair_cosine_loss,
     well_scaled_params,
+    with_table_gradient,
 )
 
 
@@ -230,6 +234,51 @@ class TestAdam:
             tracemalloc.stop()
         assert peak < ADAM_BLOCK * 8 // 4, peak  # a quarter of one block
 
+    @pytest.mark.parametrize("d_tok", [12, 16])
+    @pytest.mark.parametrize("blocks", ["one", "whole", "ragged"])
+    def test_token_rows_step_is_bitwise_equal_to_the_dense_step(self, d_tok, blocks):
+        # 12 does not divide ADAM_BLOCK; E spans one block, three whole ones,
+        # or two and a few rows.
+        per_block = ADAM_BLOCK // d_tok
+        vocab = {"one": per_block - 3, "whole": 3 * per_block, "ragged": 2 * per_block + 7}[blocks]
+        shape, tail = (vocab, d_tok), 37
+        rng = np.random.default_rng(vocab)
+        params = {"enc": rng.normal(size=vocab * d_tok + tail)}
+        dense_params = {"enc": params["enc"].copy()}
+        state, dense_state = OptimizerState.for_params(params), OptimizerState.for_params(dense_params)
+        storage = np.zeros(table_block(shape) + tail)
+        # The rows on each side of every block edge, and E's first and last.
+        edges = [r for k in range(1, vocab // per_block + 1) for r in (k * per_block - 1, k * per_block)]
+        edges = [r for r in edges if r < vocab] + [0, vocab - 1]
+        for t in range(1, 6):
+            # Batch rows with tokens repeated within a row ([9] * 6) and across
+            # rows (the edges twice, token 9 again).
+            members = [rng.integers(0, vocab, size=20) for _ in range(12)] + [
+                [9] * 6, edges, edges[::-1] + [9], rng.integers(0, 4, size=30)
+            ]
+            tokens = np.concatenate(members)
+            index = (tokens[:, None] * d_tok + np.arange(d_tok)).ravel()
+            # Mixed scales, so the order of additions shows in the bits.
+            values = rng.normal(size=index.size) * 10.0 ** rng.integers(-4, 4, size=index.size)
+            rows = TokenRows(index, values, shape)
+            storage[-tail:] = rng.normal(size=tail)
+            dense = np.concatenate([dense_table_gradient(rows).ravel(), storage[-tail:]])
+            optimizer_step(params, {"enc": (rows, storage)}, state, 1e-2, batch_size=16)
+            optimizer_step(dense_params, {"enc": dense}, dense_state, 1e-2, batch_size=16)
+            assert params["enc"].tobytes() == dense_params["enc"].tobytes(), t
+            assert state.m["enc"].tobytes() == dense_state.m["enc"].tobytes(), t
+            assert state.v["enc"].tobytes() == dense_state.v["enc"].tobytes(), t
+            assert not storage.any(), t
+
+    def test_token_rows_need_one_block_and_the_tail_of_gradient(self):
+        shape = (3 * ADAM_BLOCK // 16, 16)
+        params = {"enc": np.zeros(shape[0] * 16 + 5)}
+        rows = TokenRows(np.arange(16), np.ones(16), shape)
+        state = OptimizerState.for_params(params)
+        for size in (ADAM_BLOCK + 4, ADAM_BLOCK + 6, params["enc"].size):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                optimizer_step(params, {"enc": (rows, np.zeros(size))}, state, 1e-3)
+
     def test_non_contiguous_parameter_is_rejected(self):
         params = {"w": np.zeros((3, 4)).T}
         state = OptimizerState.for_params({"w": np.zeros((4, 3))})
@@ -313,19 +362,20 @@ class TestTrainSiamese:
         # analytic batch gradient, verified against finite differences
         start = params.copy()
         grad = start.zeros_like()
-        siamese_batch_backward(start, batch, targets, scfg.epsilon_norm, grad)
+        _, rows = siamese_batch_backward(start, batch, targets, scfg.epsilon_norm, grad)
+        analytic = with_table_gradient(grad.as_dict(), rows)
 
         def batch_loss():
             return pair_cosine_loss(encode_batch(start, batch)[0], targets,
                                     scfg.epsilon_norm)
 
         numeric = finite_difference_gradients(batch_loss, start.as_dict())
-        assert max_relative_error(grad.as_dict(), numeric) < 1e-4
+        assert max_relative_error(analytic, numeric) < 1e-4
 
         # the trainer's parameter delta equals the first-step Adam transform
         # of the batch-mean gradient
         trained, _ = train_siamese(params, pairs, input_fn(pairs.examples), scfg)
-        for name, g in grad.as_dict().items():
+        for name, g in analytic.items():
             g = g / len(pairs)
             expected = start.as_dict()[name] - scfg.learning_rate * g / (np.abs(g) + 1e-8)
             np.testing.assert_allclose(
@@ -341,13 +391,14 @@ class TestTrainSiamese:
             batch = pair_batch(pairs, input_fn)
             targets = pairs.target.astype(np.float64)
             grad = params.zeros_like()
-            siamese_batch_backward(params, batch, targets, eps, grad)
+            _, rows = siamese_batch_backward(params, batch, targets, eps, grad)
+            analytic = with_table_gradient(grad.as_dict(), rows)
 
             def total_loss():
                 return pair_cosine_loss(encode_batch(params, batch)[0], targets, eps)
 
             numeric = finite_difference_gradients(total_loss, params.as_dict())
-            assert max_relative_error(grad.as_dict(), numeric) < 1e-4, mode
+            assert max_relative_error(analytic, numeric) < 1e-4, mode
 
     @pytest.mark.parametrize("rows", [slice(1, None), [0, 1, 2, 3, 0]], ids=["short", "long"])
     def test_table_of_the_wrong_length_is_refused(self, rows):
@@ -358,6 +409,28 @@ class TestTrainSiamese:
         with pytest.raises(ValueError, match=f"{len(table)} rows for 4 examples"):
             train_siamese(params, pairs, table, SiameseConfig(epochs=1, seed=1))
         assert np.array_equal(params.flat, before)
+
+    @pytest.mark.parametrize("trainer", ["siamese", "naive"])
+    def test_a_step_allocates_no_dense_embedding_gradient(self, trainer):
+        # E spans four Adam blocks; the batch touches rows in each of them.
+        config = EncoderConfig(mode=TRAINABLE, d_tok=16, h=4, d_out=4)
+        params = init_encoder_params(config, vocab_size=4 * ADAM_BLOCK // 16, seed=1)
+        corpus = two_class_corpus()
+        table = input_table(config, [[0, 3000, 8191], [5000, 5000, 2], [1, 2], [7000, 6000]])
+        tracemalloc.start()
+        try:
+            if trainer == "siamese":
+                pairs = PairSet(corpus.examples, np.array([0, 1]), np.array([2, 3]), np.array([0, 1]))
+                train_siamese(params, pairs, table, SiameseConfig(epochs=1, batch_size=2, seed=1))
+            else:
+                train_naive(params, corpus, table, NaiveConfig(epochs=1, batch_size=4, hidden_dim=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Adam's m and v are two vectors of the encoder's size; a dense
+        # gradient would be a third, E.nbytes of it at least. What a step
+        # adds is two ADAM_BLOCK scratch blocks and small arrays.
+        assert peak - 2 * params.flat.nbytes < params.E.nbytes, peak
 
     def test_weight_sharing_single_parameter_object(self):
         corpus, params, input_fn = toy_setup()
@@ -450,8 +523,8 @@ class TestTrainNaive:
 
             egrad = params.zeros_like()
             hgrad = head.zeros_like()
-            naive_batch_backward(params, head, batch, ys, egrad, hgrad)
-            analytic = encoder_and_head(egrad, hgrad)
+            _, rows = naive_batch_backward(params, head, batch, ys, egrad, hgrad)
+            analytic = with_table_gradient(encoder_and_head(egrad, hgrad), rows)
 
             arrays = encoder_and_head(params, head)
             assert list(arrays) == list(analytic) == ["E"] * (mode == TRAINABLE) + [
@@ -570,14 +643,15 @@ class TestBatchKernel:
 
         batched = params.zeros_like()
         batch = input_table(params.config, xa + xb)
-        losses = siamese_batch_backward(params, batch, targets, eps, batched)
+        losses, rows = siamese_batch_backward(params, batch, targets, eps, batched)
         summed = params.zeros_like()
         single = [
             siamese_pair_backward(params, a, b, t, eps, summed)
             for a, b, t in zip(xa, xb, targets)
         ]
         np.testing.assert_allclose(losses, single, rtol=1e-12, atol=0)
-        assert relative_error(batched.as_dict(), summed.as_dict()) <= 1e-12
+        batched = with_table_gradient(batched.as_dict(), rows)
+        assert relative_error(batched, summed.as_dict()) <= 1e-12
 
     def test_naive_batch_equals_sum_of_examples(self, mode):
         params, xs = batch_setup(mode, seed=62)
@@ -585,11 +659,12 @@ class TestBatchKernel:
         ys = [0, 2, 1, 1, 0, 2, 2, 1]
 
         eb, hb = params.zeros_like(), head.zeros_like()
-        losses = naive_batch_backward(params, head, input_table(params.config, xs), ys, eb, hb)
+        losses, rows = naive_batch_backward(params, head, input_table(params.config, xs), ys, eb, hb)
         es, hs = params.zeros_like(), head.zeros_like()
         single = [
             naive_example_backward(params, head, x, y, es, hs)
             for x, y in zip(xs, ys)
         ]
         np.testing.assert_allclose(losses, single, rtol=1e-12, atol=0)
-        assert relative_error(encoder_and_head(eb, hb), encoder_and_head(es, hs)) <= 1e-12
+        batched = with_table_gradient(encoder_and_head(eb, hb), rows)
+        assert relative_error(batched, encoder_and_head(es, hs)) <= 1e-12
