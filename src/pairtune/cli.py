@@ -51,7 +51,14 @@ from .encoder import (
     save_model,
     save_vocab,
 )
-from .episodes import EpisodeError, EpisodeSpec, generate_episodes, load_pairs, write_pairs
+from .episodes import (
+    EpisodeError,
+    EpisodeSpec,
+    check_quota,
+    generate_episodes,
+    load_pairs,
+    write_pairs,
+)
 from .evaluation import EvalSpec, delta_cosine_distance, emit_report, eval_pairs
 from .synthetic import synthetic_corpus
 from .training import (
@@ -382,6 +389,28 @@ def orig_model(config: EncoderConfig, vocab, seed: int) -> EncoderParams:
     return _base_params(config, vocab, seed)
 
 
+def _episode_quotas(variant, corpora, ep: dict) -> dict[str, int]:
+    """The pairs per train set that SIAMESE or ALL draws, from the
+    experiment config's "episodes" section ``ep``."""
+    if variant == "SIAMESE":
+        return {corpora[0].dataset_id: ep["siamese_pairs"]}
+    return {c.dataset_id: ep["all_pairs_per_dataset"] for c in corpora}
+
+
+def _check_quotas(cfg: dict, train_corpora, test_corpora) -> None:
+    """Raise EpisodeError for the first pair quota of the run that its
+    corpus cannot give, in the order the run draws them: each variant's, in
+    model order, then eval's on each test set."""
+    ep = cfg["episodes"]
+    by_id = {c.dataset_id: c for c in train_corpora}
+    for model in cfg["models"]:
+        if model in ("SIAMESE", "ALL"):
+            for ds, quota in _episode_quotas(model, train_corpora, ep).items():
+                check_quota(by_id[ds], quota, ep["same_fraction"])
+    for test in test_corpora:
+        check_quota(test, cfg["eval"]["n_pairs"], cfg["eval"]["same_fraction"])
+
+
 def train_variant(variant, params, corpora, table, cfg: dict, seed: int, pairs=None):
     """Finetune ``params`` in place as the NAIVE, SIAMESE or ALL variant on
     ``table``, the inputs of every example of ``corpora`` in order.
@@ -402,15 +431,14 @@ def train_variant(variant, params, corpora, table, cfg: dict, seed: int, pairs=N
         return params, report
     ep = cfg["episodes"]
     if variant == "SIAMESE":
-        quotas = {corpora[0].dataset_id: ep["siamese_pairs"]}
         episode_seed, train_seed = SEED_SIAMESE_EPISODES, SEED_SIAMESE_TRAIN
     else:
-        quotas = {c.dataset_id: ep["all_pairs_per_dataset"] for c in corpora}
         episode_seed, train_seed = SEED_ALL_EPISODES, SEED_ALL_TRAIN
     if pairs is None:
         pairs = generate_episodes(
             corpora,
-            EpisodeSpec(quotas=quotas, same_fraction=ep["same_fraction"], seed=seed + episode_seed),
+            EpisodeSpec(quotas=_episode_quotas(variant, corpora, ep),
+                        same_fraction=ep["same_fraction"], seed=seed + episode_seed),
         )
     scfg = SiameseConfig(seed=seed + train_seed, **cfg["siamese"])
     return train_siamese(params, pairs=pairs, table=table, scfg=scfg, log=_log)
@@ -611,6 +639,7 @@ def _experiment_pipeline(cfg: dict, out_dir: Path) -> None:
     versions = {p: file_version(p) for p in cfg["train_sets"] + cfg["test_sets"]}
     train_corpora = _load_corpora(cfg["train_sets"])
     test_corpora = _load_corpora(cfg["test_sets"])
+    _check_quotas(cfg, train_corpora, test_corpora)
     paths = cfg["train_vectors"] + cfg["test_vectors"] if enc["mode"] == FROZEN_PROJECTION else []
     tables = _vector_tables(train_corpora + test_corpora, paths)
     # Each input file's sha256, listed as the config lists the files, or None

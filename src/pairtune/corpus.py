@@ -37,9 +37,11 @@ class CorpusError(Exception):
     """Malformed corpus or vector file, or an invalid split request."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledExample:
-    """One text item with its class label and source-dataset tag."""
+    """One text item with its class label and source-dataset tag. Slotted:
+    an instance has no ``__dict__``, so it takes no other attribute and no
+    weak reference."""
 
     id: str
     text: str
@@ -189,8 +191,12 @@ def load_corpus(path, format: str | None = None, dataset_id: str | None = None) 
     records = (
         _read_json_lines(p) if fmt == JSON_LINES else _read_delimited(p)
     )
+    # Every example of a class holds its first record's label string, so the
+    # corpus keeps one string per class, not one per example.
+    labels: dict[str, str] = {}
     examples = [
-        LabeledExample(id=ex_id, text=text, class_label=label, dataset_id=ds)
+        LabeledExample(id=ex_id, text=text, class_label=labels.setdefault(label, label),
+                       dataset_id=ds)
         for ex_id, text, label in records
     ]
     try:

@@ -113,12 +113,26 @@ def generate_episodes(corpora, spec: EpisodeSpec) -> PairSet:
     return PairSet(examples, a, b, target)
 
 
+def check_quota(corpus: Corpus, quota: int, same_fraction: float) -> None:
+    """Raise EpisodeError unless ``corpus`` can give ``quota`` pairs at
+    ``same_fraction``: different-class pairs need two classes, and
+    same-class pairs a class of two or more examples. Reads only the class
+    sizes, so a run can check every quota it will draw before it draws any."""
+    ds = corpus.dataset_id
+    if corpus.n_classes < 2:
+        raise EpisodeError(f"dataset '{ds}' has fewer than 2 classes")
+    if same_pair_count(quota, same_fraction) > 0 and not any(
+        len(members) >= 2 for members in corpus.class_index.values()
+    ):
+        raise EpisodeError(
+            f"dataset '{ds}' has no class with >= 2 examples; same-pairs impossible"
+        )
+
+
 def _dataset_pairs(corpus: Corpus, offset: int, quota: int, spec: EpisodeSpec, rng):
     """(3, quota) rows a, b, target for one dataset, indexing its examples from offset."""
-    ds = corpus.dataset_id
+    check_quota(corpus, quota, spec.same_fraction)
     buckets = list(corpus.class_index.values())
-    if len(buckets) < 2:
-        raise EpisodeError(f"dataset '{ds}' has fewer than 2 classes")
     # Every member index, grouped by class: class c owns members[start[c]:start[c] + size[c]].
     members = np.concatenate(buckets, dtype=np.intp) + offset
     size = np.array([len(bucket) for bucket in buckets], dtype=np.intp)
@@ -127,11 +141,6 @@ def _dataset_pairs(corpus: Corpus, offset: int, quota: int, spec: EpisodeSpec, r
 
     n_same = same_pair_count(quota, spec.same_fraction)
     n_diff = quota - n_same
-    if n_same > 0 and not len(eligible):
-        raise EpisodeError(
-            f"dataset '{ds}' has no class with >= 2 examples; same-pairs impossible"
-        )
-
     c = eligible[rng.integers(len(eligible), size=n_same)]
     i = rng.integers(size[c])
     j = rng.integers(size[c] - 1)

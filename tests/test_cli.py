@@ -927,6 +927,26 @@ class TestExperimentCommand:
         assert "failed" in marker.read_text()
 
 
+@pytest.mark.parametrize("role", ["test-set", "siamese-train-set", "all-train-set"])
+def test_pair_quota_that_cannot_be_drawn_fails_before_the_first_model(tmp_path, capsys, role):
+    # A set of one example per class gives no same-class pair. Its quota is the
+    # run's last draw, so a run that drew each quota only on reaching it would
+    # first write every earlier model.
+    one = gen_corpus(tmp_path / "one.jsonl", classes=4, per_class=1, groups=4, seed=4)
+    config, cfg = experiment_config(tmp_path)
+    if role == "test-set":
+        cfg["test_sets"].append(str(one))
+    elif role == "siamese-train-set":
+        cfg.update(train_sets=[str(one)], models=["ORIG", "NAIVE", "SIAMESE"])
+    else:
+        cfg.update(train_sets=cfg["train_sets"] + [str(one)], models=["ORIG", "ALL"])
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("experiment", "--config", config) == EXIT_DATA
+    assert_one_line_error(capsys, "dataset 'one'", "same-pairs impossible")
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["INCOMPLETE"]
+
+
 @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
 def test_train_command_matches_experiment_variants(tmp_path, frozen):
     config, cfg = experiment_config(tmp_path, seed=7, models=["NAIVE", "SIAMESE", "ALL"])

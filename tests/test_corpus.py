@@ -1,9 +1,12 @@
+import dataclasses
+import gc
 import hashlib
 import json
 import os
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import pairtune.corpus
 from pairtune.corpus import (
     BY_CLASS,
     CorpusError,
+    LabeledExample,
     RANDOM_BY_EXAMPLE,
     SplitSpec,
     VectorTable,
@@ -21,6 +25,8 @@ from pairtune.corpus import (
     write_corpus,
     write_vectors,
 )
+
+from pairtune.synthetic import synthetic_corpus
 
 from conftest import make_corpus, write_jsonl
 
@@ -103,6 +109,66 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(path)
         assert corpus.examples[0].text == "Grüße ☔"
+
+
+class TestLeanExamples:
+    """A loaded example is slotted and shares its class's label string."""
+
+    def test_an_example_has_no_instance_dict(self, tmp_path):
+        path = write_jsonl(tmp_path / "c.jsonl", [("t1", "x", "a"), ("t2", "y", "b")])
+        for ex in (load_corpus(path).examples[0], LabeledExample("t", "x", "a", "d")):
+            assert not hasattr(ex, "__dict__")
+            with pytest.raises(AttributeError):
+                object.__setattr__(ex, "note", 1)
+            with pytest.raises(TypeError):
+                weakref.ref(ex)
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".tsv"])
+    def test_same_class_examples_share_one_label_string(self, tmp_path, suffix):
+        # Labels longer than one character, which the interpreter does not cache.
+        rows = [(f"t{i}", f"text {i}", f"label-{i % 3}") for i in range(12)]
+        path = tmp_path / f"c{suffix}"
+        write_corpus(make_corpus("c", rows), path)
+        corpus = load_corpus(path)
+        for label, members in corpus.class_index.items():
+            assert {id(corpus.examples[i].class_label) for i in members} == {id(label)}
+        assert len({id(ex.class_label) for ex in corpus.examples}) == 3
+
+    def test_equality_hashing_and_replace_behave_as_before(self):
+        ex = LabeledExample(id="t1", text="x", class_label="a", dataset_id="d")
+        assert [f.name for f in dataclasses.fields(LabeledExample)] == [
+            "id", "text", "class_label", "dataset_id"
+        ]
+        twin = LabeledExample("t1", "x", "".join(["a"]), "d")
+        assert twin == ex and hash(twin) == hash(ex) and len({ex, twin}) == 1
+        assert ex != LabeledExample("t1", "x", "b", "d")
+        assert ex != ("t1", "x", "a", "d")
+        moved = dataclasses.replace(ex, text="y")
+        assert moved == LabeledExample("t1", "y", "a", "d") and ex.text == "x"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ex.text = "z"
+        assert repr(ex) == (
+            "LabeledExample(id='t1', text='x', class_label='a', dataset_id='d')"
+        )
+
+    def test_load_holds_under_310_bytes_per_example(self, tmp_path):
+        # 10,000 examples of 100 classes, 8 tokens each. Bytes the loaded
+        # corpus holds per example on CPython 3.11: 374 with a per-instance
+        # __dict__ and a label string per example, 334 with slots alone, 321
+        # with shared labels alone, 281 with both.
+        path = tmp_path / "c.jsonl"
+        write_corpus(synthetic_corpus("c", 100, 100, n_groups=100, seed=1), path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = load_corpus(path)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 10_000
+        assert held / len(corpus) < 310, held / len(corpus)
 
 
 class TestRoundTrip:

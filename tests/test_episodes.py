@@ -3,11 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pairtune.corpus import CorpusError
+from pairtune.corpus import Corpus, CorpusError
 from pairtune.episodes import (
     EpisodeError,
     EpisodeSpec,
     PairSet,
+    check_quota,
     generate_episodes,
     load_pairs,
     same_pair_count,
@@ -176,6 +177,20 @@ class TestErrors:
         corpus = make_corpus("d", [("x1", "a", "x"), ("y1", "b", "y")])
         with pytest.raises(EpisodeError, match="same-pairs impossible"):
             generate_episodes(corpus, EpisodeSpec(quotas={"d": 10}))
+
+    def test_check_quota_raises_what_drawing_the_quota_raises(self):
+        one_per_class = make_corpus("d", [("x1", "a", "x"), ("y1", "b", "y")])
+        one_class = Corpus("d", one_per_class.examples, {"x": [0, 1]})
+        for corpus, quota in ((one_per_class, 10), (one_class, 10)):
+            with pytest.raises(EpisodeError) as drawn:
+                generate_episodes(corpus, EpisodeSpec(quotas={"d": quota}))
+            with pytest.raises(EpisodeError) as checked:
+                check_quota(corpus, quota, 0.5)
+            assert str(checked.value) == str(drawn.value)
+        # A quota with no same-class pair needs no class of two.
+        check_quota(one_per_class, 1, 0.4)
+        assert len(generate_episodes(one_per_class, EpisodeSpec({"d": 1}, 0.4))) == 1
+        check_quota(balanced_corpus(), 10, 0.5)
 
     def test_zero_quota_rejected(self):
         corpus = balanced_corpus()
