@@ -518,7 +518,7 @@ def _evaluate(models, tests, input_fn, spec: EvalSpec) -> list:
         pairs = eval_pairs(test, spec).compact()
         inputs = input_fn(pairs.examples)
         for model_rows, (name, embedder) in zip(rows, models):
-            result = delta_cosine_distance(embedder(inputs), pairs)
+            result = delta_cosine_distance(embedder, inputs, pairs)
             model_rows.append((name, test.dataset_id, result))
             _log(f"{name} on {test.dataset_id}: delta={result.delta:.6f}")
     return [row for model_rows in rows for row in model_rows]

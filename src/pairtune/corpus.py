@@ -545,10 +545,12 @@ def check_field(value: str, name: str = "id") -> None:
 
 
 def write_vectors(table: VectorTable, path) -> None:
-    """Write a vector table; values round-trip at 9 significant digits. Ids
-    are checked by ``check_field`` before anything is written."""
-    for ex_id in table.entries:
+    """Write a vector table; values round-trip at 9 significant digits. Ids are checked
+    by ``check_field``, and vectors for ``table.dim`` finite values, before anything is written."""
+    for ex_id, vec in table.entries.items():
         check_field(ex_id)
+        if np.shape(vec) != (table.dim,) or not np.isfinite(vec).all():
+            raise CorpusError(f"vector for id {ex_id!r} is not {table.dim} finite values")
     with atomic_write(path, encoding="utf-8") as f:
         f.write(f"dim={table.dim}\n")
         for ex_id, vec in table.entries.items():

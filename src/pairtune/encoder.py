@@ -376,9 +376,17 @@ def project_backward(
     return dA
 
 
+def check_tokens(params: EncoderParams, table: InputTable) -> None:
+    """Raise IndexError for a token index of ``table`` outside [0, len(E)): -1 would read E[-1]."""
+    tokens, E = table.tokens, params.E
+    if E is not None and tokens.size and not 0 <= tokens.min() <= tokens.max() < len(E):
+        raise IndexError(f"token index out of range for {len(E)} embedding rows")
+
+
 def _pool(params: EncoderParams, batch: InputTable):
     """The batch's pooled inputs M and, in trainable mode, its tokens per
-    example (None in frozen mode)."""
+    example (None in frozen mode), after ``check_tokens``."""
+    check_tokens(params, batch)
     if params.E is not None:
         lengths = np.diff(batch.offsets)
         M = np.add.reduceat(params.E[batch.tokens], batch.offsets[:-1], axis=0)
@@ -566,9 +574,8 @@ def _is_identity(params: EncoderParams) -> bool:
 
 
 def make_embedder(params: EncoderParams):
-    """Return ``embedder(inputs)``, which returns ``embed(rows)``: the matrix
-    whose row k embeds row rows[k] of ``inputs``, as made by
-    ``make_input_fn``, in an orthonormal basis of the span of the last
+    """Return ``embed(inputs)``: the matrix whose row i embeds row i of the
+    InputTable ``inputs`` in an orthonormal basis of the span of the last
     layer's [W2 | b2]. Rows are min(d_out, h + 1) wide and keep every norm
     and inner product of the d_out-wide embeddings. The output layer is
     built once here, so one ``make_embedder`` serves every test set.
@@ -580,16 +587,15 @@ def make_embedder(params: EncoderParams):
     the Gram matrix and needs no rank tolerance. When d_out <= h + 1 the
     rows are ``encode_batch``'s, bit for bit.
 
-    ``embed`` gathers the rows once (``inputs.take``), then pools and
-    projects them forward only, ``embed_block_rows`` at a time: ``_hidden``
-    and then the output layer of ``_eval_head``, each block written with
-    ``out=`` into one workspace allocated per call (token gather, pooled
-    inputs, hidden rows) and into its rows of the result. These are
-    ``encode_batch``'s operations in its order, so a row depends only on
-    the size of its block, and only a short last block rounds differently.
-    A block's tokens are gathered and pooled in runs of rows whose tokens
-    fit EMBED_BLOCK_BYTES as d_tok-wide float64 rows (a longer row alone),
-    which gives each pooled row the bytes of a whole-block gather.
+    ``embed`` pools and projects the rows forward only, ``embed_block_rows``
+    at a time: ``_hidden`` and then the output layer of ``_eval_head``, each
+    block written with ``out=`` into one workspace allocated per call (token
+    gather, pooled inputs, hidden rows) and into its rows of the result.
+    These are ``encode_batch``'s operations in its order, so a row depends
+    only on the size of its block, and only a short last block rounds
+    differently. A block's tokens are gathered and pooled in runs of rows
+    whose tokens fit EMBED_BLOCK_BYTES as d_tok-wide float64 rows (a longer
+    row alone), which gives each pooled row the bytes of a whole-block gather.
 
     An exact ``identity_projection`` (``_is_identity``) has no head: its
     rows are the input vectors themselves, and its embedder holds no
@@ -600,53 +606,48 @@ def make_embedder(params: EncoderParams):
     inner product sees.
     """
     if _is_identity(params):
-        return lambda inputs: lambda rows: _stacked(inputs.take(np.asarray(rows, dtype=np.intp)))
+        return _stacked
     W2, b2 = _eval_head(params)
     step, E = embed_block_rows(params.config), params.E
     # Tokens per gather: d_tok-wide float64 rows within EMBED_BLOCK_BYTES.
     cap = 0 if E is None else max(1, EMBED_BLOCK_BYTES // (8 * E.shape[1]))
 
-    def embedder(inputs: InputTable):
-        def embed(rows) -> np.ndarray:
-            batch = inputs.take(np.asarray(rows, dtype=np.intp))
-            n = len(batch)
-            cuts = np.append(np.arange(0, n, step), n)
-            Y = np.empty((n, len(b2)))
-            M = np.empty((min(n, step), params.config.d_in_eff))
-            H = np.empty((len(M), params.config.h))
-            if E is not None:
-                offsets, tokens = batch.offsets, batch.tokens
-                # np.take below clips, so an index E lacks must be refused here.
-                if tokens.size and not 0 <= tokens.min() <= tokens.max() < len(E):
-                    raise IndexError(f"token index out of range for {len(E)} embedding rows")
-                counts = np.diff(offsets)
-                lengths = counts.astype(np.float64)
-                # A run's gather is at most cap tokens or one row, and at most a block.
-                longest = min(np.diff(offsets[cuts]).max(initial=0), max(cap, counts.max(initial=0)))
-                G = np.empty((longest, E.shape[1]))
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                m, h = M[: hi - lo], H[: hi - lo]
-                if E is None:
-                    np.concatenate(batch.vectors[lo:hi], out=m.reshape(-1))
-                else:
-                    r = lo
-                    while r < hi:
-                        # The most rows from r whose tokens fit cap, and one at least.
-                        fit = np.searchsorted(offsets[r + 1 : hi + 1], offsets[r] + cap, side="right")
-                        s = r + max(1, fit)
-                        t0, t1 = offsets[r], offsets[s]
-                        # mode="raise" would gather into a fresh copy of the output.
-                        g = np.take(E, tokens[t0:t1], axis=0, out=G[: t1 - t0], mode="clip")
-                        np.add.reduceat(g, offsets[r:s] - t0, axis=0, out=m[r - lo : s - lo])
-                        r = s
-                    m /= lengths[lo:hi, None]
-                y = np.matmul(_hidden(params, m, out=h), W2.T, out=Y[lo:hi])
-                y += b2
-            return Y
+    def embed(inputs: InputTable) -> np.ndarray:
+        n = len(inputs)
+        cuts = np.append(np.arange(0, n, step), n)
+        Y = np.empty((n, len(b2)))
+        M = np.empty((min(n, step), params.config.d_in_eff))
+        H = np.empty((len(M), params.config.h))
+        if E is not None:
+            # np.take below clips, so an index E lacks must be refused here.
+            check_tokens(params, inputs)
+            offsets, tokens = inputs.offsets, inputs.tokens
+            counts = np.diff(offsets)
+            lengths = counts.astype(np.float64)
+            # A run's gather is at most cap tokens or one row, and at most a block.
+            longest = min(np.diff(offsets[cuts]).max(initial=0), max(cap, counts.max(initial=0)))
+            G = np.empty((longest, E.shape[1]))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            m, h = M[: hi - lo], H[: hi - lo]
+            if E is None:
+                np.concatenate(inputs.vectors[lo:hi], out=m.reshape(-1))
+            else:
+                r = lo
+                while r < hi:
+                    # The most rows from r whose tokens fit cap, and one at least.
+                    fit = np.searchsorted(offsets[r + 1 : hi + 1], offsets[r] + cap, side="right")
+                    s = r + max(1, fit)
+                    t0, t1 = offsets[r], offsets[s]
+                    # mode="raise" would gather into a fresh copy of the output.
+                    g = np.take(E, tokens[t0:t1], axis=0, out=G[: t1 - t0], mode="clip")
+                    np.add.reduceat(g, offsets[r:s] - t0, axis=0, out=m[r - lo : s - lo])
+                    r = s
+                m /= lengths[lo:hi, None]
+            y = np.matmul(_hidden(params, m, out=h), W2.T, out=Y[lo:hi])
+            y += b2
+        return Y
 
-        return embed
-
-    return embedder
+    return embed
 
 
 def save_model(

@@ -48,20 +48,14 @@ class PairSet:
         used[self.b] = True
         return np.flatnonzero(used)
 
-    def member_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``ref = referenced()`` and each pair's members as positions in it:
-        pair i is (examples[ref[a[i]]], examples[ref[b[i]]]). The positions
-        come from one inverse-index array over the example table."""
+    def compact(self) -> "PairSet":
+        """The same pairs over a table of only the examples they reference, in
+        table order, so preparing its ``examples`` prepares no unused one; one
+        inverse-index array renumbers ``a`` and ``b``."""
         ref = self.referenced()
         row = np.empty(len(self.examples), dtype=np.intp)
         row[ref] = np.arange(len(ref))
-        return ref, row[self.a], row[self.b]
-
-    def compact(self) -> "PairSet":
-        """The same pairs over a table of only the examples they reference,
-        in table order, so preparing its ``examples`` prepares no unused one."""
-        ref, a, b = self.member_rows()
-        return PairSet([self.examples[i] for i in ref], a, b, self.target)
+        return PairSet([self.examples[i] for i in ref], row[self.a], row[self.b], self.target)
 
 
 @dataclass

@@ -83,27 +83,26 @@ def eval_pairs(test_corpus: Corpus, spec: EvalSpec) -> PairSet:
     return generate_episodes([test_corpus], EpisodeSpec(quotas, spec.same_fraction, spec.seed))
 
 
-def delta_cosine_distance(embed, pairs: PairSet) -> DeltaReport:
+def delta_cosine_distance(embed, inputs, pairs: PairSet) -> DeltaReport:
     """The distance gap over ``pairs``, as drawn by ``eval_pairs``.
 
-    ``embed(rows)``, as made by ``make_embedder(params)(inputs)``, runs once
-    over the indices into ``pairs.examples`` of the distinct examples the
-    pairs reference and returns one embedding per index. The rows may be of
-    any width that keeps the embeddings' norms and inner products, as
-    ``make_embedder``'s narrowed rows do. Pairs score by ``cosine_distance``'s
-    formula, as many at a time as fill two PAIR_BLOCK_BYTES buffers, allocated
-    once per call, with their members' rows.
+    ``embed(inputs)``, as made by ``make_embedder(params)``, runs once and
+    returns one row per row of ``inputs``, the table of ``pairs.examples``;
+    ``pairs.a`` and ``pairs.b`` are rows of it. The rows may be of any width
+    that keeps the embeddings' norms and inner products, as ``make_embedder``'s
+    narrowed rows do. Pairs score by ``cosine_distance``'s formula, as many at
+    a time as fill two PAIR_BLOCK_BYTES buffers, allocated once per call, with
+    their members' rows.
     """
-    ref, a, b = pairs.member_rows()  # a and b are rows of Z
-    Z = np.asarray(embed(ref), dtype=np.float64)
-    if len(Z) != len(ref):
-        raise ValueError(f"embed returned {len(Z)} rows for {len(ref)} examples")
+    Z = np.asarray(embed(inputs), dtype=np.float64)
+    if len(Z) != len(pairs.examples):
+        raise ValueError(f"embed returned {len(Z)} rows for {len(pairs.examples)} examples")
     squares = np.einsum("ij,ij->i", Z, Z)
     # Only a row whose sum of squares is non-finite can hold a non-finite entry.
     suspect = np.flatnonzero(~np.isfinite(squares))
     bad = suspect[~np.isfinite(Z[suspect]).all(axis=1)]
     if bad.size:
-        raise NumericError(f"non-finite embedding for example id '{pairs.examples[ref[bad[0]]].id}'")
+        raise NumericError(f"non-finite embedding for example id '{pairs.examples[bad[0]].id}'")
     norms = np.maximum(np.sqrt(squares), EPSILON_NORM)
 
     dist = np.empty(len(pairs))
@@ -111,7 +110,7 @@ def delta_cosine_distance(embed, pairs: PairSet) -> DeltaReport:
     U = np.empty((min(step, len(pairs)), Z.shape[1]))
     V = np.empty_like(U)
     for lo in range(0, len(pairs), step):
-        ia, ib = a[lo : lo + step], b[lo : lo + step]
+        ia, ib = pairs.a[lo : lo + step], pairs.b[lo : lo + step]
         # Every index is a row of Z, so clipping moves none; mode="raise"
         # would gather into a fresh copy of the buffer.
         u = np.take(Z, ia, axis=0, out=U[: len(ia)], mode="clip")

@@ -27,6 +27,7 @@ from .encoder import (  # noqa: F401
     InputTable,
     TokenRows,
     add_token_rows,
+    check_tokens,
     encode,
     encode_backward,
     encode_batch,
@@ -405,6 +406,7 @@ def train_siamese(
     """
     if len(table) != len(pairs.examples):
         raise ValueError(f"input table has {len(table)} rows for {len(pairs.examples)} examples")
+    check_tokens(params, table)  # before any step changes params
     if len(pairs) == 0 and scfg.epochs > 0:
         raise ValueError("no training pairs")
     targets = np.where(pairs.target == 1, scfg.target_same, scfg.target_diff)
@@ -446,6 +448,7 @@ def train_naive(
     """
     if len(table) != len(corpus):
         raise ValueError(f"input table has {len(table)} rows for {len(corpus)} examples")
+    check_tokens(params, table)  # before any step changes params
     # stable class -> output index assignment: sorted labels
     label_index = {label: i for i, label in enumerate(sorted(corpus.class_index))}
     head = init_head_params(params.config.d_out, ncfg.hidden_dim, len(label_index), seed=ncfg.seed)

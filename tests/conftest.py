@@ -23,9 +23,10 @@ def make_corpus(dataset_id, rows):
     return Corpus.from_examples(dataset_id, examples)
 
 
-def stack_rows(embed_one, corpus):
-    """Row-index embedder for delta_cosine_distance from a per-example function."""
-    return lambda rows: np.array([embed_one(corpus.examples[i]) for i in rows], dtype=np.float64)
+def stack_rows(embed_one):
+    """An embedder for delta_cosine_distance over a list of examples, which
+    serves as its inputs, from a per-example function."""
+    return lambda examples: np.array([embed_one(ex) for ex in examples], dtype=np.float64)
 
 
 def write_jsonl(path, rows):

@@ -200,7 +200,7 @@ def test_criterion_2_metric_oracle_equivalence():
 
     exhaustive, _, _ = brute_force_delta(corpus, vectors)
     report = delta_cosine_distance(
-        stack_rows(lambda ex: vectors[ex.id], corpus),
+        stack_rows(lambda ex: vectors[ex.id]), corpus.examples,
         eval_pairs(corpus, EvalSpec(n_pairs=5000, seed=17)),
     )
     gap = abs(report.delta - exhaustive)
@@ -253,7 +253,7 @@ def test_criterion_4_siamese_separability_end_to_end():
     held_inputs = input_fn(held.examples)
     held_pairs = eval_pairs(held, EvalSpec(seed=99))
 
-    untrained = delta_cosine_distance(make_embedder(params)(held_inputs), held_pairs)
+    untrained = delta_cosine_distance(make_embedder(params), held_inputs, held_pairs)
     assert abs(untrained.delta) < 0.1, f"untrained delta {untrained.delta:.4f}"
 
     pairs = generate_episodes(train, EpisodeSpec(quotas={"sep4": 2000}, seed=5))
@@ -261,7 +261,7 @@ def test_criterion_4_siamese_separability_end_to_end():
     params, report = train_siamese(
         params, pairs, input_fn(train.examples), SiameseConfig(epochs=30, seed=13)
     )
-    trained = delta_cosine_distance(make_embedder(params)(held_inputs), held_pairs)
+    trained = delta_cosine_distance(make_embedder(params), held_inputs, held_pairs)
     elapsed = time.perf_counter() - started
     assert trained.delta > 0.5, f"trained delta {trained.delta:.4f}"
     assert elapsed < 300.0
@@ -293,18 +293,18 @@ def test_criterion_5_generalization_to_unseen_classes():
     unseen_inputs = input_fn(unseen.examples)
     unseen_pairs = eval_pairs(unseen, EvalSpec(n_pairs=3000, seed=77))
 
-    orig = delta_cosine_distance(make_embedder(base)(unseen_inputs), unseen_pairs)
+    orig = delta_cosine_distance(make_embedder(base), unseen_inputs, unseen_pairs)
 
     pairs = generate_episodes(train, EpisodeSpec(quotas={"gen-train": 3000}, seed=31))
     siam_params, _ = train_siamese(
         base.copy(), pairs, train_inputs, SiameseConfig(epochs=30, seed=32)
     )
-    siam = delta_cosine_distance(make_embedder(siam_params)(unseen_inputs), unseen_pairs)
+    siam = delta_cosine_distance(make_embedder(siam_params), unseen_inputs, unseen_pairs)
 
     naive_params, _head, _ = train_naive(
         base.copy(), train, train_inputs, NaiveConfig(epochs=30, seed=33)
     )
-    naive = delta_cosine_distance(make_embedder(naive_params)(unseen_inputs), unseen_pairs)
+    naive = delta_cosine_distance(make_embedder(naive_params), unseen_inputs, unseen_pairs)
 
     elapsed = time.perf_counter() - started
     assert siam.delta - orig.delta >= 0.2, (
@@ -366,8 +366,8 @@ def test_criterion_6_all_model_balance():
     margins = {}
     for ds, (_, test) in splits.items():
         inputs, test_pairs = input_fn(test.examples), eval_pairs(test, espec)
-        orig = delta_cosine_distance(make_embedder(base)(inputs), test_pairs)
-        allm = delta_cosine_distance(make_embedder(all_params)(inputs), test_pairs)
+        orig = delta_cosine_distance(make_embedder(base), inputs, test_pairs)
+        allm = delta_cosine_distance(make_embedder(all_params), inputs, test_pairs)
         margins[ds] = (orig.delta, allm.delta)
         assert allm.delta > orig.delta, (
             f"{ds}: ALL {allm.delta:.4f} does not beat ORIG {orig.delta:.4f}"

@@ -384,6 +384,19 @@ class TestVectors:
             write_vectors(table, path)
         assert path.read_text() == "previous\n" if existing else not path.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("vec", [[0.5, np.nan], [np.inf, 1.0], [1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]],
+                             ids=["nan", "inf", "3-values", "1-value", "2-d"])
+    def test_vector_the_reader_would_refuse_is_not_written(self, tmp_path, vec, existing):
+        # load_vectors refuses a non-finite value and a row of another width.
+        path = tmp_path / "v.tsv"
+        if existing:
+            path.write_text("previous\n")
+        table = VectorTable(dim=2, entries={"ok": np.ones(2), "bad": np.array(vec)})
+        with pytest.raises(CorpusError, match="vector for id 'bad' is not 2 finite values"):
+            write_vectors(table, path)
+        assert path.read_text() == "previous\n" if existing else not path.exists()
+
     def test_next_line_and_line_separator_ids_round_trip(self, tmp_path):
         path = tmp_path / "v.tsv"
         write_vectors(VectorTable(dim=1, entries={"a\x85b": np.ones(1), "c\u2028d": np.zeros(1)}),

@@ -724,7 +724,7 @@ class TestEmbedder:
             ])
 
         if not narrow:
-            Z, direct = make_embedder(params)(inputs)(rows), packed()
+            Z, direct = make_embedder(params)(inputs.take(rows)), packed()
             assert Z.shape == direct.shape and Z.tobytes() == direct.tobytes()
             # A one-row product may round differently from a many-row one.
             expected = np.array([encode(params, xs[i]) for i in rows])
@@ -741,7 +741,7 @@ class TestEmbedder:
                 params.W2[:, 1] = params.W2[:, 2]
             else:
                 params.W2[...] = 0.0
-            Z, direct = make_embedder(params)(inputs)(rows), packed()
+            Z, direct = make_embedder(params)(inputs.take(rows)), packed()
             assert Z.shape == (len(rows), params.config.h + 1), head
             np.testing.assert_allclose(Z @ Z.T, direct @ direct.T, rtol=0, atol=1e-12, err_msg=head)
             np.testing.assert_allclose(
@@ -760,11 +760,11 @@ class TestEmbedder:
         default_count = 2 * embed_block_rows(params.config) + 3
         for budget, counts in ((small, (11, 23, 37)), (default, (default_count,))):
             monkeypatch.setattr(pairtune.encoder, "EMBED_BLOCK_BYTES", budget)
-            embed = make_embedder(params)(inputs)
+            embed = make_embedder(params)
             for n in counts:
                 rows = rng.integers(0, len(xs), size=n)
                 expected = np.array([straight_line_forward(params, xs[i], head) for i in rows])
-                np.testing.assert_allclose(embed(rows), expected, rtol=FORWARD_RTOL, atol=FORWARD_ATOL,
+                np.testing.assert_allclose(embed(inputs.take(rows)), expected, rtol=FORWARD_RTOL, atol=FORWARD_ATOL,
                                            err_msg=f"{case} n={n}")
 
     @pytest.mark.parametrize("case", EMBED_CASES)
@@ -781,7 +781,7 @@ class TestEmbedder:
             pooled = [pairtune.encoder._pool(params, inputs.take(block))[0]
                       for block in np.split(rows, range(step, n, step))]
             blocks = [pairtune.encoder._hidden(params, M) @ W2.T + b2 for M in pooled]
-            Z = make_embedder(params)(inputs)(rows)
+            Z = make_embedder(params)(inputs.take(rows))
             assert Z.tobytes() == np.concatenate(blocks).tobytes(), (case, step)
 
     @pytest.mark.parametrize("mode", [TRAINABLE, FROZEN_PROJECTION])
@@ -790,7 +790,7 @@ class TestEmbedder:
         params, xs, inputs = oracle_case(mode, d, h, 512)
         budget = 8 * step * block_width(params.config)
         monkeypatch.setattr(pairtune.encoder, "EMBED_BLOCK_BYTES", budget)
-        embed = make_embedder(params)(inputs)
+        embed = make_embedder(params)
         for n_blocks in (2, 10):
             rows = np.arange(step * n_blocks - 5) % len(xs)
             batch = inputs.take(rows)
@@ -806,7 +806,7 @@ class TestEmbedder:
                 gathered = batch.vectors.nbytes
             tracemalloc.start()
             try:
-                Y = embed(rows)
+                Y = embed(inputs.take(rows))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -826,20 +826,20 @@ class TestEmbedder:
         assert step == (budget_rows or 504)
         # Two full blocks and a 9-row one, whose tokens overflow each budget.
         rows = np.random.default_rng(3).integers(0, len(inputs), size=2 * step + 9)
-        Z = make_embedder(params)(inputs)(rows)
+        Z = make_embedder(params)(inputs.take(rows))
         expected = whole_block_gather_rows(params, inputs, rows)
         assert Z.shape == expected.shape and Z.tobytes() == expected.tobytes()
 
     def test_token_gather_stays_within_the_byte_budget(self):
         params, inputs = long_row_case()
         step, (d, h) = embed_block_rows(params.config), (params.config.d_tok, params.config.h)
-        embed = make_embedder(params)(inputs)
+        embed = make_embedder(params)
         rows = np.arange(step)  # one full block of 20-token rows
         batch = inputs.take(rows)
         assert 8 * d * len(batch.tokens) > 4 * pairtune.encoder.EMBED_BLOCK_BYTES
         tracemalloc.start()
         try:
-            Y = embed(rows)
+            Y = embed(inputs.take(rows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -867,7 +867,7 @@ class TestEmbedder:
                     params.W2[:, -1] = params.b2[...] = params.W2[:, 0]
                 elif head == "zero W2":
                     params.W2[...] = 0.0
-                Z, direct = make_embedder(params)(inputs)(range(len(X))), encode_rows(params, list(X))
+                Z, direct = make_embedder(params)(inputs), encode_rows(params, list(X))
                 where = f"h={h} d_out={d_out} {head}"
                 assert Z.shape == (len(X), h + 1), where
                 np.testing.assert_allclose(Z @ Z.T, direct @ direct.T, rtol=0, atol=1e-12,
@@ -890,14 +890,13 @@ class TestEmbedder:
             params = init_encoder_params(config, seed=2)
             table = VectorTable(dim=5, entries={ex.id: rng.normal(size=5) for ex in corpus.examples})
             inputs = make_input_fn(params.config, vectors=table)(corpus.examples)
-        rows = np.arange(len(corpus))
-        expected = make_embedder(params)(inputs)(rows)
+        expected = make_embedder(params)(inputs)
 
         def no_project(*args):
             raise AssertionError("eval called project")
 
         monkeypatch.setattr(pairtune.encoder, "project", no_project)
-        Z = make_embedder(params)(inputs)(rows)
+        Z = make_embedder(params)(inputs)
         assert Z.shape == (len(corpus), min(d_out, params.config.h + 1))
         assert Z.tobytes() == expected.tobytes()
 
@@ -937,7 +936,7 @@ class TestEmbedder:
             return hidden(params, M, out)
 
         monkeypatch.setattr(pairtune.encoder, "_hidden", counting_hidden)
-        Z = make_embedder(params)(inputs)([0, 1, 2])
+        Z = make_embedder(params)(inputs)
         assert hidden_calls == ([] if change is None else [3])
         np.testing.assert_allclose(Z, encode_batch(params, inputs)[0], rtol=0, atol=1e-12)
 
@@ -947,23 +946,24 @@ class TestEmbedder:
         # The blocks gather with clipping, which would map the index into E.
         inputs = input_table(params.config, [[1, 2], [0, token], [3]])
         with pytest.raises(IndexError, match="out of range for 6 embedding rows"):
-            make_embedder(params)(inputs)(range(len(inputs)))
+            make_embedder(params)(inputs)
 
     def test_trainable_embedder_uses_tokens(self):
         corpus = make_corpus("d", [("t1", "a b", "x"), ("t2", "c", "y")])
         vocab = build_vocab(corpus)
         params = tiny_trainable(vocab_size=vocab.size)
-        embed = make_embedder(params)(make_input_fn(params.config, vocab=vocab)(corpus.examples))
+        inputs = make_input_fn(params.config, vocab=vocab)(corpus.examples)
         # Three rows: a one-row chunk would round as a matrix-vector product.
         xs = [vocab.lookup(tokens) for tokens in (["a", "b"], ["c"], ["a", "b"])]
-        np.testing.assert_array_equal(embed([0, 1, 0]), encode_rows(params, xs))
+        np.testing.assert_array_equal(make_embedder(params)(inputs.take(np.array([0, 1, 0]))),
+                                      encode_rows(params, xs))
 
     def test_frozen_embedder_missing_id(self):
         corpus = make_corpus("d", [("t1", "a", "x"), ("t2", "b", "y")])
         params = identity_projection(2)
         table = VectorTable(dim=2, entries={"t1": np.array([1.0, 0.0])})
         prepare = make_input_fn(params.config, vectors=table)
-        embed = make_embedder(params)(prepare(corpus.examples[:1]))
-        np.testing.assert_array_equal(embed([0])[0], [1.0, 0.0])
+        embed = make_embedder(params)
+        np.testing.assert_array_equal(embed(prepare(corpus.examples[:1]))[0], [1.0, 0.0])
         with pytest.raises(CorpusError, match="no vector for example id 't2'"):
             prepare(corpus.examples[1:])

@@ -247,16 +247,17 @@ class TestPairDump:
         assert path.read_text() == "previous\n" if existing else not path.exists()
 
 
-class TestMemberRows:
-    """member_rows against a binary search of the sorted referenced() indices."""
+class TestCompact:
+    """compact()'s a and b against a binary search of the sorted referenced() indices."""
 
     @staticmethod
     def assert_matches_searchsorted(pairs):
-        ref, a, b = pairs.member_rows()
-        assert ref.tobytes() == pairs.referenced().tobytes()
-        assert a.tobytes() == np.searchsorted(ref, pairs.a).tobytes()
-        assert b.tobytes() == np.searchsorted(ref, pairs.b).tobytes()
-        assert (ref[a] == pairs.a).all() and (ref[b] == pairs.b).all()
+        ref, compact = pairs.referenced(), pairs.compact()
+        assert compact.examples == [pairs.examples[i] for i in ref]
+        assert compact.a.tobytes() == np.searchsorted(ref, pairs.a).tobytes()
+        assert compact.b.tobytes() == np.searchsorted(ref, pairs.b).tobytes()
+        assert (ref[compact.a] == pairs.a).all() and (ref[compact.b] == pairs.b).all()
+        assert compact.target is pairs.target
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_pair_sets_with_repeated_pairs(self, seed):
@@ -279,5 +280,6 @@ class TestMemberRows:
         corpus = make_corpus("d", [("x", "t", "p"), ("y", "t", "q"), ("z", "t", "p")])
         pairs = PairSet(corpus.examples, np.array([2]), np.array([0]), np.array([1]))
         self.assert_matches_searchsorted(pairs)
-        ref, a, b = pairs.member_rows()
-        assert ref.tolist() == [0, 2] and a.tolist() == [1] and b.tolist() == [0]
+        compact = pairs.compact()
+        assert [ex.id for ex in compact.examples] == ["x", "z"]
+        assert compact.a.tolist() == [1] and compact.b.tolist() == [0]

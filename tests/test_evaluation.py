@@ -12,6 +12,7 @@ from pairtune.encoder import (
     FROZEN_PROJECTION,
     TRAINABLE,
     EncoderConfig,
+    InputTable,
     build_vocab,
     embed_block_rows,
     encode_batch,
@@ -96,7 +97,7 @@ class TestDeltaCosineDistance:
         corpus, _ = two_class_six_examples()
         fixed = np.array([3.0, 4.0])
         report = delta_cosine_distance(
-            stack_rows(lambda ex: fixed, corpus), eval_pairs(corpus, EvalSpec(n_pairs=200, seed=1))
+            stack_rows(lambda ex: fixed), corpus.examples, eval_pairs(corpus, EvalSpec(n_pairs=200, seed=1))
         )
         assert report.mean_same_distance == 0.0
         assert report.mean_diff_distance == 0.0
@@ -106,7 +107,7 @@ class TestDeltaCosineDistance:
         corpus, _ = two_class_six_examples()
         axes = {"A": np.array([1.0, 0.0]), "B": np.array([0.0, 1.0])}
         report = delta_cosine_distance(
-            stack_rows(lambda ex: axes[ex.class_label], corpus),
+            stack_rows(lambda ex: axes[ex.class_label]), corpus.examples,
             eval_pairs(corpus, EvalSpec(n_pairs=500, seed=2)),
         )
         assert report.delta == 1.0
@@ -114,7 +115,7 @@ class TestDeltaCosineDistance:
     def test_counts_partition_n_pairs(self):
         corpus, vectors = two_class_six_examples()
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id], corpus),
+            stack_rows(lambda ex: vectors[ex.id]), corpus.examples,
             eval_pairs(corpus, EvalSpec(n_pairs=101, same_fraction=0.3, seed=3)),
         )
         assert report.s_count + report.d_count == 101
@@ -124,7 +125,7 @@ class TestDeltaCosineDistance:
         corpus, vectors = two_class_six_examples()
         exhaustive, _, _ = brute_force_delta(corpus, vectors)
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id], corpus),
+            stack_rows(lambda ex: vectors[ex.id]), corpus.examples,
             eval_pairs(corpus, EvalSpec(n_pairs=5000, seed=4))
         )
         assert abs(report.delta - exhaustive) < 0.02
@@ -143,7 +144,7 @@ class TestDeltaCosineDistance:
         }
         exhaustive, _, _ = brute_force_delta(corpus, vectors)
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id], corpus),
+            stack_rows(lambda ex: vectors[ex.id]), corpus.examples,
             eval_pairs(corpus, EvalSpec(n_pairs=5000, seed=6))
         )
         se = math.sqrt(report.same_stderr**2 + report.diff_stderr**2)
@@ -158,7 +159,7 @@ class TestDeltaCosineDistance:
                 "B": np.array([math.cos(math.radians(theta)), math.sin(math.radians(theta))]),
             }
             report = delta_cosine_distance(
-                stack_rows(lambda ex: axes[ex.class_label], corpus),
+                stack_rows(lambda ex: axes[ex.class_label]), corpus.examples,
                 eval_pairs(corpus, EvalSpec(n_pairs=400, seed=7))
             )
             expected = 1.0 - math.cos(math.radians(theta))
@@ -180,8 +181,8 @@ class TestDeltaCosineDistance:
             return 7.3 * embed(ex)
 
         pairs = eval_pairs(corpus, EvalSpec(n_pairs=600, seed=8))
-        base = delta_cosine_distance(stack_rows(embed, corpus), pairs)
-        scaled = delta_cosine_distance(stack_rows(embed_scaled, corpus), pairs)
+        base = delta_cosine_distance(stack_rows(embed), corpus.examples, pairs)
+        scaled = delta_cosine_distance(stack_rows(embed_scaled), corpus.examples, pairs)
         assert scaled.delta == base.delta
         assert scaled.mean_same_distance == base.mean_same_distance
         assert scaled.mean_diff_distance == base.mean_diff_distance
@@ -192,7 +193,7 @@ class TestDeltaCosineDistance:
         bad["a2"] = np.array([np.nan, 1.0])
         with pytest.raises(NumericError, match="a2"):
             delta_cosine_distance(
-                stack_rows(lambda ex: bad[ex.id], corpus),
+                stack_rows(lambda ex: bad[ex.id]), corpus.examples,
                 eval_pairs(corpus, EvalSpec(n_pairs=50, seed=9))
             )
 
@@ -204,7 +205,7 @@ class TestDeltaCosineDistance:
         assert pairs.examples == corpus.examples
         for name in ("a", "b", "target"):
             assert np.array_equal(getattr(pairs, name), getattr(drawn, name)), name
-        report = delta_cosine_distance(stack_rows(lambda ex: vectors[ex.id], corpus), pairs)
+        report = delta_cosine_distance(stack_rows(lambda ex: vectors[ex.id]), corpus.examples, pairs)
         assert report.n_pairs == len(pairs) == 101
 
     def test_spec_validation(self):
@@ -221,7 +222,7 @@ class TestDeltaCosineDistance:
     def test_smallest_specs_score_one_pair_of_each_kind_or_more(self, n_pairs, same_fraction):
         corpus, vectors = two_class_six_examples()
         report = delta_cosine_distance(
-            stack_rows(lambda ex: vectors[ex.id], corpus),
+            stack_rows(lambda ex: vectors[ex.id]), corpus.examples,
             eval_pairs(corpus, EvalSpec(n_pairs=n_pairs, same_fraction=same_fraction, seed=5)),
         )
         assert report.s_count >= 1 and report.d_count >= 1
@@ -265,13 +266,12 @@ class TestBatchedEvalMatchesReference:
                 m = params.E[vocab.lookup(tokenize(ex.text))].mean(axis=0)
                 return params.W2 @ np.maximum(params.W1 @ m + params.b1, 0.0) + params.b2
 
-            inputs = make_input_fn(config, vocab=vocab)(corpus.examples)
-            return corpus, embed_one, make_embedder(params)(inputs), params
+            return corpus, embed_one, make_embedder(params), make_input_fn(config, vocab=vocab), params
         table = VectorTable(dim=6, entries={ex.id: rng.normal(size=6) for ex in corpus.examples})
         if kind == "identity-orig":
             params = identity_projection(6)
-            inputs = make_input_fn(params.config, vectors=table)(corpus.examples)
-            return corpus, lambda ex: table[ex.id], make_embedder(params)(inputs), params
+            prepare = make_input_fn(params.config, vectors=table)
+            return corpus, lambda ex: table[ex.id], make_embedder(params), prepare, params
         h, d_out = (4, 11) if kind == "frozen-narrow" else (7, 5)
         config = EncoderConfig(mode=FROZEN_PROJECTION, d_in=6, h=h, d_out=d_out)
         params = init_encoder_params(config, seed=4)
@@ -280,8 +280,7 @@ class TestBatchedEvalMatchesReference:
         def embed_one(ex):
             return params.W2 @ np.maximum(params.W1 @ table[ex.id] + params.b1, 0.0) + params.b2
 
-        inputs = make_input_fn(config, vectors=table)(corpus.examples)
-        return corpus, embed_one, make_embedder(params)(inputs), params
+        return corpus, embed_one, make_embedder(params), make_input_fn(config, vectors=table), params
 
     @pytest.mark.parametrize(
         "kind", ["trainable", "frozen", "identity-orig", "trainable-narrow", "frozen-narrow"]
@@ -291,15 +290,16 @@ class TestBatchedEvalMatchesReference:
         # several blocks and a short last one.
         monkeypatch.setattr(pairtune.encoder, "EMBED_BLOCK_BYTES", 8 * 64)
         monkeypatch.setattr(pairtune.evaluation, "PAIR_BLOCK_BYTES", 8 * 256)
-        corpus, embed_one, embed, params = self.setup_case(kind)
+        corpus, embed_one, embed, prepare, params = self.setup_case(kind)
         spec = EvalSpec(n_pairs=333, same_fraction=0.4, seed=5)
         pairs, same, diff = reference_report(embed_one, corpus, spec)
         n_ref, step = pairs.referenced().size, embed_block_rows(params.config)
         assert n_ref > step and n_ref % step, (n_ref, step)
-        pair_step = 256 // embed(np.arange(1)).shape[1]
+        pair_step = 256 // embed(prepare(corpus.examples[:1])).shape[1]
         assert spec.n_pairs > pair_step and spec.n_pairs % pair_step, pair_step
 
-        report = delta_cosine_distance(embed, eval_pairs(corpus, spec))
+        compact = eval_pairs(corpus, spec).compact()
+        report = delta_cosine_distance(embed, prepare(compact.examples), compact)
         assert (report.s_count, report.d_count) == (len(same), len(diff))
         expected = {
             "mean_same_distance": statistics.fmean(same),
@@ -311,17 +311,34 @@ class TestBatchedEvalMatchesReference:
         for name, value in expected.items():
             assert abs(getattr(report, name) - value) <= 1e-12, name
 
+    @pytest.mark.parametrize("kind", ["trainable", "frozen", "identity-orig"])
+    def test_eval_embeds_the_prepared_table_without_gathering_rows(self, monkeypatch, kind):
+        corpus, embed_one, embed, prepare, _ = self.setup_case(kind)
+        spec = EvalSpec(n_pairs=333, same_fraction=0.4, seed=5)
+        _, same, diff = reference_report(embed_one, corpus, spec)
+        pairs = eval_pairs(corpus, spec).compact()
+        inputs = prepare(pairs.examples)
+
+        def no_take(self, rows):
+            raise AssertionError("eval gathered rows with InputTable.take")
+
+        monkeypatch.setattr(InputTable, "take", no_take)
+        report = delta_cosine_distance(embed, inputs, pairs)
+        assert (report.s_count, report.d_count) == (len(same), len(diff))
+        assert abs(report.delta - (statistics.fmean(diff) - statistics.fmean(same))) <= 1e-12
+
     @pytest.mark.parametrize("kind", ["trainable-narrow", "frozen", "identity-orig"])
     def test_report_bytes_do_not_depend_on_the_pair_block_size(self, monkeypatch, kind):
-        corpus, _, embed, _ = self.setup_case(kind)
-        pairs = eval_pairs(corpus, EvalSpec(n_pairs=333, same_fraction=0.4, seed=5))
-        width = embed(np.arange(1)).shape[1]
+        corpus, _, embed, prepare, _ = self.setup_case(kind)
+        pairs = eval_pairs(corpus, EvalSpec(n_pairs=333, same_fraction=0.4, seed=5)).compact()
+        inputs = prepare(pairs.examples)
+        width = embed(inputs).shape[1]
         reports = []
         # One pair per block, 7 (the last one short), the default, and all in one.
         for budget in (8 * width, 8 * 7 * width, pairtune.evaluation.PAIR_BLOCK_BYTES,
                        8 * (len(pairs) + 1) * width):
             monkeypatch.setattr(pairtune.evaluation, "PAIR_BLOCK_BYTES", budget)
-            reports.append(repr(dataclasses.astuple(delta_cosine_distance(embed, pairs))))
+            reports.append(repr(dataclasses.astuple(delta_cosine_distance(embed, inputs, pairs))))
         assert reports == reports[:1] * 4
 
 
@@ -329,7 +346,7 @@ def test_embed_that_returns_another_row_count_is_refused():
     corpus = synthetic_corpus("rows", 3, 10, n_groups=3, seed=1)
     pairs = eval_pairs(corpus, EvalSpec(n_pairs=40, seed=1))
     with pytest.raises(ValueError, match=r"embed returned \d+ rows for \d+ examples"):
-        delta_cosine_distance(lambda rows: np.ones((len(rows) - 1, 3)), pairs)
+        delta_cosine_distance(lambda examples: np.ones((len(examples) - 1, 3)), pairs.examples, pairs)
 
 
 @pytest.mark.parametrize("d", [5, 64, 512])
@@ -349,17 +366,17 @@ def test_identity_orig_scored_on_its_inputs_matches_the_network(d):
     params = identity_projection(d)
     inputs = make_input_fn(params.config, vectors=table)(corpus.examples)
 
-    def network(rows):
-        return encode_batch(params, inputs.take(np.asarray(rows, dtype=np.intp)))[0]
+    def network(inputs):
+        return encode_batch(params, inputs)[0]
 
-    embed = make_embedder(params)(inputs)
-    rows = np.arange(len(corpus))
-    Z, N = embed(rows), network(rows)
+    embed = make_embedder(params)
+    Z, N = embed(inputs), network(inputs)
     assert Z.tobytes() == X.tobytes()
     assert np.abs(Z).tobytes() == np.abs(N).tobytes()
     assert (Z @ Z.T).tobytes() == (N @ N.T).tobytes()
     pairs = eval_pairs(corpus, EvalSpec(n_pairs=400, same_fraction=0.5, seed=3))
-    shortcut, reference = delta_cosine_distance(embed, pairs), delta_cosine_distance(network, pairs)
+    shortcut = delta_cosine_distance(embed, inputs, pairs)
+    reference = delta_cosine_distance(network, inputs, pairs)
     for field in dataclasses.fields(DeltaReport):
         assert getattr(shortcut, field.name) == getattr(reference, field.name), field.name
 

@@ -483,7 +483,7 @@ class TestTrainSiamese:
         assert report.epoch_losses[-1] < 0.05
         assert report.epoch_losses[-1] < report.epoch_losses[0]
         result = delta_cosine_distance(
-            make_embedder(params)(input_fn(held.examples)),
+            make_embedder(params), input_fn(held.examples),
             eval_pairs(held, EvalSpec(n_pairs=2_000, seed=35)),
         )
         assert result.delta > 0.5
@@ -668,3 +668,29 @@ class TestBatchKernel:
         np.testing.assert_allclose(losses, single, rtol=1e-12, atol=0)
         batched = with_table_gradient(encoder_and_head(eb, hb), rows)
         assert relative_error(batched, encoder_and_head(es, hs)) <= 1e-12
+
+
+@pytest.mark.parametrize("token", ["-1", "len(E)"])
+def test_token_index_outside_the_embedding_table_is_refused(token):
+    # Numpy reads -1 as E[-1]; the rule is [0, len(E)) wherever E is read.
+    corpus = synthetic_corpus("tok", 3, 8, n_groups=3, seed=1)
+    vocab = build_vocab(corpus)
+    config = EncoderConfig(mode=TRAINABLE, d_tok=4, h=6, d_out=5)
+    params = init_encoder_params(config, vocab_size=vocab.size, seed=1)
+    table = make_input_fn(config, vocab=vocab)(corpus.examples)
+    # The last example's last token; a trainer refuses it before its first
+    # step, whichever batch holds it.
+    table.tokens[-1] = -1 if token == "-1" else len(params.E)
+    last = len(corpus) - 1
+    pairs = generate_episodes(corpus, EpisodeSpec(quotas={"tok": 60}, seed=2))
+    assert (pairs.a == last).any() or (pairs.b == last).any()
+    before = params.flat.copy()
+    match = f"token index out of range for {vocab.size} embedding rows"
+    with pytest.raises(IndexError, match=match):
+        encode_batch(params, table)
+    with pytest.raises(IndexError, match=match):
+        train_siamese(params, pairs, table, SiameseConfig(epochs=1, batch_size=4, seed=3))
+    assert params.flat.tobytes() == before.tobytes()
+    with pytest.raises(IndexError, match=match):
+        train_naive(params, corpus, table, NaiveConfig(epochs=1, batch_size=4, hidden_dim=4, seed=3))
+    assert params.flat.tobytes() == before.tobytes()
